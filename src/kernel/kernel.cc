@@ -1152,13 +1152,7 @@ void Kernel::HandlePageFault(Task& task, EffAddr ea, AccessKind kind) {
     if (vma->writable) {
       // Private writable file mapping: give the task its own copy.
       const uint32_t frame = mem_.GetFreePage();
-      for (uint32_t offset = 0; offset < kPageSize; offset += machine_.config().dcache.line_bytes) {
-        machine_.TouchData(PhysAddr::FromFrame(cache_frame, offset), /*is_write=*/false);
-        machine_.TouchData(PhysAddr::FromFrame(frame, offset), /*is_write=*/true);
-        machine_.AddCycles(Cycles(costs_.copy_cycles_per_line));
-      }
-      machine_.memory().Copy(PhysAddr::FromFrame(frame), PhysAddr::FromFrame(cache_frame),
-                             kPageSize);
+      CopyFrameCharged(frame, cache_frame);
       pte.frame = frame;
       pte.writable = true;
     } else {
@@ -1204,15 +1198,8 @@ void Kernel::HandleCowFault(Task& task, EffAddr ea) {
     const uint32_t frame = mem_.GetFreePage();
     {
       CycleScope copy_scope(machine_, AttrCause::kCowCopy);
-      for (uint32_t offset = 0; offset < kPageSize;
-           offset += machine_.config().dcache.line_bytes) {
-        machine_.TouchData(PhysAddr::FromFrame(pte->frame, offset), /*is_write=*/false);
-        machine_.TouchData(PhysAddr::FromFrame(frame, offset), /*is_write=*/true);
-        machine_.AddCycles(Cycles(costs_.copy_cycles_per_line));
-      }
+      CopyFrameCharged(frame, pte->frame);
     }
-    machine_.memory().Copy(PhysAddr::FromFrame(frame), PhysAddr::FromFrame(pte->frame),
-                           kPageSize);
     allocator_.DecRef(pte->frame);
     mm.page_table->Update(
         ea,
@@ -1230,29 +1217,50 @@ void Kernel::HandleCowFault(Task& task, EffAddr ea) {
 
 // ---- plumbing ----
 
+void Kernel::CopyFrameCharged(uint32_t dst_frame, uint32_t src_frame) {
+  // Source load and destination store alternate per line: both frames index the same cache
+  // sets, so the interleaving is what decides the LRU victims. Only the word loop, which
+  // touches no cache, is charged once for the page.
+  const uint32_t line = machine_.config().dcache.line_bytes;
+  for (uint32_t offset = 0; offset < kPageSize; offset += line) {
+    machine_.TouchData(PhysAddr::FromFrame(src_frame, offset), /*is_write=*/false);
+    machine_.TouchData(PhysAddr::FromFrame(dst_frame, offset), /*is_write=*/true);
+  }
+  machine_.AddCycles(Cycles(uint64_t{kPageSize / line} * costs_.copy_cycles_per_line));
+  machine_.memory().Copy(PhysAddr::FromFrame(dst_frame), PhysAddr::FromFrame(src_frame),
+                         kPageSize);
+}
+
 void Kernel::CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool to_user) {
   const uint32_t line = machine_.config().dcache.line_bytes;
+  const AccessKind kind = to_user ? AccessKind::kStore : AccessKind::kLoad;
   uint32_t done = 0;
   while (done < length) {
-    const EffAddr user_ea = user + done;
-    const uint32_t page_remaining = kPageSize - user_ea.PageOffset();
-    const uint32_t chunk = std::min({line - (user_ea.value % line), length - done,
-                                     page_remaining});
-    // The user side of the copy (faulting the page in if needed) and the kernel side.
-    UserTouch(user_ea, to_user ? AccessKind::kStore : AccessKind::kLoad);
-    machine_.TouchData(kernel + done, /*is_write=*/!to_user);
-    machine_.AddCycles(Cycles(costs_.copy_cycles_per_line));
+    // One user page at a time: its first UserTouch faults the page in if needed, so the
+    // translation is probed once, right after it, and the page's bytes move in one copy.
+    const EffAddr page_ea = user + done;
+    const uint32_t page_chunk = std::min(kPageSize - page_ea.PageOffset(), length - done);
+    std::optional<PhysAddr> user_pa;
+    for (uint32_t in_page = 0; in_page < page_chunk;) {
+      const EffAddr user_ea = page_ea + in_page;
+      // The user side of the copy (faulting the page in if needed) and the kernel side.
+      UserTouch(user_ea, kind);
+      machine_.TouchData(kernel + done + in_page, /*is_write=*/!to_user);
+      machine_.AddCycles(Cycles(costs_.copy_cycles_per_line));
+      if (!user_pa.has_value()) {
+        user_pa = mmu_->Probe(page_ea, kind);
+        PPCMM_CHECK_MSG(user_pa.has_value(), "user page vanished mid-copy");
+      }
+      in_page += std::min(line - (user_ea.value % line), page_chunk - in_page);
+    }
 
     // Functionally move the bytes so data-integrity tests hold end to end.
-    const std::optional<PhysAddr> user_pa =
-        mmu_->Probe(user_ea, to_user ? AccessKind::kStore : AccessKind::kLoad);
-    PPCMM_CHECK_MSG(user_pa.has_value(), "user page vanished mid-copy");
     if (to_user) {
-      machine_.memory().Copy(*user_pa, kernel + done, chunk);
+      machine_.memory().Copy(*user_pa, kernel + done, page_chunk);
     } else {
-      machine_.memory().Copy(kernel + done, *user_pa, chunk);
+      machine_.memory().Copy(kernel + done, *user_pa, page_chunk);
     }
-    done += chunk;
+    done += page_chunk;
   }
 }
 

@@ -306,7 +306,10 @@ class Kernel : public PteBackingSource {
   void InjectZombieFlood();
   void HandlePageFault(Task& task, EffAddr ea, AccessKind kind);
   void HandleCowFault(Task& task, EffAddr ea);
-  // Copies between a user range and a kernel physical range, line by line.
+  // Copies one frame to another (COW break, private file fault), charged through the data
+  // cache.
+  void CopyFrameCharged(uint32_t dst_frame, uint32_t src_frame);
+  // Copies between a user range and a kernel physical range, charged line by line.
   void CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool to_user);
   // Unmaps PTEs and releases frames in a page range (no flushing; callers flush first).
   void ReleaseRange(Mm& mm, uint32_t start_page, uint32_t page_count);

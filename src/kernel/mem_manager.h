@@ -55,7 +55,8 @@ class MemManager {
   PageAllocator& allocator() { return allocator_; }
 
  private:
-  // Zeroes `frame` with per-line charged stores, through the cache or around it.
+  // Zeroes `frame` with one charged store per line, through the cache or around it (one
+  // Machine::TouchDataRun; O(1) when uncached).
   void ZeroFrameCharged(uint32_t frame, bool cached);
 
   Machine& machine_;

@@ -33,18 +33,28 @@ PhysAddr HashTable::SlotAddr(uint32_t pteg, uint32_t slot) const {
   return base_ + (pteg * kPtesPerPteg + slot) * kPteBytes;
 }
 
+void HashTable::ChargeSlotReads(MemCharger& charger, uint32_t first, uint32_t end) const {
+  if (end > first) {
+    charger.ChargeRun(base_ + first * kPteBytes, kPteBytes, end - first, /*is_write=*/false);
+  }
+}
+
+uint32_t HashTable::ChargeProbes(uint32_t pteg, uint32_t first_hit, MemCharger& charger) const {
+  const uint32_t probed = std::min(first_hit + 1, kPtesPerPteg);
+  ChargeSlotReads(charger, pteg * kPtesPerPteg, pteg * kPtesPerPteg + probed);
+  return probed;
+}
+
 HtabSearchResult HashTable::Search(VirtPage vp, MemCharger& charger) const {
   HtabSearchResult result;
   const uint32_t groups[2] = {PrimaryPteg(vp), SecondaryPteg(vp)};
   for (uint32_t g : groups) {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
-      ++result.memory_refs;
-      if (ptegs_[g][s].Matches(vp)) {
-        result.found = true;
-        result.pte = ptegs_[g][s];
-        return result;
-      }
+    const uint32_t s = FirstSlot(g, [vp](const HashedPte& pte) { return pte.Matches(vp); });
+    result.memory_refs += ChargeProbes(g, s, charger);
+    if (s < kPtesPerPteg) {
+      result.found = true;
+      result.pte = ptegs_[g][s];
+      return result;
     }
   }
   return result;
@@ -58,13 +68,12 @@ HtabInsertOutcome HashTable::Insert(const HashedPte& pte, const VsidOracle& orac
   // Pass 1: look for a free slot, charging a read per probe (the reload code examines each
   // candidate slot's valid bit).
   for (uint32_t g : groups) {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
-      if (!ptegs_[g][s].valid) {
-        ptegs_[g][s] = pte;
-        charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-        return HtabInsertOutcome::kFreeSlot;
-      }
+    const uint32_t s = FirstSlot(g, [](const HashedPte& slot) { return !slot.valid; });
+    ChargeProbes(g, s, charger);
+    if (s < kPtesPerPteg) {
+      ptegs_[g][s] = pte;
+      charger.Charge(SlotAddr(g, s), /*is_write=*/true);
+      return HtabInsertOutcome::kFreeSlot;
     }
   }
 
@@ -82,14 +91,13 @@ HtabInsertOutcome HashTable::Insert(const HashedPte& pte, const VsidOracle& orac
 std::optional<HashedPte> HashTable::InvalidatePage(VirtPage vp, MemCharger& charger) {
   const uint32_t groups[2] = {PrimaryPteg(vp), SecondaryPteg(vp)};
   for (uint32_t g : groups) {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
-      if (ptegs_[g][s].Matches(vp)) {
-        const HashedPte old = ptegs_[g][s];
-        ptegs_[g][s].valid = false;
-        charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-        return old;
-      }
+    const uint32_t s = FirstSlot(g, [vp](const HashedPte& pte) { return pte.Matches(vp); });
+    ChargeProbes(g, s, charger);
+    if (s < kPtesPerPteg) {
+      const HashedPte old = ptegs_[g][s];
+      ptegs_[g][s].valid = false;
+      charger.Charge(SlotAddr(g, s), /*is_write=*/true);
+      return old;
     }
   }
   return std::nullopt;
@@ -98,13 +106,12 @@ std::optional<HashedPte> HashTable::InvalidatePage(VirtPage vp, MemCharger& char
 bool HashTable::MarkChanged(VirtPage vp, MemCharger& charger) {
   const uint32_t groups[2] = {PrimaryPteg(vp), SecondaryPteg(vp)};
   for (uint32_t g : groups) {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
-      if (ptegs_[g][s].Matches(vp)) {
-        ptegs_[g][s].changed = true;
-        charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-        return true;
-      }
+    const uint32_t s = FirstSlot(g, [vp](const HashedPte& pte) { return pte.Matches(vp); });
+    ChargeProbes(g, s, charger);
+    if (s < kPtesPerPteg) {
+      ptegs_[g][s].changed = true;
+      charger.Charge(SlotAddr(g, s), /*is_write=*/true);
+      return true;
     }
   }
   return false;
@@ -112,21 +119,24 @@ bool HashTable::MarkChanged(VirtPage vp, MemCharger& charger) {
 
 uint32_t HashTable::InvalidateMatching(const std::function<bool(const HashedPte&)>& pred,
                                        MemCharger* charger) {
+  // Slot addresses are contiguous across PTEGs, so the reads between two invalidations are
+  // one run; `run_start` is the first slot whose read is not yet charged.
   uint32_t cleared = 0;
-  for (uint32_t g = 0; g < num_ptegs(); ++g) {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
+  uint32_t run_start = 0;
+  for (uint32_t slot = 0; slot < capacity(); ++slot) {
+    HashedPte& pte = ptegs_[slot / kPtesPerPteg][slot % kPtesPerPteg];
+    if (pte.valid && pred(pte)) {
+      pte.valid = false;
+      ++cleared;
       if (charger != nullptr) {
-        charger->Charge(SlotAddr(g, s), /*is_write=*/false);
+        ChargeSlotReads(*charger, run_start, slot + 1);
+        charger->Charge(base_ + slot * kPteBytes, /*is_write=*/true);
       }
-      HashedPte& pte = ptegs_[g][s];
-      if (pte.valid && pred(pte)) {
-        pte.valid = false;
-        ++cleared;
-        if (charger != nullptr) {
-          charger->Charge(SlotAddr(g, s), /*is_write=*/true);
-        }
-      }
+      run_start = slot + 1;
     }
+  }
+  if (charger != nullptr) {
+    ChargeSlotReads(*charger, run_start, capacity());
   }
   return cleared;
 }
@@ -149,21 +159,32 @@ uint32_t HashTable::InvalidatePteg(uint32_t pteg, MemCharger* charger) {
 
 uint32_t HashTable::ReclaimZombies(uint32_t max_ptegs, const VsidOracle& oracle,
                                    MemCharger& charger) {
+  // The scan's slot reads are charged as maximal runs starting at `run_start`: a run ends
+  // at a reclaim write, which must land after the reads before it, and where the cursor
+  // wraps to PTEG 0, where the addresses stop being contiguous.
   uint32_t reclaimed = 0;
   const uint32_t limit = std::min(max_ptegs, num_ptegs());
+  uint32_t run_start = reclaim_cursor_ * kPtesPerPteg;
   for (uint32_t i = 0; i < limit; ++i) {
     const uint32_t g = reclaim_cursor_;
     reclaim_cursor_ = (reclaim_cursor_ + 1) & hash_mask_;
     for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      charger.Charge(SlotAddr(g, s), /*is_write=*/false);
       HashedPte& pte = ptegs_[g][s];
       if (pte.valid && !oracle.IsLive(pte.vsid)) {
         pte.valid = false;
         ++reclaimed;
-        charger.Charge(SlotAddr(g, s), /*is_write=*/true);
+        const uint32_t slot = g * kPtesPerPteg + s;
+        ChargeSlotReads(charger, run_start, slot + 1);
+        charger.Charge(base_ + slot * kPteBytes, /*is_write=*/true);
+        run_start = slot + 1;
       }
     }
+    if (reclaim_cursor_ == 0) {
+      ChargeSlotReads(charger, run_start, capacity());
+      run_start = 0;
+    }
   }
+  ChargeSlotReads(charger, run_start, reclaim_cursor_ * kPtesPerPteg);
   return reclaimed;
 }
 

@@ -7,7 +7,9 @@
 // flushes of §7.
 //
 // Every probe is charged through a MemCharger at the slot's architected physical address, so
-// HTAB traffic shows up in the data cache exactly as it did on the real 604 (§8).
+// HTAB traffic shows up in the data cache exactly as it did on the real 604 (§8). Reads of
+// consecutive slots go out as one MemCharger::ChargeRun, in the same order as one Charge
+// per slot would.
 
 #ifndef PPCMM_SRC_MMU_HASH_TABLE_H_
 #define PPCMM_SRC_MMU_HASH_TABLE_H_
@@ -107,6 +109,24 @@ class HashTable {
 
  private:
   using Pteg = std::array<HashedPte, kPtesPerPteg>;
+
+  // Index of the first slot of PTEG `pteg` satisfying `pred`, or kPtesPerPteg when none
+  // does. Scanning the host-side slots first lets the probes be charged as one run.
+  template <typename Pred>
+  uint32_t FirstSlot(uint32_t pteg, Pred pred) const {
+    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
+      if (pred(ptegs_[pteg][s])) {
+        return s;
+      }
+    }
+    return kPtesPerPteg;
+  }
+  // Charges the reads of slots [first, end) in table order (slot i of PTEG g is flat slot
+  // g * 8 + i, and flat slots are contiguous in memory).
+  void ChargeSlotReads(MemCharger& charger, uint32_t first, uint32_t end) const;
+  // Charges the probe reads a PTEG search made up to and including `first_hit` (all eight
+  // when it is kPtesPerPteg); returns how many.
+  uint32_t ChargeProbes(uint32_t pteg, uint32_t first_hit, MemCharger& charger) const;
 
   std::vector<Pteg> ptegs_;
   PhysAddr base_;

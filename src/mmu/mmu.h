@@ -98,6 +98,9 @@ class DataMemCharger : public MemCharger {
  public:
   DataMemCharger(Machine& machine, bool cached) : machine_(machine), cached_(cached) {}
   void Charge(PhysAddr pa, bool is_write) override { machine_.TouchData(pa, is_write, cached_); }
+  void ChargeRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write) override {
+    machine_.TouchDataRun(pa, stride, count, is_write, cached_);
+  }
 
  private:
   Machine& machine_;

@@ -53,16 +53,10 @@ Cycles Cache::Prefetch(PhysAddr pa) {
   // Install the line; the memory fill overlaps with the instructions that follow, so the
   // requester pays only the issue cost (the honest model would track overlap windows; the
   // two-cycle charge matches dcbt's pipeline occupancy).
+  // The victim rule of TouchLine: the minimum last_used is the first invalid way, else LRU.
   Line* victim = &ways[0];
   for (uint32_t w = 0; w < geometry_.associativity; ++w) {
-    Line& line = ways[w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.last_used < victim->last_used) {
-      victim = &line;
-    }
+    victim = ways[w].last_used < victim->last_used ? &ways[w] : victim;
   }
   if (victim->valid) {
     ++stats_.evictions;

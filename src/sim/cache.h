@@ -55,76 +55,26 @@ class Cache {
   // this is the hottest function in the whole simulator (every charged memory reference
   // lands here), and the call would otherwise cross a translation-unit boundary.
   CacheAccessOutcome AccessLine(PhysAddr pa, bool is_write) {
-    ++stats_.accesses;
-    ++tick_;
-
-    const uint32_t set = SetIndex(pa);
-    const uint32_t tag = Tag(pa);
-    Line* ways = &lines_[static_cast<size_t>(set) * geometry_.associativity];
-
-    // Hit path.
-    for (uint32_t w = 0; w < geometry_.associativity; ++w) {
-      Line& line = ways[w];
-      if (line.valid && line.tag == tag) {
-        ++stats_.hits;
-        line.last_used = tick_;
-        line.dirty = line.dirty || is_write;
-        return CacheAccessOutcome{.hit = true, .evicted_dirty = false};
-      }
-    }
-
-    // Miss: pick a victim (prefer an invalid way, else LRU).
-    ++stats_.misses;
-    Line* victim = &ways[0];
-    for (uint32_t w = 0; w < geometry_.associativity; ++w) {
-      Line& line = ways[w];
-      if (!line.valid) {
-        victim = &line;
-        break;
-      }
-      if (line.last_used < victim->last_used) {
-        victim = &line;
-      }
-    }
-
-    CacheAccessOutcome outcome{.hit = false, .evicted_dirty = false};
-    if (victim->valid) {
-      ++stats_.evictions;
-      if (victim->dirty) {
-        ++stats_.dirty_writebacks;
-        outcome.evicted_dirty = true;
-      }
-    }
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->tag = tag;
-    victim->last_used = tick_;
+    CacheAccessOutcome outcome;
+    TouchLine(pa, is_write, &outcome);
     return outcome;
   }
 
   // `n` accesses to the single line containing `pa`, collapsed: bit-identical to calling
   // AccessLine `n` times with same-line addresses. Only the first access can miss (the
   // returned outcome); the remaining n-1 are hits on the line the first one left resident,
-  // so they reduce to counter adds and one LRU refresh. Host-fast-path use only
-  // (translation-span replay).
+  // so they reduce to counter adds and an LRU refresh of that line (its dirty bit already
+  // carries `is_write`). Serves every run charge: translation-span replay, kernel bulk
+  // memory work (page zeroing) and PTEG scans.
   CacheAccessOutcome AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
-    const CacheAccessOutcome first = AccessLine(pa, is_write);
+    CacheAccessOutcome first;
+    Line* line = TouchLine(pa, is_write, &first);
     if (n > 1) {
       const uint64_t extra = n - 1;
       stats_.accesses += extra;
       stats_.hits += extra;
       tick_ += extra;
-      const uint32_t set = SetIndex(pa);
-      const uint32_t tag = Tag(pa);
-      Line* ways = &lines_[static_cast<size_t>(set) * geometry_.associativity];
-      for (uint32_t w = 0; w < geometry_.associativity; ++w) {
-        Line& line = ways[w];
-        if (line.valid && line.tag == tag) {
-          line.last_used = tick_;
-          line.dirty = line.dirty || is_write;
-          break;
-        }
-      }
+      line->last_used = tick_;
     }
     return first;
   }
@@ -169,6 +119,48 @@ class Cache {
     uint32_t tag = 0;
     uint64_t last_used = 0;
   };
+
+  // One access to the line containing `pa` in a single pass over the set's ways: the pass
+  // finds the hit, or else remembers the victim — the first invalid way, otherwise the
+  // least recently used one (strict <, so the lowest way wins a tie). Both fall out of one
+  // minimum over last_used: an invalid line's last_used is always 0 (lines start that way
+  // and are only invalidated wholesale, by InvalidateAll), while a valid line's is at least
+  // 1 because every access bumps the clock first. Reports the outcome and returns the line
+  // the access left resident.
+  Line* TouchLine(PhysAddr pa, bool is_write, CacheAccessOutcome* outcome) {
+    ++stats_.accesses;
+    ++tick_;
+
+    const uint32_t tag = Tag(pa);
+    Line* ways = &lines_[static_cast<size_t>(SetIndex(pa)) * geometry_.associativity];
+    Line* victim = &ways[0];
+    for (uint32_t w = 0; w < geometry_.associativity; ++w) {
+      Line& line = ways[w];
+      if (line.valid && line.tag == tag) {
+        ++stats_.hits;
+        line.last_used = tick_;
+        line.dirty = line.dirty || is_write;
+        *outcome = CacheAccessOutcome{.hit = true, .evicted_dirty = false};
+        return &line;
+      }
+      victim = line.last_used < victim->last_used ? &line : victim;
+    }
+
+    ++stats_.misses;
+    *outcome = CacheAccessOutcome{.hit = false, .evicted_dirty = false};
+    if (victim->valid) {
+      ++stats_.evictions;
+      if (victim->dirty) {
+        ++stats_.dirty_writebacks;
+        outcome->evicted_dirty = true;
+      }
+    }
+    victim->valid = true;
+    victim->dirty = is_write;
+    victim->tag = tag;
+    victim->last_used = tick_;
+    return victim;
+  }
 
   // Line size and set count are powers of two (checked at construction), so the index and
   // tag divisions reduce to shifts — precomputed once, they keep integer division out of

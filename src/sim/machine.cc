@@ -25,22 +25,14 @@ Machine::Machine(const MachineConfig& config)
 #endif
 }
 
-Cycles Machine::MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty) {
-  Cycles cost(0);
-  if (l2_ != nullptr) {
-    const CacheAccessOutcome l2 = l2_->AccessLine(pa, is_write);
-    cost += l2.hit ? Cycles(config_.l2_hit_cycles) : Cycles(config_.memory.line_fill_cycles);
-    if (l2.evicted_dirty) {
-      cost += Cycles(config_.memory.writeback_cycles);
-    }
-    if (l1_evicted_dirty) {
-      cost += Cycles(2);  // castout absorbed by the L2
-    }
-  } else {
-    cost += Cycles(config_.memory.line_fill_cycles);
-    if (l1_evicted_dirty) {
-      cost += Cycles(config_.memory.writeback_cycles);
-    }
+Cycles Machine::L2MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty) {
+  const CacheAccessOutcome l2 = l2_->AccessLine(pa, is_write);
+  Cycles cost = l2.hit ? Cycles(config_.l2_hit_cycles) : Cycles(config_.memory.line_fill_cycles);
+  if (l2.evicted_dirty) {
+    cost += Cycles(config_.memory.writeback_cycles);
+  }
+  if (l1_evicted_dirty) {
+    cost += Cycles(2);  // castout absorbed by the L2
   }
   return cost;
 }

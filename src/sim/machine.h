@@ -8,6 +8,7 @@
 #define PPCMM_SRC_SIM_MACHINE_H_
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "src/sim/attr.h"
@@ -103,7 +104,7 @@ class Machine {
   // Charges one data reference at `pa` through (or around) the data cache and advances the
   // clock. `cached=false` models a cache-inhibited (WIMG I-bit) access. Inline so the
   // L1-hit case (the overwhelmingly common one) costs one AccessLine call and one add;
-  // only the miss falls out of line into MissCost.
+  // only a miss on a board with an L2 falls out of line into L2MissCost.
   void TouchData(PhysAddr pa, bool is_write, bool cached = true) {
     if (!cached) {
       AddCycles(dcache_cur_->AccessUncached(is_write));
@@ -123,35 +124,22 @@ class Machine {
     AddCycles(l1.hit ? Cycles(1) : MissCost(pa, false, l1.evicted_dirty));
   }
 
-  // Charges `count` data references starting at `pa`, each `stride` bytes after the
-  // previous, all within one physical page — bit-identical to `count` TouchData calls.
-  // Within the run addresses are strictly increasing, so each cache line is visited in one
-  // contiguous group: the first access of a group is the only one that can miss, the rest
-  // collapse inside AccessLineRun, and the cycles accumulate into a single AddCycles (the
-  // ledger charges the same total into the same open cell). Host-fast-path use only
-  // (translation-span replay; spans never cross a page).
+  // Charges `count` data references starting at `pa`, each `stride` (> 0) bytes after the
+  // previous — bit-identical to `count` TouchData calls. Within the run addresses are
+  // strictly increasing, so each cache line is visited in one contiguous group: the first
+  // access of a group is the only one that can miss, the rest collapse inside
+  // AccessLineRun, and the cycles accumulate into a single AddCycles (the ledger charges
+  // the same total into the same open cell). An uncached run is O(1). Used by translation
+  // spans (which never cross a page) and by the kernel's bulk memory work and PTEG scans
+  // (page zeroing, HTAB search and reclaim), whose runs may span many pages.
   void TouchDataRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write,
                     bool cached = true) {
     if (!cached) {
       AddCycles(dcache_cur_->AccessUncachedRun(is_write, count));
       return;
     }
-    const uint32_t line = config_.dcache.line_bytes;
-    uint64_t cycles = 0;
-    uint32_t i = 0;
-    while (i < count) {
-      const PhysAddr cur(pa.value + i * stride);
-      uint32_t reps = 1;
-      if (stride < line) {
-        const uint32_t line_left = line - (cur.value & (line - 1));
-        reps = std::min(count - i, (line_left - 1) / stride + 1);
-      }
-      const CacheAccessOutcome l1 = dcache_cur_->AccessLineRun(cur, is_write, reps);
-      cycles += l1.hit ? 1 : MissCost(cur, is_write, l1.evicted_dirty).value;
-      cycles += reps - 1;  // repeats on the just-touched line are L1 hits, 1 cycle each
-      i += reps;
-    }
-    AddCycles(Cycles(cycles));
+    AddCycles(Cycles(CachedRunCycles(*dcache_cur_, config_.dcache.line_bytes, pa, stride,
+                                     count, is_write)));
   }
 
   // Instruction-fetch variant of TouchDataRun, same contract against TouchInstruction.
@@ -160,22 +148,8 @@ class Machine {
       AddCycles(icache_cur_->AccessUncachedRun(false, count));
       return;
     }
-    const uint32_t line = config_.icache.line_bytes;
-    uint64_t cycles = 0;
-    uint32_t i = 0;
-    while (i < count) {
-      const PhysAddr cur(pa.value + i * stride);
-      uint32_t reps = 1;
-      if (stride < line) {
-        const uint32_t line_left = line - (cur.value & (line - 1));
-        reps = std::min(count - i, (line_left - 1) / stride + 1);
-      }
-      const CacheAccessOutcome l1 = icache_cur_->AccessLineRun(cur, false, reps);
-      cycles += l1.hit ? 1 : MissCost(cur, false, l1.evicted_dirty).value;
-      cycles += reps - 1;
-      i += reps;
-    }
-    AddCycles(Cycles(cycles));
+    AddCycles(Cycles(CachedRunCycles(*icache_cur_, config_.icache.line_bytes, pa, stride,
+                                     count, /*is_write=*/false)));
   }
 
   // Issues a software data prefetch (dcbt) for the line containing `pa`.
@@ -186,8 +160,42 @@ class Machine {
   double ElapsedSeconds() const { return CyclesToSeconds(Now(), config_.clock_mhz); }
 
  private:
-  // Charges an L1 miss through the L2 (if present) or memory; returns the cycles.
-  Cycles MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty);
+  // Charges an L1 miss through the L2 (if present) or memory; returns the cycles. Without
+  // an L2 the cost is two config reads, so only the L2 case leaves the inline path.
+  Cycles MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty) {
+    if (l2_ == nullptr) {
+      return Cycles(config_.memory.line_fill_cycles +
+                    (l1_evicted_dirty ? config_.memory.writeback_cycles : 0));
+    }
+    return L2MissCost(pa, is_write, l1_evicted_dirty);
+  }
+  Cycles L2MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty);
+
+  // The cycles of a cached run through `cache` (the body shared by TouchDataRun and
+  // TouchInstructionRun); touches the cache but leaves the clock to the caller. When the
+  // stride is a power of two dividing the start address, every line group ends exactly at
+  // a line boundary, so its length is a shift rather than a division.
+  uint64_t CachedRunCycles(Cache& cache, uint32_t line, PhysAddr pa, uint32_t stride,
+                           uint32_t count, bool is_write) {
+    const bool aligned = std::has_single_bit(stride) && (pa.value & (stride - 1)) == 0;
+    const auto stride_shift = static_cast<uint32_t>(std::countr_zero(stride));
+    uint64_t cycles = 0;
+    uint32_t i = 0;
+    while (i < count) {
+      const PhysAddr cur(pa.value + i * stride);
+      uint32_t reps = 1;
+      if (stride < line) {
+        const uint32_t line_left = line - (cur.value & (line - 1));
+        reps = std::min(count - i,
+                        aligned ? line_left >> stride_shift : (line_left - 1) / stride + 1);
+      }
+      const CacheAccessOutcome l1 = cache.AccessLineRun(cur, is_write, reps);
+      cycles += l1.hit ? 1 : MissCost(cur, is_write, l1.evicted_dirty).value;
+      cycles += reps - 1;  // repeats on the just-touched line are L1 hits, 1 cycle each
+      i += reps;
+    }
+    return cycles;
+  }
 
   MachineConfig config_;
   PhysicalMemory memory_;

@@ -20,6 +20,16 @@ class MemCharger {
   // Charges one reference to `pa`. Implementations route it through the data cache or around
   // it (cache-inhibited) according to the active policy.
   virtual void Charge(PhysAddr pa, bool is_write) = 0;
+
+  // Charges `count` references starting at `pa`, each `stride` bytes after the previous —
+  // equivalent to `count` Charge calls in address order. Chargers that route through the
+  // cache override this with the machine's run primitive; the default keeps per-reference
+  // counting chargers exact.
+  virtual void ChargeRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write) {
+    for (uint32_t i = 0; i < count; ++i) {
+      Charge(pa + i * stride, is_write);
+    }
+  }
 };
 
 // A MemCharger that counts references but charges nothing — used by pure occupancy probes
