@@ -1,6 +1,8 @@
 #include "src/kernel/kernel.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -22,6 +24,10 @@ struct Footprint {
 };
 
 constexpr uint32_t kIdleTextPage = 5;
+// The idle loop's own cycles per iteration beyond its fetch, and the extra spin of an
+// iteration that found no work.
+constexpr uint64_t kIdleLoopCycles = 10;
+constexpr uint64_t kIdleSpinCycles = 20;
 
 }  // namespace
 
@@ -1035,17 +1041,46 @@ void Kernel::RunIdle(Cycles budget) {
   }
   const Cycles deadline = machine_.Now() + budget;
   DataMemCharger pt_charger = mmu_->PageTableCharger();
+  const EffAddr idle_text(kKernelVirtualBase + kIdleTextPage * kPageSize);
+  // The spin fast-forward below replays the fetch's translation, so the uncached (§10.1)
+  // fetch, which translates nothing, keeps the loop. So does a live ledger with idle
+  // zeroing: it records every iteration's (zero-cycle) idle_zero scope in its flight ring.
+  const bool may_fast_forward =
+      !config_.uncached_idle_task &&
+      !(machine_.attr().enabled() && config_.idle_zero != IdleZeroPolicy::kOff);
+  uint32_t spins = 0;        // consecutive iterations that found no work
+  uint64_t spin_cycles = 0;  // what the last of them cost
 
   while (machine_.Now() < deadline) {
+    if (spins >= 2 && may_fast_forward) {
+      // Two back-to-back iterations found no work: no reclaim pass is configured and the
+      // zeroer declined (list full or allocator low), which no spin can change. The second
+      // one's fetch hit the line and translation the first one left, so every remaining
+      // iteration repeats it exactly: only the clock, the fetch counters and the LRU ticks
+      // move. Charge them together, under the same span gate a translation run uses.
+      const uint64_t left = (deadline - machine_.Now()).value;
+      const uint64_t iterations = (left + spin_cycles - 1) / spin_cycles;
+      const uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(iterations, UINT32_MAX));
+      const std::optional<Mmu::SpanTarget> span =
+          mmu_->ReplaySpan(idle_text, AccessKind::kInstructionFetch, n);
+      if (span.has_value()) {
+        const Cycles start = machine_.Now();
+        machine_.TouchInstructionRepeat(PhysAddr::FromFrame(span->frame), n, span->cached);
+        machine_.AddCycles(Cycles(uint64_t{n} * (kIdleLoopCycles + kIdleSpinCycles)));
+        PPCMM_CHECK_MSG(machine_.Now() - start == Cycles(spin_cycles) * n,
+                        "idle fast-forward diverged from the spin it replays");
+        continue;  // a count past 32 bits takes another chunk
+      }
+    }
+    const Cycles start = machine_.Now();
     // The idle loop's own instruction fetches — through the caches normally, around them
     // when the §10.1 extension is enabled.
     if (config_.uncached_idle_task) {
       machine_.TouchInstruction(PhysAddr::FromFrame(kIdleTextPage), /*cached=*/false);
     } else {
-      KernelTouch(EffAddr(kKernelVirtualBase + kIdleTextPage * kPageSize),
-                  AccessKind::kInstructionFetch);
+      KernelTouch(idle_text, AccessKind::kInstructionFetch);
     }
-    machine_.AddCycles(Cycles(10));
+    machine_.AddCycles(Cycles(kIdleLoopCycles));
 
     bool worked = false;
     if (config_.idle_zombie_reclaim && mmu_->policy().UsesHtab()) {
@@ -1065,8 +1100,10 @@ void Kernel::RunIdle(Cycles budget) {
       worked = mem_.IdleZeroOnePage() || worked;
     }
     if (!worked) {
-      machine_.AddCycles(Cycles(20));
+      machine_.AddCycles(Cycles(kIdleSpinCycles));
     }
+    spins = worked ? 0 : spins + 1;
+    spin_cycles = (machine_.Now() - start).value;
   }
 }
 
@@ -1236,22 +1273,39 @@ void Kernel::CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool
   const AccessKind kind = to_user ? AccessKind::kStore : AccessKind::kLoad;
   uint32_t done = 0;
   while (done < length) {
-    // One user page at a time: its first UserTouch faults the page in if needed, so the
-    // translation is probed once, right after it, and the page's bytes move in one copy.
+    // One user page at a time, its translation probed once and its bytes moved in one copy.
     const EffAddr page_ea = user + done;
     const uint32_t page_chunk = std::min(kPageSize - page_ea.PageOffset(), length - done);
-    std::optional<PhysAddr> user_pa;
-    for (uint32_t in_page = 0; in_page < page_chunk;) {
-      const EffAddr user_ea = page_ea + in_page;
-      // The user side of the copy (faulting the page in if needed) and the kernel side.
-      UserTouch(user_ea, kind);
+    // One line the per-access way: the user side through UserTouch (which faults the page
+    // in, breaks COW, sets a deferred C bit and installs the memo as needed), then the
+    // kernel side and the word loop.
+    const auto copy_line = [&](uint32_t in_page) {
+      UserTouch(page_ea + in_page, kind);
       machine_.TouchData(kernel + done + in_page, /*is_write=*/!to_user);
       machine_.AddCycles(Cycles(costs_.copy_cycles_per_line));
-      if (!user_pa.has_value()) {
-        user_pa = mmu_->Probe(page_ea, kind);
-        PPCMM_CHECK_MSG(user_pa.has_value(), "user page vanished mid-copy");
+    };
+    copy_line(0);
+    const std::optional<PhysAddr> user_pa = mmu_->Probe(page_ea, kind);
+    PPCMM_CHECK_MSG(user_pa.has_value(), "user page vanished mid-copy");
+
+    // Every remaining user-side access would replay the memo hit the first line left, so
+    // one span replays their translations. The user and kernel lines still alternate,
+    // because both index the same D-cache sets; the word loop touches no cache, so it is
+    // charged once. Without a span the lines go the per-access way.
+    uint32_t in_page = std::min(line - page_ea.value % line, page_chunk);
+    const uint32_t rest_lines = (page_chunk - in_page + line - 1) / line;
+    const std::optional<Mmu::SpanTarget> span =
+        rest_lines > 0 ? mmu_->ReplaySpan(page_ea + in_page, kind, rest_lines) : std::nullopt;
+    if (span.has_value()) {
+      for (; in_page < page_chunk; in_page += line) {
+        machine_.TouchData(PhysAddr::FromFrame(span->frame, (page_ea + in_page).PageOffset()),
+                           /*is_write=*/to_user, span->cached);
+        machine_.TouchData(kernel + done + in_page, /*is_write=*/!to_user);
       }
-      in_page += std::min(line - (user_ea.value % line), page_chunk - in_page);
+      machine_.AddCycles(Cycles(uint64_t{rest_lines} * costs_.copy_cycles_per_line));
+    }
+    for (; in_page < page_chunk; in_page += line) {
+      copy_line(in_page);
     }
 
     // Functionally move the bytes so data-integrity tests hold end to end.

@@ -241,59 +241,23 @@ uint32_t Mmu::AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind 
   uint32_t done = 0;
   while (done < count) {
     const EffAddr cur = ea + done * stride;
-    // Span replay is legal only when the memo fast path is trusted for this page and no
-    // fault injector demands per-access polling. The validity test is byte-for-byte the
-    // one Access() applies; a span that validates proves every remaining in-page access
-    // would take the identical memo hit, because nothing the replay does (cache state,
-    // counters, LRU ticks) feeds back into the generation counters or the entry tag.
-    if (fast_path_enabled_ && injector_ == nullptr) {
-      const uint32_t epn = cur.EffPageNumber();
-      FastSlot& slot = bank_->fast_slots[is_ifetch ? 1 : 0][epn & (kFastPathSlots - 1)];
-      if (slot.eff_page == epn && slot.gen == FastGen()) {
-        const uint32_t offset = cur.PageOffset();
-        const uint32_t in_page = (kPageSize - 1 - offset) / stride + 1;
-        const uint32_t n = std::min(count - done, in_page);
-        HwCounters& counters = machine_.counters();
-        if (slot.entry == nullptr) {
-          // Memoized BAT hit: the block is a page-aligned linear map, so the whole
-          // in-page run lands in the memoized frame.
-          ++span_runs_;
-          span_accesses_ += n;
-          fast_hits_ += n;
-          counters.bat_translations += n;
-          const PhysAddr pa = PhysAddr::FromFrame(slot.bat_frame, offset);
-          if (is_ifetch) {
-            machine_.TouchInstructionRun(pa, stride, n, !slot.bat_cache_inhibited);
-          } else {
-            machine_.TouchDataRun(pa, stride, n, is_write, !slot.bat_cache_inhibited);
-          }
-          done += n;
-          continue;
-        }
-        TlbEntry* entry = slot.entry;
-        if (entry->valid && entry->vsid.value == slot.vsid &&
-            entry->page_index == (epn & kPageIndexMask) &&
-            (!is_write || (entry->writable && entry->changed))) {
-          ++span_runs_;
-          span_accesses_ += n;
-          fast_hits_ += n;
-          Tlb& tlb = is_ifetch ? bank_->itlb : bank_->dtlb;
-          if (is_ifetch) {
-            counters.itlb_accesses += n;
-          } else {
-            counters.dtlb_accesses += n;
-          }
-          tlb.TouchLruRun(entry, n);
-          const PhysAddr pa = PhysAddr::FromFrame(entry->frame, offset);
-          if (is_ifetch) {
-            machine_.TouchInstructionRun(pa, stride, n, !entry->cache_inhibited);
-          } else {
-            machine_.TouchDataRun(pa, stride, n, is_write, !entry->cache_inhibited);
-          }
-          done += n;
-          continue;
-        }
+    const uint32_t offset = cur.PageOffset();
+    // A page-or-wider stride puts one access in each page; skipping the division matters
+    // because such runs mostly miss the memo and are declined.
+    const uint32_t n = stride >= kPageSize
+                           ? 1
+                           : std::min(count - done, (kPageSize - 1 - offset) / stride + 1);
+    if (const std::optional<SpanTarget> span = ReplaySpan(cur, kind, n); span.has_value()) {
+      // Every in-page access replays the identical memo hit: charge their payloads as one
+      // run into the memoized frame.
+      const PhysAddr pa = PhysAddr::FromFrame(span->frame, offset);
+      if (is_ifetch) {
+        machine_.TouchInstructionRun(pa, stride, n, span->cached);
+      } else {
+        machine_.TouchDataRun(pa, stride, n, is_write, span->cached);
       }
+      done += n;
+      continue;
     }
     const AccessOutcome result = Access(cur, kind);
     if (result != AccessOutcome::kOk) {
@@ -303,6 +267,50 @@ uint32_t Mmu::AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind 
     ++done;
   }
   return done;
+}
+
+std::optional<Mmu::SpanTarget> Mmu::ReplaySpan(EffAddr ea, AccessKind kind, uint32_t n) {
+  // Span replay is legal only when the memo fast path is trusted for this page and no
+  // fault injector demands per-access polling. The validity test is byte-for-byte the one
+  // Access() applies; a span that validates proves all n accesses would take the identical
+  // memo hit, because nothing a replay does (cache state, counters, LRU ticks) feeds back
+  // into the generation counters or the entry tag.
+  if (!fast_path_enabled_ || injector_ != nullptr) {
+    return std::nullopt;
+  }
+  const bool is_ifetch = IsInstruction(kind);
+  const uint32_t epn = ea.EffPageNumber();
+  const FastSlot& slot = bank_->fast_slots[is_ifetch ? 1 : 0][epn & (kFastPathSlots - 1)];
+  if (slot.eff_page != epn || slot.gen != FastGen()) {
+    return std::nullopt;
+  }
+  HwCounters& counters = machine_.counters();
+  SpanTarget target;
+  if (slot.entry == nullptr) {
+    // Memoized BAT hit: the block is a page-aligned linear map, so the whole page lands in
+    // the memoized frame.
+    counters.bat_translations += n;
+    target = SpanTarget{.frame = slot.bat_frame, .cached = !slot.bat_cache_inhibited};
+  } else {
+    TlbEntry* entry = slot.entry;
+    if (!entry->valid || entry->vsid.value != slot.vsid ||
+        entry->page_index != (epn & kPageIndexMask) ||
+        (IsWrite(kind) && !(entry->writable && entry->changed))) {
+      return std::nullopt;
+    }
+    if (is_ifetch) {
+      counters.itlb_accesses += n;
+      bank_->itlb.TouchLruRun(entry, n);
+    } else {
+      counters.dtlb_accesses += n;
+      bank_->dtlb.TouchLruRun(entry, n);
+    }
+    target = SpanTarget{.frame = entry->frame, .cached = !entry->cache_inhibited};
+  }
+  ++span_runs_;
+  span_accesses_ += n;
+  fast_hits_ += n;
+  return target;
 }
 
 std::optional<PhysAddr> Mmu::Probe(EffAddr ea, AccessKind kind) const {

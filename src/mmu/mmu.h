@@ -144,6 +144,21 @@ class Mmu {
   uint32_t AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind kind,
                      AccessOutcome* outcome);
 
+  // Where a replayed span's payload lands: the page's frame and its cacheability.
+  struct SpanTarget {
+    uint32_t frame = 0;
+    bool cached = true;
+  };
+
+  // The translation span gate shared by every batched caller (AccessRun, the idle loop's
+  // fetch fast-forward, page-batched user copies). When the memo for the page of `ea`
+  // validates exactly as Access() would test it, replays the translation side of `n` (> 0)
+  // memo hits on that page — counters, TLB LRU ticks, host span statistics — and returns
+  // where their payloads land; the caller charges those payload accesses itself, so it can
+  // interleave them with other cache traffic. Declines (nullopt, nothing touched) whenever
+  // a single Access() would not take the memo hit, or spans are disabled.
+  std::optional<SpanTarget> ReplaySpan(EffAddr ea, AccessKind kind, uint32_t n);
+
   // Translation without the final payload cache access (probe used by tests/instrumentation;
   // charges nothing and changes nothing).
   std::optional<PhysAddr> Probe(EffAddr ea, AccessKind kind) const;
@@ -225,8 +240,8 @@ class Mmu {
   // Host-side statistics (not HwCounters: they must not exist inside the simulation).
   uint64_t fast_path_hits() const { return fast_hits_; }
   uint64_t fast_path_misses() const { return fast_misses_; }
-  // Translation-span replays served by AccessRun and the accesses they covered (every
-  // span access is also counted in fast_path_hits).
+  // Translation-span replays served by ReplaySpan (for AccessRun, the idle fast-forward and
+  // user copies) and the accesses they covered (each also counted in fast_path_hits).
   uint64_t span_runs() const { return span_runs_; }
   uint64_t span_accesses() const { return span_accesses_; }
 

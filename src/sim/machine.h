@@ -152,6 +152,18 @@ class Machine {
                                      count, /*is_write=*/false)));
   }
 
+  // Charges `count` (> 0) back-to-back instruction fetches of the same address `pa` —
+  // bit-identical to `count` TouchInstruction calls: only the first can miss, the rest hit
+  // the line it left resident (or each pay the same single-beat latency when uncached).
+  // Used by the idle loop's fast-forward, which refetches one line over and over.
+  void TouchInstructionRepeat(PhysAddr pa, uint32_t count, bool cached = true) {
+    if (!cached) {
+      AddCycles(icache_cur_->AccessUncachedRun(false, count));
+      return;
+    }
+    AddCycles(Cycles(LineRepeatCycles(*icache_cur_, pa, /*is_write=*/false, count)));
+  }
+
   // Issues a software data prefetch (dcbt) for the line containing `pa`.
   void PrefetchData(PhysAddr pa) { AddCycles(dcache_cur_->Prefetch(pa)); }
 
@@ -171,6 +183,13 @@ class Machine {
   }
   Cycles L2MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty);
 
+  // The cycles of `reps` (> 0) back-to-back accesses to the line of `pa` in `cache`: only
+  // the first can miss, the repeats hit the line it left resident, 1 cycle each.
+  uint64_t LineRepeatCycles(Cache& cache, PhysAddr pa, bool is_write, uint32_t reps) {
+    const CacheAccessOutcome l1 = cache.AccessLineRun(pa, is_write, reps);
+    return (l1.hit ? 1 : MissCost(pa, is_write, l1.evicted_dirty).value) + reps - 1;
+  }
+
   // The cycles of a cached run through `cache` (the body shared by TouchDataRun and
   // TouchInstructionRun); touches the cache but leaves the clock to the caller. When the
   // stride is a power of two dividing the start address, every line group ends exactly at
@@ -189,9 +208,7 @@ class Machine {
         reps = std::min(count - i,
                         aligned ? line_left >> stride_shift : (line_left - 1) / stride + 1);
       }
-      const CacheAccessOutcome l1 = cache.AccessLineRun(cur, is_write, reps);
-      cycles += l1.hit ? 1 : MissCost(cur, is_write, l1.evicted_dirty).value;
-      cycles += reps - 1;  // repeats on the just-touched line are L1 hits, 1 cycle each
+      cycles += LineRepeatCycles(cache, cur, is_write, reps);
       i += reps;
     }
     return cycles;

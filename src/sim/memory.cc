@@ -4,14 +4,31 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <sys/mman.h>
+
 #include "src/sim/check.h"
 
 namespace ppcmm {
 
-PhysicalMemory::PhysicalMemory(uint64_t size_bytes) : data_(size_bytes, 0) {
+namespace {
+
+// Maps `size_bytes` of private anonymous memory. The kernel backs each page with zeroes on
+// first touch, so nothing is written here and untouched frames never become resident.
+uint8_t* MapZeroedRam(uint64_t size_bytes) {
   PPCMM_CHECK_MSG(size_bytes % kPageSize == 0, "RAM size must be page aligned");
   PPCMM_CHECK(size_bytes > 0);
+  void* p = mmap(nullptr, size_bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                 0);
+  PPCMM_CHECK_MSG(p != MAP_FAILED, "cannot map " << size_bytes << " bytes of simulated RAM");
+  return static_cast<uint8_t*>(p);
 }
+
+}  // namespace
+
+PhysicalMemory::PhysicalMemory(uint64_t size_bytes)
+    : size_(size_bytes), data_(MapZeroedRam(size_bytes)) {}
+
+PhysicalMemory::~PhysicalMemory() { munmap(data_, size_); }
 
 void PhysicalMemory::FailRange(PhysAddr pa, uint32_t len) const {
   PPCMM_CHECK_MSG(false, "physical access out of range: pa=0x"

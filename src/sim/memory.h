@@ -4,6 +4,11 @@
 // can verify data integrity end to end (e.g. pre-zeroed pages really contain zeroes, pipe
 // payloads survive the round trip). Timing is not modelled here — the cache model charges
 // memory-latency cycles; this class is purely functional.
+//
+// RAM is zero-on-demand: the backing store is a private anonymous host mapping, so every
+// frame reads as zero from the start, but the host only supplies (and zeroes) a page the
+// first time it is touched. Building a machine therefore costs nothing per megabyte of
+// simulated RAM, and a short run only pays for the frames it actually uses.
 
 #ifndef PPCMM_SRC_SIM_MEMORY_H_
 #define PPCMM_SRC_SIM_MEMORY_H_
@@ -11,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "src/sim/phys_addr.h"
 
@@ -21,9 +25,13 @@ namespace ppcmm {
 class PhysicalMemory {
  public:
   explicit PhysicalMemory(uint64_t size_bytes);
+  ~PhysicalMemory();
 
-  uint64_t size_bytes() const { return data_.size(); }
-  uint64_t num_frames() const { return data_.size() / kPageSize; }
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
+
+  uint64_t size_bytes() const { return size_; }
+  uint64_t num_frames() const { return size_ / kPageSize; }
 
   // The scalar accessors are inline — the page-zeroing, pipe-copy and page-table paths
   // issue millions of them — with the bounds check reduced to one compare and the failure
@@ -68,13 +76,14 @@ class PhysicalMemory {
 
  private:
   void CheckRange(PhysAddr pa, uint32_t len) const {
-    if (static_cast<uint64_t>(pa.value) + len > data_.size()) [[unlikely]] {
+    if (static_cast<uint64_t>(pa.value) + len > size_) [[unlikely]] {
       FailRange(pa, len);
     }
   }
   [[noreturn]] void FailRange(PhysAddr pa, uint32_t len) const;
 
-  std::vector<uint8_t> data_;
+  uint64_t size_;
+  uint8_t* data_;  // size_ bytes of zero-on-demand host pages
 };
 
 }  // namespace ppcmm

@@ -44,7 +44,9 @@ void Touch(Kernel& kernel, bool batched, EffAddr start, uint32_t stride, uint32_
   }
 }
 
-void DriveWorkload(System& sys, bool batched) {
+// Returns the span accesses formed before the trailing idle slice: the idle loop's
+// fetch fast-forward forms spans of its own whenever the fast path is on.
+uint64_t DriveWorkload(System& sys, bool batched) {
   Kernel& kernel = sys.kernel();
   auto touch = [&](EffAddr start, uint32_t stride, uint32_t count, AccessKind kind) {
     Touch(kernel, batched, start, stride, count, kind);
@@ -73,7 +75,9 @@ void DriveWorkload(System& sys, bool batched) {
   kernel.SwitchTo(a);
   touch(EffAddr(kUserDataBase), 512, 16 * 8, AccessKind::kLoad);
   kernel.Exit(child);
+  const uint64_t touch_spans = sys.mmu().span_accesses();
   kernel.RunIdle(Cycles(20000));
+  return touch_spans;
 }
 
 // The reload-strategy axis, pinned the way RunDifferential pins it.
@@ -100,18 +104,19 @@ TEST(BatchedRunTest, BitIdenticalAcrossPresetsStrategiesAndFastPath) {
         SCOPED_TRACE(preset.name + "/" + s.name + (fast ? "/fast" : "/slow"));
         System single(s.machine, config);
         single.mmu().SetFastPathEnabled(fast);
-        DriveWorkload(single, /*batched=*/false);
+        const uint64_t single_spans = DriveWorkload(single, /*batched=*/false);
 
         System batched(s.machine, config);
         batched.mmu().SetFastPathEnabled(fast);
-        DriveWorkload(batched, /*batched=*/true);
+        const uint64_t batched_spans = DriveWorkload(batched, /*batched=*/true);
 
         ExpectCountersIdentical(single.counters(), batched.counters());
-        // Per-access calls never form spans; batched runs only form them on the fast path.
-        EXPECT_EQ(single.mmu().span_accesses(), 0u);
+        // Per-access touches never form spans; batched runs only form them on the fast path.
+        EXPECT_EQ(single_spans, 0u);
         if (fast) {
-          EXPECT_GT(batched.mmu().span_accesses(), 0u) << "spans never engaged";
+          EXPECT_GT(batched_spans, 0u) << "spans never engaged";
         } else {
+          EXPECT_EQ(batched_spans, 0u);
           EXPECT_EQ(batched.mmu().span_accesses(), 0u);
         }
       }
@@ -142,6 +147,35 @@ TEST(BatchedRunTest, AttributionSumsBitExactlyUnderSpans) {
   EXPECT_EQ(cells_single, total_single);
   EXPECT_EQ(elapsed_single, elapsed_batched);
   EXPECT_EQ(total_batched, elapsed_batched);
+}
+
+TEST(BatchedRunTest, ReplaySpanRefreshesTheTlbLru) {
+  // A replayed span counts as n hits on its TLB entry, so it must leave that entry the most
+  // recently used of its set: the next fill in the set evicts the other way.
+  System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
+  sys.mmu().SetFastPathEnabled(true);
+  Kernel& kernel = sys.kernel();
+  const TaskId t = kernel.CreateTask("t");
+  kernel.Exec(t, ExecImage{.text_pages = 2, .data_pages = 160, .stack_pages = 2});
+  kernel.SwitchTo(t);
+  // Three pages that share one 2-way D-TLB set (the kernel is BAT-mapped, so only these
+  // user pages compete for it).
+  const uint32_t sets = sys.machine().config().dtlb_entries /
+                        sys.machine().config().tlb_associativity;
+  const EffAddr a(kUserDataBase);
+  const EffAddr b = a + sets * kPageSize;
+  const EffAddr c = b + sets * kPageSize;
+  for (const EffAddr ea : {a, b, c, b, a, b}) {
+    kernel.UserTouch(ea, AccessKind::kLoad);
+  }
+  // The set holds {a, b} with b the more recent; a's memo is still valid.
+  ASSERT_TRUE(sys.mmu().ReplaySpan(a, AccessKind::kLoad, 4).has_value());
+  kernel.UserTouch(c, AccessKind::kLoad);  // evicts b, the least recently used
+  const uint64_t misses = sys.counters().dtlb_misses;
+  kernel.UserTouch(a, AccessKind::kLoad);
+  EXPECT_EQ(sys.counters().dtlb_misses, misses) << "the span did not refresh a's LRU";
+  kernel.UserTouch(b, AccessKind::kLoad);
+  EXPECT_EQ(sys.counters().dtlb_misses, misses + 1);
 }
 
 TEST(BatchedRunTest, SpansCarryMostOfASteadyStateStream) {

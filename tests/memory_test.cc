@@ -71,5 +71,38 @@ TEST(PhysicalMemoryTest, ZeroFrame) {
   EXPECT_FALSE(mem.FrameIsZero(1));
 }
 
+TEST(PhysicalMemoryTest, FullSizeRamIsZeroOnDemand) {
+  // The paper's 32 MB testbed: every frame reads as zero without anything having been
+  // written, and accesses just past the end still throw.
+  PhysicalMemory mem(32u << 20);
+  ASSERT_EQ(mem.num_frames(), 8192u);
+  for (uint32_t frame = 0; frame < mem.num_frames(); ++frame) {
+    ASSERT_TRUE(mem.FrameIsZero(frame)) << frame;
+  }
+  EXPECT_THROW(mem.Read8(PhysAddr(32u << 20)), CheckFailure);
+  EXPECT_THROW(mem.Write64(PhysAddr((32u << 20) - 4), 1), CheckFailure);
+  EXPECT_THROW(mem.ZeroFrame(8192), CheckFailure);
+  EXPECT_THROW(mem.FrameIsZero(8192), CheckFailure);
+  EXPECT_THROW(mem.Copy(PhysAddr::FromFrame(8191, 8), PhysAddr(0), kPageSize), CheckFailure);
+}
+
+TEST(PhysicalMemoryTest, ZeroFrameAndCopyWorkOnUntouchedFrames) {
+  PhysicalMemory mem(32u << 20);
+  // Zeroing a frame nothing has touched leaves it (and its neighbours) zero.
+  mem.ZeroFrame(4000);
+  EXPECT_TRUE(mem.FrameIsZero(4000));
+  EXPECT_TRUE(mem.FrameIsZero(4001));
+  // Copying an untouched frame over a dirty one zeroes the destination...
+  mem.Fill(PhysAddr::FromFrame(10), 0xC3, kPageSize);
+  mem.Copy(PhysAddr::FromFrame(10), PhysAddr::FromFrame(7000), kPageSize);
+  EXPECT_TRUE(mem.FrameIsZero(10));
+  // ...and copying a dirty frame into an untouched one carries the bytes across.
+  mem.Write32(PhysAddr::FromFrame(11, 64), 0xFEEDFACE);
+  mem.Copy(PhysAddr::FromFrame(7001), PhysAddr::FromFrame(11), kPageSize);
+  EXPECT_EQ(mem.Read32(PhysAddr::FromFrame(7001, 64)), 0xFEEDFACEu);
+  EXPECT_FALSE(mem.FrameIsZero(7001));
+  EXPECT_TRUE(mem.FrameIsZero(7002));
+}
+
 }  // namespace
 }  // namespace ppcmm

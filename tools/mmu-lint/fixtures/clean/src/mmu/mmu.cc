@@ -15,6 +15,7 @@ struct CleanMmu {
     }
     return last_;
   }
+  unsigned ReplaySpan(unsigned ea, unsigned n) { return gen_ == memo_gen_ ? ea + n : 0; }
   unsigned last_ = 0;
   unsigned gen_ = 0;
   unsigned memo_gen_ = 0;

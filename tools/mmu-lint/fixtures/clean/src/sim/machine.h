@@ -5,4 +5,5 @@ struct CleanMachine {
   unsigned TouchDataRun(unsigned ea, unsigned n) const { return ea + n; }
   unsigned TouchInstruction(unsigned ea) const { return ea + 2; }
   unsigned TouchInstructionRun(unsigned ea, unsigned n) const { return ea + 2 * n; }
+  unsigned TouchInstructionRepeat(unsigned ea, unsigned n) const { return ea + n; }
 };

@@ -25,5 +25,6 @@ struct FixtureMmu {
     clock_gettime(0, &now);  // line 25: SPAN-GEN-027
     return ea + key + gen + unsigned(now);
   }
+  unsigned ReplaySpan(unsigned ea, unsigned n) { return ea + n; }
   unsigned* spare_ = nullptr;
 };

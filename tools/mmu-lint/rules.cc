@@ -88,6 +88,7 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/sim/machine.h", "Machine", "TouchDataRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchInstruction", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchInstructionRun", {"WalkPte", "MarkPteDirty"}},
+      {"src/sim/machine.h", "Machine", "TouchInstructionRepeat", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLine", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLineRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessUncached", {"WalkPte", "MarkPteDirty"}},
@@ -98,6 +99,7 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/mmu/hash_table.cc", "HashTable", "Search", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/mmu.cc", "Mmu", "Access", {"WalkPte"}},
       {"src/mmu/mmu.cc", "Mmu", "AccessRun", {"WalkPte"}},
+      {"src/mmu/mmu.cc", "Mmu", "ReplaySpan", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/mmu.cc", "Mmu", "Reload", {}},
       {"src/mmu/mmu.cc", "Mmu", "SoftwareRefill", {}},
       {"src/mmu/mmu.cc", "Mmu", "InstallTlbEntry", {"WalkPte", "MarkPteDirty"}},
@@ -106,11 +108,12 @@ const std::vector<HotFunction>& HotFunctions() {
 }
 
 const std::vector<HotFunction>& SpanValidityFunctions() {
-  // The two places a translation span is judged valid: the replay gate in AccessRun and
-  // the generation combiner every memo comparison keys off. banned_virtual is unused here
-  // (AccessRun's PTE-tree ban lives in its HotFunctions() entry).
+  // The places a translation span is judged valid: the shared replay gate ReplaySpan, its
+  // caller AccessRun, and the generation combiner every memo comparison keys off.
+  // banned_virtual is unused here (the PTE-tree bans live in the HotFunctions() entries).
   static const std::vector<HotFunction> kSpan = {
       {"src/mmu/mmu.cc", "Mmu", "AccessRun", {}},
+      {"src/mmu/mmu.cc", "Mmu", "ReplaySpan", {}},
       {"src/mmu/mmu.h", "Mmu", "FastGen", {}},
   };
   return kSpan;

@@ -74,10 +74,11 @@ const std::vector<HotFunction>& HotFunctions();
 const std::vector<BannedIdent>& HotPathBans();
 
 // SPAN-GEN-027: translation-span validity may key only off generation counters. The
-// registered span-validity bodies (Mmu::AccessRun's replay gate and the FastGen combiner
-// it compares against) must not consult wall-clock time or launder pointer identity into
-// validity state — a recycled TlbEntry at the same address must still invalidate the
-// span. Missing registered bodies fall under HOT-MISSING-025 like the hot functions.
+// registered span-validity bodies (the Mmu::ReplaySpan gate, its AccessRun caller, and the
+// FastGen combiner they compare against) must not consult wall-clock time or launder
+// pointer identity into validity state — a recycled TlbEntry at the same address must
+// still invalidate the span. Missing registered bodies fall under HOT-MISSING-025 like the
+// hot functions.
 const std::vector<HotFunction>& SpanValidityFunctions();
 const std::vector<BannedIdent>& SpanValidityBans();
 
