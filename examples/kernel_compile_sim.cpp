@@ -13,6 +13,7 @@
 
 #include "src/core/stats.h"
 #include "src/core/system.h"
+#include "src/obs/attr/attr_export.h"
 #include "src/workloads/kernel_compile.h"
 
 namespace {
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
 
   System system(machine, opt);
   if (trace) {
-    system.machine().trace().Enable();
+    system.machine().attr().SetEnabled(true);
   }
   std::printf("machine: %s\n", machine.name.c_str());
   std::printf("config:  %s (%s)\n", config_name.c_str(), opt.Describe().c_str());
@@ -94,9 +95,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dcache.uncached_accesses));
 
   if (trace) {
-    TraceBuffer& tb = system.machine().trace();
-    std::printf("\n--- last 32 trace events (of %llu recorded) ---\n%s",
-                static_cast<unsigned long long>(tb.TotalRecorded()), tb.Dump(32).c_str());
+    const std::string dump = FlightRecorderDump(system.machine().attr(), "kernel compile", 32);
+    std::printf("\n%s", dump.c_str());
   }
   return 0;
 }

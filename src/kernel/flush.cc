@@ -11,14 +11,12 @@ void FlushEngine::FlushPage(Mm& mm, EffAddr ea) {
 void FlushEngine::FlushRange(Mm& mm, uint32_t start_page, uint32_t page_count,
                              bool mm_is_current) {
   Machine& machine = mmu_.machine();
-  const Cycles flush_start = machine.Now();
   if (config_.lazy_context_flush && config_.range_flush_cutoff > 0 &&
       page_count > config_.range_flush_cutoff) {
     // §7: "invalidating the whole memory management context of any process needing to
     // invalidate more than a small set of pages" — the 80× mmap() win.
     CycleScope flush_scope(machine, AttrCause::kContextFlushLazy);
     LazyFlushContext(mm, mm_is_current);
-    machine.RecordLatency(LatencyProbe::kContextFlushLazy, flush_start);
     return;
   }
   // Eager path: "the kernel was clearing the range of addresses by searching the hash table
@@ -35,7 +33,6 @@ void FlushEngine::FlushRange(Mm& mm, uint32_t start_page, uint32_t page_count,
   } else {
     ShootdownRound(std::nullopt);
   }
-  machine.RecordLatency(LatencyProbe::kRangeFlushEager, flush_start);
 }
 
 void FlushEngine::FlushContext(Mm& mm, bool mm_is_current) {
@@ -52,7 +49,6 @@ void FlushEngine::FlushContext(Mm& mm, bool mm_is_current) {
 
 void FlushEngine::EagerFlushPage(Mm& mm, EffAddr ea) {
   HwCounters& counters = mmu_.machine().counters();
-  mmu_.machine().Trace(TraceEvent::kFlushPage, ea.EffPageNumber());
   // The flush loop body around each page (address arithmetic, bounds checks).
   mmu_.machine().AddCycles(Cycles(8));
   if (mmu_.policy().UsesHtab()) {
@@ -89,10 +85,8 @@ void FlushEngine::EagerFlushPage(Mm& mm, EffAddr ea) {
 
 void FlushEngine::LazyFlushContext(Mm& mm, bool mm_is_current) {
   HwCounters& counters = mmu_.machine().counters();
-  const ContextId retired = mm.context;
   vsids_.Retire(mm.context);
   mm.context = vsids_.NewContext();
-  mmu_.machine().Trace(TraceEvent::kFlushContext, retired.value, mm.context.value);
   ++counters.tlb_context_flushes;
   // A handful of cycles: bump the counter, store the new VSIDs into the task structure and,
   // if this is the running task, reload the segment registers.

@@ -88,10 +88,9 @@ void Kernel::SetFaultInjector(FaultInjector* injector) {
   injector_ = injector;
   if (injector != nullptr) {
     // Every fire — wherever the site lives, even in components with no Machine reference
-    // like VsidSpace — lands in the trace for post-mortem correlation.
-    injector->SetFireObserver([this](FaultClass cls, uint64_t fires) {
-      machine_.Trace(TraceEvent::kFaultInjected, static_cast<uint32_t>(cls),
-                     static_cast<uint32_t>(fires));
+    // like VsidSpace — lands in the trace ring for post-mortem correlation.
+    injector->SetFireObserver([this](FaultClass, uint64_t) {
+      machine_.attr().RecordInstant(AttrEventKind::kFaultInjected, machine_.Now().value);
     });
   }
   mmu_->SetFaultInjector(injector);
@@ -105,8 +104,6 @@ void Kernel::HandleVsidRollover() {
   // unreachable, then move every live context into the new epoch.
   CycleScope rollover_scope(machine_, AttrCause::kVsidRollover);
   ++machine_.counters().vsid_epoch_rollovers;
-  machine_.Trace(TraceEvent::kVsidEpochRollover,
-                 static_cast<uint32_t>(machine_.counters().vsid_epoch_rollovers));
   flusher_.RolloverInvalidateAll();
   if (mmu_->policy().UsesHtab()) {
     mmu_->htab().InvalidateMatching(
@@ -251,7 +248,6 @@ void Kernel::SwitchTo(TaskId id) {
     CycleScope switch_scope(machine_, AttrCause::kContextSwitch);
     HwCounters& counters = machine_.counters();
     ++counters.context_switches;
-    machine_.Trace(TraceEvent::kContextSwitch, current_.value, id.value);
 
     ChargeKernelWork(KernelOp::kContextSwitch);
     machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.ctxsw_body_opt
@@ -296,7 +292,6 @@ void Kernel::SwitchTo(TaskId id) {
     current_ = id;
     cpu_current_[smp_.current_cpu] = id;
     smp_.idle[smp_.current_cpu] = 0;
-    machine_.trace().SetCurrentTask(id.value);
     machine_.attr().SetCurrentTask(id.value);
   }
   if (tick_hook_) {
@@ -320,7 +315,6 @@ void Kernel::SwitchCpu(uint32_t cpu) {
   machine_.SetCurrentCpu(cpu);
   mmu_->SetCurrentCpu(cpu);
   current_ = cpu_current_[cpu];
-  machine_.trace().SetCurrentTask(current_.value);
   machine_.attr().SetCurrentTask(current_.value);
   // Any whole-TLB flush this CPU skipped while idle runs now, before it touches anything.
   flusher_.RunDeferredFlush(cpu);
@@ -382,7 +376,7 @@ TaskId Kernel::Fork(TaskId parent_id) {
     // Mid-fork exhaustion: tear the half-built child down and drop the parent's stale
     // (now write-protected) translations before reporting. The parent keeps running — its
     // COW-marked pages simply take a sole-owner fault on the next write.
-    machine_.Trace(TraceEvent::kOomRollback, static_cast<uint32_t>(KernelOp::kFork));
+    machine_.attr().RecordInstant(AttrEventKind::kOomRollback, machine_.Now().value);
     flusher_.FlushContext(*parent.mm, current_ == parent_id);
     Exit(child_id);
     throw;
@@ -476,7 +470,6 @@ void Kernel::Exit(TaskId id) {
       smp_.idle[cpu] = 1;
       if (cpu == smp_.current_cpu) {
         current_ = TaskId{0};
-        machine_.trace().SetCurrentTask(0);
         machine_.attr().SetCurrentTask(0);
       }
     }
@@ -495,7 +488,6 @@ void Kernel::Exit(TaskId id) {
 void Kernel::NullSyscall() {
   CycleScope syscall_scope(machine_, AttrCause::kSyscall);
   ++machine_.counters().syscalls;
-  machine_.Trace(TraceEvent::kSyscall, 0);
   ChargeKernelWork(KernelOp::kSyscallEntry);
   machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
                                                        : costs_.syscall_body_unopt));
@@ -745,7 +737,7 @@ uint32_t Kernel::ShmCreate(uint32_t pages) {
     }
   } catch (const OutOfMemoryError&) {
     // Partial allocation: give back what we got; the segment never existed.
-    machine_.Trace(TraceEvent::kOomRollback, static_cast<uint32_t>(KernelOp::kMmapCall));
+    machine_.attr().RecordInstant(AttrEventKind::kOomRollback, machine_.Now().value);
     for (const uint32_t frame : segment.frames) {
       mem_.FreePage(frame);
     }
@@ -941,19 +933,14 @@ void Kernel::UserTouch(EffAddr ea, AccessKind kind) {
     switch (mmu_->Access(ea, kind)) {
       case AccessOutcome::kOk:
         return;
-      case AccessOutcome::kPageFault: {
-        const Cycles fault_start = machine_.Now();
+      case AccessOutcome::kPageFault:
         HandlePageFault(current, ea, kind);
-        machine_.RecordLatency(LatencyProbe::kPageFault, fault_start);
         break;
-      }
       case AccessOutcome::kProtectionFault: {
         const std::optional<LinuxPte> pte = current.mm->page_table->LookupQuiet(ea);
         PPCMM_CHECK_MSG(pte.has_value() && pte->present && pte->cow,
                         "write to a genuinely read-only mapping at 0x" << std::hex << ea.value);
-        const Cycles fault_start = machine_.Now();
         HandleCowFault(current, ea);
-        machine_.RecordLatency(LatencyProbe::kCowFault, fault_start);
         break;
       }
     }
@@ -984,19 +971,14 @@ void Kernel::UserTouchRun(EffAddr start, uint32_t stride, uint32_t count, Access
       case AccessOutcome::kOk:
         PPCMM_CHECK_MSG(false, "AccessRun stopped short without a fault");
         break;
-      case AccessOutcome::kPageFault: {
-        const Cycles fault_start = machine_.Now();
+      case AccessOutcome::kPageFault:
         HandlePageFault(current, ea, kind);
-        machine_.RecordLatency(LatencyProbe::kPageFault, fault_start);
         break;
-      }
       case AccessOutcome::kProtectionFault: {
         const std::optional<LinuxPte> pte = current.mm->page_table->LookupQuiet(ea);
         PPCMM_CHECK_MSG(pte.has_value() && pte->present && pte->cow,
                         "write to a genuinely read-only mapping at 0x" << std::hex << ea.value);
-        const Cycles fault_start = machine_.Now();
         HandleCowFault(current, ea);
-        machine_.RecordLatency(LatencyProbe::kCowFault, fault_start);
         break;
       }
     }
@@ -1035,7 +1017,6 @@ void Kernel::RunIdle(Cycles budget) {
   CycleScope idle_scope(machine_, AttrCause::kIdleLoop);
   HwCounters& counters = machine_.counters();
   ++counters.idle_invocations;
-  machine_.Trace(TraceEvent::kIdleSlice, static_cast<uint32_t>(budget.value));
   if (tick_hook_) {
     tick_hook_();
   }
@@ -1044,7 +1025,7 @@ void Kernel::RunIdle(Cycles budget) {
   const EffAddr idle_text(kKernelVirtualBase + kIdleTextPage * kPageSize);
   // The spin fast-forward below replays the fetch's translation, so the uncached (§10.1)
   // fetch, which translates nothing, keeps the loop. So does a live ledger with idle
-  // zeroing: it records every iteration's (zero-cycle) idle_zero scope in its flight ring.
+  // zeroing: it records every iteration's (zero-cycle) idle_zero scope in its trace ring.
   const bool may_fast_forward =
       !config_.uncached_idle_task &&
       !(machine_.attr().enabled() && config_.idle_zero != IdleZeroPolicy::kOff);
@@ -1085,14 +1066,8 @@ void Kernel::RunIdle(Cycles budget) {
     bool worked = false;
     if (config_.idle_zombie_reclaim && mmu_->policy().UsesHtab()) {
       CycleScope reclaim_scope(machine_, AttrCause::kIdleReclaim);
-      const Cycles pass_start = machine_.Now();
-      const uint32_t reclaimed =
+      counters.zombies_reclaimed +=
           mmu_->htab().ReclaimZombies(config_.idle_reclaim_ptegs_per_pass, vsids_, pt_charger);
-      machine_.RecordLatency(LatencyProbe::kIdleReclaimPass, pass_start);
-      counters.zombies_reclaimed += reclaimed;
-      if (reclaimed > 0) {
-        machine_.Trace(TraceEvent::kZombieReclaim, reclaimed);
-      }
       worked = true;  // the scan itself consumed cycles
     }
     if (config_.idle_zero != IdleZeroPolicy::kOff) {
@@ -1129,7 +1104,6 @@ void Kernel::HandlePageFault(Task& task, EffAddr ea, AccessKind kind) {
   HwCounters& counters = machine_.counters();
   ++counters.page_faults;
   ++task.obs.page_faults;
-  machine_.Trace(TraceEvent::kPageFault, ea.EffPageNumber());
   ChargeKernelWork(KernelOp::kFault);
   machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.fault_body_opt
                                                        : costs_.fault_body_unopt));
@@ -1211,7 +1185,6 @@ void Kernel::HandleCowFault(Task& task, EffAddr ea) {
   HwCounters& counters = machine_.counters();
   ++counters.page_faults;
   ++task.obs.cow_faults;
-  machine_.Trace(TraceEvent::kCowFault, ea.EffPageNumber());
   ChargeKernelWork(KernelOp::kFault);
   machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.fault_body_opt
                                                        : costs_.fault_body_unopt));

@@ -184,7 +184,6 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
     } else {
       ++counters.dtlb_misses;
     }
-    machine_.Trace(TraceEvent::kTlbMiss, ea.EffPageNumber(), is_ifetch ? 1 : 0);
     const std::optional<PteWalkInfo> info = Reload(ea, vp, kind);
     if (!info.has_value()) {
       return AccessOutcome::kPageFault;
@@ -203,7 +202,6 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
   if (is_write && !entry->changed && !policy_.eager_dirty_marking) {
     CycleScope dirty_scope(machine_, AttrCause::kDirtyBitUpdate);
     ++counters.dirty_bit_updates;
-    machine_.Trace(TraceEvent::kDirtyBitUpdate, ea.EffPageNumber());
     DataMemCharger pt_charger(machine_, policy_.cache_page_tables);
     machine_.AddCycles(Cycles(machine_.config().tlb_miss_interrupt_cycles / 2));
     if (policy_.UsesHtab()) {
@@ -342,7 +340,6 @@ std::optional<PteWalkInfo> Mmu::Reload(EffAddr ea, VirtPage vp, AccessKind kind)
   HwCounters& counters = machine_.counters();
   const MachineConfig& config = machine_.config();
   DataMemCharger pt_charger(machine_, policy_.cache_page_tables);
-  const Cycles reload_start = machine_.Now();
   CycleScope reload_scope(machine_, ReloadCause(policy_.strategy, IsInstruction(kind)));
   // An HTAB search under the reload scope, reclassified on return into the depth bucket the
   // probe actually reached: primary-PTEG-only, spilled into the secondary, or a full miss.
@@ -369,12 +366,9 @@ std::optional<PteWalkInfo> Mmu::Reload(EffAddr ea, VirtPage vp, AccessKind kind)
                                .writable = found.pte.writable,
                                .cache_inhibited = found.pte.cache_inhibited};
         InstallTlbEntry(ea, vp, info, kind);
-        machine_.RecordLatency(LatencyProbe::kTlbReloadHardware, reload_start);
         return info;
       }
       ++counters.htab_misses;
-      machine_.probes().RecordHashMiss(htab_.PrimaryPteg(vp));
-      machine_.Trace(TraceEvent::kHtabMiss, ea.EffPageNumber());
       // Hash-table miss interrupt into the software handler (§5: at least 91 cycles).
       machine_.AddCycles(Cycles(config.hash_miss_interrupt_cycles));
       machine_.AddCycles(Cycles(policy_.HandlerBodyCycles()));
@@ -387,7 +381,6 @@ std::optional<PteWalkInfo> Mmu::Reload(EffAddr ea, VirtPage vp, AccessKind kind)
         const HtabSearchResult refound = attributed_search(vp);
         PPCMM_CHECK_MSG(refound.found, "freshly inserted HTAB entry must be found on retry");
         InstallTlbEntry(ea, vp, *info, kind);
-        machine_.RecordLatency(LatencyProbe::kTlbReloadHardware, reload_start);
       }
       return info;
     }
@@ -404,16 +397,12 @@ std::optional<PteWalkInfo> Mmu::Reload(EffAddr ea, VirtPage vp, AccessKind kind)
                                .writable = found.pte.writable,
                                .cache_inhibited = found.pte.cache_inhibited};
         InstallTlbEntry(ea, vp, info, kind);
-        machine_.RecordLatency(LatencyProbe::kTlbReloadSoftwareHtab, reload_start);
         return info;
       }
       ++counters.htab_misses;
-      machine_.probes().RecordHashMiss(htab_.PrimaryPteg(vp));
-      machine_.Trace(TraceEvent::kHtabMiss, ea.EffPageNumber());
       std::optional<PteWalkInfo> info = SoftwareRefill(ea, vp, /*insert_into_htab=*/true);
       if (info.has_value()) {
         InstallTlbEntry(ea, vp, *info, kind);
-        machine_.RecordLatency(LatencyProbe::kTlbReloadSoftwareHtab, reload_start);
       }
       return info;
     }
@@ -426,7 +415,6 @@ std::optional<PteWalkInfo> Mmu::Reload(EffAddr ea, VirtPage vp, AccessKind kind)
       std::optional<PteWalkInfo> info = SoftwareRefill(ea, vp, /*insert_into_htab=*/false);
       if (info.has_value()) {
         InstallTlbEntry(ea, vp, *info, kind);
-        machine_.RecordLatency(LatencyProbe::kTlbReloadSoftwareDirect, reload_start);
       }
       return info;
     }

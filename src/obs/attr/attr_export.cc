@@ -183,7 +183,7 @@ std::string FlightRecorderDump(const CycleLedger& ledger, const std::string& con
     const AttrEvent& e = events[i];
     std::snprintf(line, sizeof(line),
                   "  @%-12" PRIu64 " cpu=%u task=%-4u depth=%u %-22s %8" PRIu64 " cycles\n",
-                  e.end_cycle, e.cpu, e.task, e.depth, AttrCauseName(e.cause), e.cycles);
+                  e.end_cycle, e.cpu, e.task, e.depth, AttrEventName(e), e.cycles);
     out += line;
   }
   return out;

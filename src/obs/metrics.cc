@@ -1,11 +1,9 @@
 #include "src/obs/metrics.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "src/core/stats.h"
 #include "src/core/system.h"
-#include "src/sim/probes.h"
 
 namespace ppcmm {
 
@@ -103,12 +101,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   snap.gauges.emplace_back("sys.itlb_miss_rate", stats.itlb_miss_rate);
   snap.gauges.emplace_back("sys.tlb_kernel_share", stats.tlb_kernel_share);
 
-  // Latency distributions (all zero while probes are disabled).
-  const LatencyProbes& probes = machine.probes();
-  for (uint32_t i = 0; i < kNumLatencyProbes; ++i) {
-    const LatencyProbe probe = static_cast<LatencyProbe>(i);
-    const LatencyHistogram& h = probes.histogram(probe);
-    const std::string prefix = std::string("lat.") + LatencyProbeName(probe) + ".";
+  // Latency distributions, one family per scoped cause (all zero while the ledger is off).
+  for (uint8_t i = 1; i < static_cast<uint8_t>(AttrCause::kNumCauses); ++i) {
+    const AttrCause cause = static_cast<AttrCause>(i);
+    const LatencyHistogram& h = machine.attr().Latency(cause);
+    const std::string prefix = std::string("lat.") + AttrCauseName(cause) + ".";
     snap.counters.emplace_back(prefix + "count", h.TotalCount());
     snap.gauges.emplace_back(prefix + "p50", static_cast<double>(h.Percentile(0.50)));
     snap.gauges.emplace_back(prefix + "p95", static_cast<double>(h.Percentile(0.95)));
@@ -116,18 +113,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.gauges.emplace_back(prefix + "max", static_cast<double>(h.Max()));
     snap.gauges.emplace_back(prefix + "mean", h.Mean());
   }
-
-  // The §5.2 hash-miss spread: how unevenly misses land across PTEGs.
-  const std::vector<uint64_t>& miss = probes.hash_miss_per_pteg();
-  uint64_t miss_total = 0, miss_max = 0, ptegs_hit = 0;
-  for (const uint64_t m : miss) {
-    miss_total += m;
-    miss_max = std::max(miss_max, m);
-    ptegs_hit += m > 0 ? 1 : 0;
-  }
-  snap.counters.emplace_back("lat.htab_hash_miss.total", miss_total);
-  snap.gauges.emplace_back("lat.htab_hash_miss.max_per_pteg", static_cast<double>(miss_max));
-  snap.gauges.emplace_back("lat.htab_hash_miss.ptegs_touched", static_cast<double>(ptegs_hit));
   return snap;
 }
 

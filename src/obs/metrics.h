@@ -4,7 +4,7 @@
 //   hw.*        every HwCounters field (X-macro generated, so never stale)
 //   sys.*       derived SystemStats gauges: HTAB utilization, zombie count, evict/reload
 //               ratio, TLB kernel share — the numbers the paper reports in prose
-//   lat.*       latency-histogram percentiles per probe (lat.page_fault.p99, ...)
+//   lat.*       per-cause latency percentiles of closed CycleScopes (lat.fault_anon.p99)
 //   task.<id>.* per-task attribution: faults, COW breaks, switches
 //
 // Snapshots subtract (counters) or keep-the-later (gauges), and serialize to JSON and CSV

@@ -1,6 +1,7 @@
 #include "src/obs/perfetto.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 namespace ppcmm {
@@ -24,88 +25,68 @@ JsonValue MetadataEvent(const char* name, uint32_t pid, uint32_t tid,
   return event;
 }
 
+uint64_t StartCycle(const AttrEvent& e) { return e.end_cycle - e.cycles; }
+
 }  // namespace
 
-JsonValue PerfettoTraceJson(const std::vector<TraceRecord>& records,
+JsonValue PerfettoTraceJson(const std::vector<AttrEvent>& events,
                             const PerfettoExportOptions& options) {
-  JsonValue events = JsonValue::Array();
-  events.Append(MetadataEvent("process_name", options.pid, 0, "ppcmm"));
-
-  // Name every track that will appear: explicit names first, then defaults for the rest.
-  std::set<uint32_t> tids{0};
-  for (const TraceRecord& r : records) {
-    tids.insert(r.task);
-    if (r.event == TraceEvent::kContextSwitch) {
-      tids.insert(r.a);
-      tids.insert(r.b);
-    }
+  JsonValue out = JsonValue::Array();
+  out.Append(MetadataEvent("process_name", options.pid, 0, "ppcmm"));
+  std::set<uint32_t> cpus;
+  for (const AttrEvent& e : events) {
+    cpus.insert(e.cpu);
   }
-  std::set<uint32_t> named;
-  for (const auto& [tid, name] : options.task_names) {
-    events.Append(MetadataEvent("thread_name", options.pid, tid, name));
-    named.insert(tid);
+  for (const uint32_t cpu : cpus) {
+    out.Append(MetadataEvent("thread_name", options.pid, cpu, "cpu " + std::to_string(cpu)));
   }
-  for (const uint32_t tid : tids) {
-    if (!named.contains(tid)) {
-      events.Append(MetadataEvent("thread_name", options.pid, tid,
-                                  tid == 0 ? "kernel" : "task " + std::to_string(tid)));
-    }
-  }
+  const std::map<uint32_t, std::string> names(options.task_names.begin(),
+                                              options.task_names.end());
 
-  uint64_t flow_id = 0;
-  for (const TraceRecord& r : records) {
-    const double ts = TsMicros(r.cycle, options.clock_mhz);
-
+  // The ring is in close order; a viewer wants start order, with an enclosing scope
+  // (lower depth) ahead of a child that starts on the same cycle.
+  std::vector<AttrEvent> sorted = events;
+  std::stable_sort(sorted.begin(), sorted.end(), [](const AttrEvent& a, const AttrEvent& b) {
+    const uint64_t sa = StartCycle(a);
+    const uint64_t sb = StartCycle(b);
+    return sa != sb ? sa < sb : a.depth < b.depth;
+  });
+  for (const AttrEvent& e : sorted) {
+    const bool slice = e.kind == AttrEventKind::kScope;
     JsonValue event = JsonValue::Object();
-    event.Set("name", TraceEventName(r.event));
-    event.Set("cat", "mmu");
-    event.Set("ph", "i");
-    event.Set("s", "t");  // thread-scoped instant
-    event.Set("ts", ts);
-    event.Set("pid", options.pid);
-    event.Set("tid", r.task);
-    JsonValue args = JsonValue::Object();
-    args.Set("a", r.a);
-    args.Set("b", r.b);
-    args.Set("cycle", r.cycle);
-    event.Set("args", std::move(args));
-    events.Append(std::move(event));
-
-    if (r.event == TraceEvent::kContextSwitch) {
-      // Flow arrow from the outgoing task's track to the incoming one's.
-      ++flow_id;
-      JsonValue start = JsonValue::Object();
-      start.Set("name", "ctxsw");
-      start.Set("cat", "sched");
-      start.Set("ph", "s");
-      start.Set("id", flow_id);
-      start.Set("ts", ts);
-      start.Set("pid", options.pid);
-      start.Set("tid", r.a);
-      events.Append(std::move(start));
-
-      JsonValue finish = JsonValue::Object();
-      finish.Set("name", "ctxsw");
-      finish.Set("cat", "sched");
-      finish.Set("ph", "f");
-      finish.Set("bp", "e");  // bind to the enclosing slice/instant
-      finish.Set("id", flow_id);
-      finish.Set("ts", ts);
-      finish.Set("pid", options.pid);
-      finish.Set("tid", r.b);
-      events.Append(std::move(finish));
+    event.Set("name", AttrEventName(e));
+    event.Set("cat", slice ? "attr" : "instant");
+    event.Set("ph", slice ? "X" : "i");
+    event.Set("ts", TsMicros(StartCycle(e), options.clock_mhz));
+    if (slice) {
+      event.Set("dur", TsMicros(e.cycles, options.clock_mhz));
+    } else {
+      event.Set("s", "t");  // thread-scoped instant
     }
+    event.Set("pid", options.pid);
+    event.Set("tid", e.cpu);
+    JsonValue args = JsonValue::Object();
+    args.Set("task", e.task);
+    const auto named = names.find(e.task);
+    args.Set("task_name", named != names.end() ? named->second
+                          : e.task == 0        ? std::string("kernel")
+                                               : "task " + std::to_string(e.task));
+    if (slice) {
+      args.Set("depth", e.depth);
+    }
+    event.Set("args", std::move(args));
+    out.Append(std::move(event));
   }
 
   JsonValue doc = JsonValue::Object();
-  doc.Set("traceEvents", std::move(events));
+  doc.Set("traceEvents", std::move(out));
   doc.Set("displayTimeUnit", "ms");
   return doc;
 }
 
-std::string PerfettoTraceString(const TraceBuffer& trace,
+std::string PerfettoTraceString(const CycleLedger& ledger,
                                 const PerfettoExportOptions& options) {
-  return PerfettoTraceJson(trace.Records(), options).Serialize();
+  return PerfettoTraceJson(ledger.RecentEvents(), options).Serialize();
 }
 
 }  // namespace ppcmm

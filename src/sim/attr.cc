@@ -1,5 +1,7 @@
 #include "src/sim/attr.h"
 
+#include <algorithm>
+
 #include "src/sim/check.h"
 
 namespace ppcmm {
@@ -42,8 +44,13 @@ const char* AttrCauseName(AttrCause cause) {
   return "invalid";
 }
 
-uint64_t* CycleLedger::FindOrCreateCell(const CellKey& key) {
-  return &cells_.try_emplace(key, 0).first->second;
+const char* AttrEventName(const AttrEvent& event) {
+  switch (event.kind) {
+    case AttrEventKind::kScope: return AttrCauseName(event.cause);
+    case AttrEventKind::kFaultInjected: return "fault_injected";
+    case AttrEventKind::kOomRollback: return "oom_rollback";
+  }
+  return "invalid";
 }
 
 void CycleLedger::SetEnabled(bool enabled) {
@@ -51,6 +58,9 @@ void CycleLedger::SetEnabled(bool enabled) {
     return;
   }
   if (enabled) {
+    if (recorder_ == nullptr) {
+      recorder_ = std::make_unique<Recorder>();
+    }
     // (Re)anchor the cached iterators: Clear() or first enable may have invalidated them.
     CellKey base;
     base.task = task_;
@@ -71,7 +81,9 @@ void CycleLedger::Clear() {
   cells_.clear();
   total_ = 0;
   events_recorded_ = 0;
-  flight_ = {};
+  if (recorder_ != nullptr) {
+    recorder_->latency = {};
+  }
   // Scope stack survives (open CycleScopes still reference it); re-anchor if live.
   if (enabled_) {
     enabled_ = false;
@@ -99,14 +111,13 @@ void CycleLedger::Pop(uint64_t end_cycle, uint64_t elapsed_cycles) {
   }
   --depth_;
   const Frame& frame = frames_[depth_];
-  AttrEvent& event = flight_[events_recorded_ % kFlightCapacity];
-  event.end_cycle = end_cycle;
-  event.cycles = elapsed_cycles;
-  event.task = task_;
-  event.cause = frame.cause;
-  event.depth = static_cast<uint8_t>(depth_ + 1);
-  event.cpu = static_cast<uint8_t>(cpu_);
-  ++events_recorded_;
+  recorder_->latency[static_cast<uint8_t>(frame.cause)].Record(elapsed_cycles);
+  NextEvent() = AttrEvent{.end_cycle = end_cycle,
+                          .cycles = elapsed_cycles,
+                          .task = task_,
+                          .cause = frame.cause,
+                          .depth = static_cast<uint8_t>(depth_ + 1),
+                          .cpu = static_cast<uint8_t>(cpu_)};
   path_[depth_] = 0;
   // The parent frame's cell iterator is still valid (map nodes are stable), but the task
   // may have changed inside the scope; charges belong to the task that is current *now*.
@@ -141,6 +152,14 @@ void CycleLedger::Rebind(AttrCause cause) {
   frame.entry_cycles = frame.cell->second;
   frame.cell->second += moved;
   current_ = frame.cell;
+}
+
+void CycleLedger::RecordInstant(AttrEventKind kind, uint64_t cycle) {
+  if (!enabled_) {
+    return;
+  }
+  NextEvent() = AttrEvent{
+      .end_cycle = cycle, .task = task_, .cpu = static_cast<uint8_t>(cpu_), .kind = kind};
 }
 
 void CycleLedger::SetCurrentTask(uint32_t task) {
@@ -183,14 +202,18 @@ std::vector<CycleLedger::Cell> CycleLedger::Cells() const {
   return out;
 }
 
+const LatencyHistogram& CycleLedger::Latency(AttrCause cause) const {
+  static const LatencyHistogram kEmpty;
+  return recorder_ == nullptr ? kEmpty : recorder_->latency[static_cast<uint8_t>(cause)];
+}
+
 std::vector<AttrEvent> CycleLedger::RecentEvents() const {
   std::vector<AttrEvent> out;
-  const uint64_t count = events_recorded_ < kFlightCapacity ? events_recorded_
-                                                            : kFlightCapacity;
+  const uint64_t count = std::min<uint64_t>(events_recorded_, kRingCapacity);
   out.reserve(static_cast<size_t>(count));
   const uint64_t start = events_recorded_ - count;
   for (uint64_t i = 0; i < count; ++i) {
-    out.push_back(flight_[(start + i) % kFlightCapacity]);
+    out.push_back(recorder_->ring[(start + i) & (kRingCapacity - 1)]);
   }
   return out;
 }

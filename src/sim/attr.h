@@ -2,11 +2,14 @@
 // cause taxonomy (instruction execution, TLB reload by strategy, hash-search depth, fault
 // kind, flush flavor, idle work, ...) keyed secondarily by the running task.
 //
-// The ledger lives in the sim layer (like TraceBuffer and LatencyProbes) so hot headers
-// stay obs-free; exporters (flamegraphs, JSON tables, diffs) live in src/obs/attr. The
-// contract mirrors the other observers: when disabled, the only cost on any hot path is
-// one predictable branch, and enabling it never advances the clock or perturbs a single
-// counter (tests/attr_test.cc proves both, bit-exactly).
+// The ledger is the simulator's only observer: closing a scope is the single record any
+// instrumentation makes. It lands in three views at once: the cycle cells below, a log2
+// latency histogram per cause (MetricsRegistry's lat.<cause>.*), and the trace ring that
+// Perfetto exports and failure reports dump. The ledger lives in the sim layer so hot
+// headers stay obs-free; exporters (flamegraphs, JSON tables, diffs, Perfetto) live in
+// src/obs. When disabled, the only cost on any hot path is one predictable branch, and
+// enabling it never advances the clock or perturbs a single counter (tests/attr_test.cc
+// and tests/obs_guard_test.cc prove both, bit-exactly).
 //
 // Causes nest: Mmu::Reload opens a reload scope, the hash search inside it opens a depth
 // scope, so cycles land in a path like dtlb_reload_hw;hash_primary. An open scope is a
@@ -21,7 +24,10 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
+
+#include "src/sim/histogram.h"
 
 namespace ppcmm {
 
@@ -70,27 +76,41 @@ enum class AttrCause : uint8_t {
   kNumCauses,  // sentinel, not a cause
 };
 
-// Stable snake_case name used in folded stacks, JSON exports, and flight-recorder dumps.
+// Stable snake_case name used in folded stacks, JSON exports, lat.<cause>.* metric names
+// and trace dumps.
 const char* AttrCauseName(AttrCause cause);
 
-// One recent attributed event, recorded when a scope closes. POD so the flight-recorder
-// ring is a fixed-size array with no per-event allocation.
+// What a ring event records. Only two events have no scope to close; they are zero-cycle
+// instants with their own kind rather than causes, so the cause table (and every per-cause
+// export) stays the same size.
+enum class AttrEventKind : uint8_t {
+  kScope = 0,      // a CycleScope closed: cause, depth and cycles describe it
+  kFaultInjected,  // a FaultInjector site fired
+  kOomRollback,    // Fork or ShmCreate rolled back after running out of frames
+};
+
+// One trace-ring event. POD so the ring is a fixed-size array with no per-event allocation.
 struct AttrEvent {
-  uint64_t end_cycle = 0;  // simulated cycle at which the scope closed
+  uint64_t end_cycle = 0;  // simulated cycle at which the scope closed (or the instant fired)
   uint64_t cycles = 0;     // clock advance across the scope (including nested scopes)
   uint32_t task = 0;       // task current when the scope closed
   AttrCause cause = AttrCause::kInstruction;  // leaf cause of the closed scope
-  uint8_t depth = 0;                          // nesting depth of the closed scope (1 = root)
-  uint8_t cpu = 0;                            // CPU current when the scope closed
+  uint8_t depth = 0;  // nesting depth of the closed scope (1 = root; 0 for an instant)
+  uint8_t cpu = 0;    // CPU current when the scope closed
+  AttrEventKind kind = AttrEventKind::kScope;
 };
 
+// The event's display name: its cause for a closed scope, its kind for an instant.
+const char* AttrEventName(const AttrEvent& event);
+
 // The attribution ledger. One per Machine; all mutation goes through CycleScope
-// (src/sim/machine.h) except SetCurrentTask, which the kernel mirrors alongside
-// TraceBuffer::SetCurrentTask.
+// (src/sim/machine.h) except SetCurrentTask and SetCurrentCpu, which the kernel and the
+// machine mirror, and RecordInstant.
 class CycleLedger {
  public:
   static constexpr uint32_t kMaxDepth = 8;
-  static constexpr uint32_t kFlightCapacity = 256;
+  static constexpr uint32_t kRingCapacity = 4096;
+  static_assert((kRingCapacity & (kRingCapacity - 1)) == 0, "the ring index is a mask");
 
   // Identifies one attribution cell: the open-scope cause path (bytes are cause+1 so a
   // zero byte means "unused level"; all-zero = the base instruction cell) and the task.
@@ -112,8 +132,9 @@ class CycleLedger {
 
   bool enabled() const { return enabled_; }
   // Enabling starts attribution from the current cycle; disabling freezes the ledger
-  // (cells and the flight ring remain readable). Enabling resets nothing — call Clear()
-  // for a fresh window.
+  // (cells, histograms and the ring remain readable). Enabling resets nothing — call
+  // Clear() for a fresh window. The first enable allocates the ring and the histograms, so
+  // a ledger that is never enabled costs no memory for them.
   void SetEnabled(bool enabled);
   void Clear();
 
@@ -127,7 +148,8 @@ class CycleLedger {
     total_ += cycles;
   }
 
-  // Scope stack. Push/Pop are driven by CycleScope; Rebind reclassifies the innermost
+  // Scope stack. Push/Pop are driven by CycleScope; Pop records the closed scope into its
+  // leaf cause's latency histogram and the ring. Rebind reclassifies the innermost
   // scope after the fact (e.g. a hash search discovers only on return whether it stayed
   // in the primary PTEG), moving the cycles already charged to its leaf cell. Rebind must
   // run before any nested scope opens under the rebound one, or the nested cells keep
@@ -136,13 +158,16 @@ class CycleLedger {
   void Pop(uint64_t end_cycle, uint64_t elapsed_cycles);
   void Rebind(AttrCause cause);
 
+  // Records a zero-cycle instant (kind != kScope) into the ring; no-op while disabled.
+  void RecordInstant(AttrEventKind kind, uint64_t cycle);
+
   // Mirrors the scheduler: subsequent base-cell charges (and new scopes) belong to `task`.
   void SetCurrentTask(uint32_t task);
   uint32_t current_task() const { return task_; }
 
-  // Mirrors the SMP interleaver: flight-recorder events closed from now on are stamped
-  // with `cpu`. Cells stay keyed by (path, task) only — the per-CPU view lives in the
-  // flight ring and the per-CPU cycle clocks, not in the attribution table.
+  // Mirrors the SMP interleaver: ring events closed from now on are stamped with `cpu`.
+  // Cells stay keyed by (path, task) only — the per-CPU view lives in the ring and the
+  // per-CPU cycle clocks, not in the attribution table.
   void SetCurrentCpu(uint32_t cpu) { cpu_ = cpu; }
   uint32_t current_cpu() const { return cpu_; }
 
@@ -154,13 +179,21 @@ class CycleLedger {
   // Snapshot of every cell, deterministically ordered (path bytes, then task).
   std::vector<Cell> Cells() const;
 
-  // Flight recorder: the most recent closed scopes, oldest first. Capacity is fixed;
-  // older events are overwritten.
+  // The elapsed cycles of every scope closed under `cause` (its final, post-Rebind leaf
+  // cause) while enabled. Empty until the ledger is first enabled.
+  const LatencyHistogram& Latency(AttrCause cause) const;
+
+  // The trace ring: the most recent events, oldest first. Capacity is fixed; older events
+  // are overwritten. events_recorded() counts every event, including overwritten ones.
   std::vector<AttrEvent> RecentEvents() const;
   uint64_t events_recorded() const { return events_recorded_; }
+  bool ring_allocated() const { return recorder_ != nullptr; }
 
  private:
-  uint64_t* FindOrCreateCell(const CellKey& key);
+  // The ring slot for the next event (counting it).
+  AttrEvent& NextEvent() {
+    return recorder_->ring[events_recorded_++ & (kRingCapacity - 1)];
+  }
 
   bool enabled_ = false;
   uint32_t task_ = 0;
@@ -184,8 +217,12 @@ class CycleLedger {
   std::map<CellKey, uint64_t>::iterator base_cell_;  // cached [kInstruction-path, task_]
   std::map<CellKey, uint64_t>::iterator current_;    // innermost open cell (or base)
 
-  // Flight ring.
-  std::array<AttrEvent, kFlightCapacity> flight_ = {};
+  // Per-cause histograms and the trace ring, allocated by the first SetEnabled(true).
+  struct Recorder {
+    std::array<LatencyHistogram, static_cast<size_t>(AttrCause::kNumCauses)> latency;
+    std::array<AttrEvent, kRingCapacity> ring;
+  };
+  std::unique_ptr<Recorder> recorder_;
   uint64_t events_recorded_ = 0;
 };
 

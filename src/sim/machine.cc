@@ -16,13 +16,6 @@ Machine::Machine(const MachineConfig& config)
   if (config.has_l2) {
     l2_ = std::make_unique<Cache>("l2", config.l2, config.memory);
   }
-#ifdef PPCMM_OBS_FORCE_ENABLE
-  // The `obs` build preset: every machine comes up with tracing and latency probes live,
-  // so ad-hoc runs produce exportable data without per-binary plumbing.
-  trace_.Enable();
-  probes_.SetEnabled(true);
-  attr_.SetEnabled(true);
-#endif
 }
 
 Cycles Machine::L2MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty) {

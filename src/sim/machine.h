@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/sim/attr.h"
-#include "src/sim/probes.h"
 #include "src/sim/cache.h"
 #include "src/sim/cycle_types.h"
 #include "src/sim/hw_counters.h"
@@ -21,7 +20,6 @@
 
 #include "src/sim/memory.h"
 #include "src/sim/phys_addr.h"
-#include "src/sim/trace.h"
 
 namespace ppcmm {
 
@@ -74,22 +72,10 @@ class Machine {
   }
   HwCounters& counters() { return counters_; }
   const HwCounters& counters() const { return counters_; }
-  TraceBuffer& trace() { return trace_; }
-  LatencyProbes& probes() { return probes_; }
-  const LatencyProbes& probes() const { return probes_; }
+  // The machine's one observer: cycle attribution, per-cause latency histograms and the
+  // trace ring, all behind CycleLedger::SetEnabled.
   CycleLedger& attr() { return attr_; }
   const CycleLedger& attr() const { return attr_; }
-
-  // Records an event at the current cycle (no-op unless tracing is enabled).
-  void Trace(TraceEvent event, uint32_t a = 0, uint32_t b = 0) {
-    trace_.Record(counters_.cycles, event, a, b);
-  }
-
-  // Records the elapsed simulated cycles since `start` into a latency histogram (no-op
-  // unless probes are enabled). Pure observation: never advances the clock.
-  void RecordLatency(LatencyProbe probe, Cycles start) {
-    probes_.Record(probe, counters_.cycles - start.value);
-  }
 
   // Adds raw execution cycles (instruction issue, interrupt overheads, handler bodies).
   // Every clock advance flows through here, so the attribution ledger sees each cycle
@@ -231,8 +217,6 @@ class Machine {
   std::vector<std::unique_ptr<ExtraCore>> extra_cores_;
   std::unique_ptr<Cache> l2_;
   HwCounters counters_;
-  TraceBuffer trace_;
-  LatencyProbes probes_;
   CycleLedger attr_;
   // SMP spotlight: which CPU the hot paths currently model. The pointers are the only
   // per-access indirection the refactor added; at ncpus=1 they never move off CPU 0.

@@ -99,13 +99,10 @@ TortureResult RunTorture(const TortureOptions& options) {
   Kernel& kernel = sys.kernel();
   result.config_desc = config.Describe();
 
-  if (options.capture_trace) {
-    sys.machine().trace().Enable();
-    sys.machine().probes().SetEnabled(true);
-  }
-  // The attribution ledger doubles as the failure flight recorder: always on here, so any
-  // assertion leaves the last attributed events behind (and every torture run re-proves
-  // that enabling attribution does not perturb the simulation).
+  // The attribution ledger is the trace ring, the latency histograms and the failure
+  // flight recorder: always on here, so any assertion leaves the last attributed events
+  // behind (and every torture run re-proves that enabling it does not perturb the
+  // simulation).
   sys.machine().attr().SetEnabled(true);
   MetricsRegistry registry(sys);
   // Exports the retained trace ring and a final metrics snapshot; run on every exit path so
@@ -118,7 +115,7 @@ TortureResult RunTorture(const TortureOptions& options) {
     popts.clock_mhz = sys.machine_config().clock_mhz;
     kernel.ForEachTask(
         [&](Task& t) { popts.task_names.emplace_back(t.id.value, t.name); });
-    result.trace_json = PerfettoTraceString(sys.machine().trace(), popts);
+    result.trace_json = PerfettoTraceString(sys.machine().attr(), popts);
     result.metrics_json = registry.Snapshot().ToJson().Serialize();
   };
 
@@ -234,7 +231,6 @@ TortureResult RunTorture(const TortureOptions& options) {
       os << "  " << trace[i] << "\n";
     }
     if (options.capture_trace) {
-      os << "machine trace ring (tail):\n" << sys.machine().trace().Dump(40);
       os << "metrics snapshot:\n" << registry.Snapshot().ToJson().Serialize() << "\n";
     }
     std::ostringstream replay;

@@ -45,9 +45,10 @@ struct TortureOptions {
   // Simulated RAM; 0 = the machine profile's default (32 MB). Small values (e.g. 8 MB)
   // drive genuine allocator exhaustion without fault injection.
   uint64_t ram_bytes = 0;
-  // Record the machine's trace ring during the run. On failure the trailing ring and a
-  // metrics snapshot are appended to failure_report; on any exit the exported documents
-  // land in trace_json / metrics_json (for --trace-out and post-mortem tooling).
+  // Export the machine's trace ring and metrics. On failure a metrics snapshot is
+  // appended to failure_report (the ring tail is always there, as the flight recorder); on
+  // any exit the exported documents land in trace_json / metrics_json (for --trace-out and
+  // post-mortem tooling).
   bool capture_trace = true;
 };
 

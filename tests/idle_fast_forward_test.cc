@@ -4,7 +4,7 @@
 // runs one idle schedule with the host fast path off (the per-iteration reference) and on,
 // then compares everything the simulation exposes: HwCounters, the I and D cache stats and
 // per-CPU clocks, a follow-up workload's hits and misses (which see the LRU state the idle
-// spin left), and with the ledger on its cells, event count and flight ring.
+// spin left), and with the ledger on its cells, event count and trace ring.
 
 #include <gtest/gtest.h>
 

@@ -270,7 +270,23 @@ TEST(MmuLintFixtures, CounterRulesFireAtStagedLines) {
                     {"tests/report_test.cc", 4, "CNT-REF-030"},
                     {"tests/report_test.cc", 6, "CNT-LAT-032"},
                     {"tests/report_test.cc", 8, "CNT-SYS-034"},
+                    {"tests/report_test.cc", 9, "CNT-LAT-032"},
+                    {"tests/report_test.cc", 10, "CNT-LAT-032"},
+                    {"tests/report_test.cc", 11, "CNT-LAT-032"},
                 });
+}
+
+TEST(MmuLintFixtures, LatencyNamesComeFromTheCauseTable) {
+  // lat.<cause> names come from AttrCauseName alone: a cause passes, while a retired probe
+  // name, an instant kind named elsewhere in attr.cc and the "invalid" fallback are flagged.
+  const mmulint::LintResult result = RunFixture("counters", "CNT-LAT-032");
+  std::set<uint32_t> lines;
+  for (const mmulint::Diagnostic& d : result.diagnostics) {
+    EXPECT_EQ(d.file, "tests/report_test.cc");
+    lines.insert(d.line);
+  }
+  EXPECT_EQ(lines.count(5), 0u) << "lat.fault_anon.p99 names a real cause";
+  EXPECT_EQ(lines, (std::set<uint32_t>{6, 9, 10, 11}));
 }
 
 TEST(MmuLintFixtures, EmptyXMacroListIsItselfAViolation) {

@@ -31,7 +31,7 @@ TaskId RunWorkload(System& sys) {
 
 TEST(MetricsTest, SnapshotCoversAllNameFamilies) {
   System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
-  sys.machine().probes().SetEnabled(true);
+  sys.machine().attr().SetEnabled(true);
   const TaskId a = RunWorkload(sys);
 
   const MetricsRegistry registry(sys);
@@ -62,13 +62,13 @@ TEST(MetricsTest, SnapshotCoversAllNameFamilies) {
   EXPECT_NE(snap.FindGauge("sys.tlb_kernel_share"), nullptr);
   EXPECT_NE(snap.FindGauge("sys.htab_zombies"), nullptr);
 
-  // lat.*: the page-fault probe recorded, and its percentiles are ordered.
-  const uint64_t* fault_count = snap.FindCounter("lat.page_fault.count");
+  // lat.*: the anonymous-fault histogram recorded, and its percentiles are ordered.
+  const uint64_t* fault_count = snap.FindCounter("lat.fault_anon.count");
   ASSERT_NE(fault_count, nullptr);
   EXPECT_GT(*fault_count, 0u);
-  const double* p50 = snap.FindGauge("lat.page_fault.p50");
-  const double* p99 = snap.FindGauge("lat.page_fault.p99");
-  const double* max = snap.FindGauge("lat.page_fault.max");
+  const double* p50 = snap.FindGauge("lat.fault_anon.p50");
+  const double* p99 = snap.FindGauge("lat.fault_anon.p99");
+  const double* max = snap.FindGauge("lat.fault_anon.max");
   ASSERT_NE(p50, nullptr);
   ASSERT_NE(p99, nullptr);
   ASSERT_NE(max, nullptr);
@@ -104,7 +104,7 @@ TEST(MetricsTest, DiffSubtractsCountersKeepsGauges) {
 
 TEST(MetricsTest, JsonRoundTrips) {
   System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
-  sys.machine().probes().SetEnabled(true);
+  sys.machine().attr().SetEnabled(true);
   RunWorkload(sys);
   const MetricsSnapshot snap = MetricsRegistry(sys).Snapshot();
 

@@ -1,9 +1,10 @@
 // The observability contract: instrumentation must never perturb the simulation.
 //
-// Recording probes and trace events touches counters and histogram memory only — the
-// simulated clock advances exclusively through Machine::AddCycles. So a run with every
-// observer enabled must produce hardware counters identical to the same run with
-// observability off, and a disabled run must write nothing into the observers.
+// The simulator has one observation switch, CycleLedger::SetEnabled. Closing a scope
+// touches ledger memory only (cells, histograms, the trace ring) — the simulated clock
+// advances exclusively through Machine::AddCycles. So a run with the ledger (and the
+// timeline sampler) on must produce hardware counters identical to the same run with
+// observation off, and a run with the switch off must record nothing.
 
 #include <gtest/gtest.h>
 
@@ -52,15 +53,14 @@ TEST(ObsGuardTest, EnabledObserversDoNotPerturbTheSimulation) {
   Workload(off);
 
   System on(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
-  on.machine().trace().Enable();
-  on.machine().probes().SetEnabled(true);
+  on.machine().attr().SetEnabled(true);
   TimelineSampler sampler(on, Cycles(1000));
   sampler.Install();
   Workload(on);
 
   // The instrumented run really observed something...
-  EXPECT_GT(on.machine().probes().TotalRecorded(), 0u);
-  EXPECT_GT(on.machine().trace().TotalRecorded(), 0u);
+  EXPECT_GT(on.machine().attr().Latency(AttrCause::kFaultAnon).TotalCount(), 0u);
+  EXPECT_GT(on.machine().attr().events_recorded(), 0u);
   EXPECT_GT(sampler.samples().size(), 0u);
   EXPECT_GT(MetricsRegistry(on).Snapshot().counters.size(), 0u);
 
@@ -82,17 +82,16 @@ TEST(ObsGuardTest, EnabledObserversDoNotPerturbTheSimulation) {
 
 TEST(ObsGuardTest, DisabledObserversRecordNothing) {
   System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
-  ASSERT_FALSE(sys.machine().probes().enabled());
+  ASSERT_FALSE(sys.machine().attr().enabled());
   Workload(sys);
-  // Counters-only overhead when off: no histogram samples, no hash-miss cells, no trace
-  // records, while the ordinary hardware counters kept counting.
-  EXPECT_EQ(sys.machine().probes().TotalRecorded(), 0u);
-  EXPECT_TRUE(sys.machine().probes().hash_miss_per_pteg().empty());
-  EXPECT_EQ(sys.machine().trace().TotalRecorded(), 0u);
+  // Counters-only overhead when off: no trace ring allocated, no events, while the
+  // ordinary hardware counters kept counting.
+  EXPECT_FALSE(sys.machine().attr().ring_allocated());
+  EXPECT_EQ(sys.machine().attr().events_recorded(), 0u);
   EXPECT_GT(sys.counters().page_faults, 0u);
   // The metrics view over a disabled machine reports zero latency samples.
   const MetricsSnapshot snap = MetricsRegistry(sys).Snapshot();
-  const uint64_t* count = snap.FindCounter("lat.page_fault.count");
+  const uint64_t* count = snap.FindCounter("lat.fault_anon.count");
   ASSERT_NE(count, nullptr);
   EXPECT_EQ(*count, 0u);
 }

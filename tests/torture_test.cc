@@ -170,8 +170,8 @@ TEST(TortureTest, ExportedDocumentsRoundTripThroughTheParser) {
   ASSERT_NE(counters, nullptr);
   ASSERT_NE(counters->Find("hw.cycles"), nullptr);
   EXPECT_GT(counters->Find("hw.cycles")->AsNumber(), 0.0);
-  ASSERT_NE(counters->Find("lat.page_fault.count"), nullptr);
-  EXPECT_GT(counters->Find("lat.page_fault.count")->AsNumber(), 0.0);
+  ASSERT_NE(counters->Find("lat.fault_anon.count"), nullptr);
+  EXPECT_GT(counters->Find("lat.fault_anon.count")->AsNumber(), 0.0);
 }
 
 TEST(TortureTest, TraceCaptureOffYieldsEmptyDocuments) {

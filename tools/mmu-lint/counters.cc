@@ -88,8 +88,33 @@ std::vector<std::pair<std::string, size_t>> Literals(const SourceFile& sf) {
 
 struct NameSets {
   std::set<std::string> hw;      // counters + gauges from the X-macros
-  std::set<std::string> probes;  // latency probe names from probes.cc
+  std::set<std::string> causes;  // cause names from AttrCauseName in attr.cc
 };
+
+// Cause names from the AttrCauseName definition: every identifier-shaped literal in its
+// body except the "invalid" fallback.
+std::set<std::string> ParseCauseNames(const SourceFile& sf) {
+  std::set<std::string> names;
+  for (const size_t pos : FindIdentifier(sf.code, "AttrCauseName")) {
+    const size_t open = sf.code.find('{', pos);
+    const size_t semi = sf.code.find(';', pos);
+    if (open == std::string::npos || semi < open) {
+      continue;  // a declaration or a call, not the definition
+    }
+    const size_t end = MatchForward(sf.code, open, '{', '}');
+    for (const auto& [text, at] : Literals(sf)) {
+      bool ident_shaped = !text.empty();
+      for (char c : text) {
+        ident_shaped = ident_shaped && IsIdentChar(c);
+      }
+      if (at > open && at < end && ident_shaped && text != "invalid") {
+        names.insert(text);
+      }
+    }
+    break;
+  }
+  return names;
+}
 
 // One dotted reference found in text: prefix family + the identifiers after it.
 struct Reference {
@@ -167,19 +192,13 @@ void CheckReferencesIn(const LintConfig& config, const SourceFile& sf, const std
     for (const Reference& ref : FindReferences(text, "lat.")) {
       const std::string full =
           "lat." + ref.first + (ref.second.empty() ? "" : "." + ref.second);
-      bool known = false;
-      for (const std::string& name : LatSpecialNames()) {
-        known = known || name == full || name == full + "." ||
-                name.compare(0, full.size(), full) == 0;
-      }
-      if (!known && names.probes.count(ref.first) != 0) {
-        known = ref.second.empty() || kLatStats.count(ref.second) != 0;
-      }
+      const bool known = names.causes.count(ref.first) != 0 &&
+                         (ref.second.empty() || kLatStats.count(ref.second) != 0);
       if (!known) {
         Emit(sf, LineOf(sf.raw, base_offset + ref.pos), "CNT-LAT-032",
-             full + " names no latency probe metric (probes come from LatencyProbeName in "
-             "src/sim/probes.cc; stats are count/p50/p95/p99/max/mean)",
-             "fix the probe or stat name, or register the new probe in probes.cc",
+             full + " names no latency metric (causes come from AttrCauseName in "
+             "src/sim/attr.cc; stats are count/p50/p95/p99/max/mean)",
+             "fix the cause or stat name, or add the cause to AttrCause and AttrCauseName",
              out);
       }
     }
@@ -215,17 +234,9 @@ void CheckCounters(const LintConfig& config, const Tree& tree, std::vector<Diagn
   names.hw = counters;
   names.hw.insert(gauges.begin(), gauges.end());
 
-  auto probes_it = tree.files.find(paths.probes_cc);
-  if (probes_it != tree.files.end()) {
-    for (const auto& [text, pos] : Literals(probes_it->second)) {
-      bool ident_shaped = !text.empty();
-      for (char c : text) {
-        ident_shaped = ident_shaped && IsIdentChar(c);
-      }
-      if (ident_shaped && text != "?") {
-        names.probes.insert(text);
-      }
-    }
+  auto attr_it = tree.files.find(paths.attr_cc);
+  if (attr_it != tree.files.end()) {
+    names.causes = ParseCauseNames(attr_it->second);
   }
 
   // MetricsRegistry must publish through the X-macro visitor, and its sys.* literals must

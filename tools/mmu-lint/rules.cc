@@ -172,17 +172,17 @@ const std::vector<BannedIdent>& HotPathBans() {
       {"HOT-LOCK-022", "scoped_lock", "the simulator is single-threaded per Machine; locks here are a design error",
        "keep Machine state thread-confined"},
       {"HOT-IO-023", "cout", "stream I/O on the fast path",
-       "record into HwCounters/LatencyProbes and export after the run"},
+       "record into HwCounters/CycleLedger and export after the run"},
       {"HOT-IO-023", "cerr", "stream I/O on the fast path",
-       "record into HwCounters/LatencyProbes and export after the run"},
+       "record into HwCounters/CycleLedger and export after the run"},
       {"HOT-IO-023", "printf", "stream I/O on the fast path",
-       "record into HwCounters/LatencyProbes and export after the run"},
+       "record into HwCounters/CycleLedger and export after the run"},
       {"HOT-IO-023", "fprintf", "stream I/O on the fast path",
-       "record into HwCounters/LatencyProbes and export after the run"},
+       "record into HwCounters/CycleLedger and export after the run"},
       {"HOT-IO-023", "ostringstream", "string formatting on the fast path",
-       "record into HwCounters/LatencyProbes and export after the run"},
+       "record into HwCounters/CycleLedger and export after the run"},
       {"HOT-IO-023", "stringstream", "string formatting on the fast path",
-       "record into HwCounters/LatencyProbes and export after the run"},
+       "record into HwCounters/CycleLedger and export after the run"},
   };
   return kBans;
 }
@@ -393,15 +393,6 @@ const std::vector<std::string>& SysGaugeNames() {
   return kNames;
 }
 
-const std::vector<std::string>& LatSpecialNames() {
-  static const std::vector<std::string> kNames = {
-      "lat.htab_hash_miss.total",
-      "lat.htab_hash_miss.max_per_pteg",
-      "lat.htab_hash_miss.ptegs_touched",
-  };
-  return kNames;
-}
-
 std::vector<std::pair<std::string, std::string>> ListRules() {
   return {
       {"LAYER-DAG-001", "includes must point down the layer DAG (sim < mmu|pagetable < kernel "
@@ -441,7 +432,7 @@ std::vector<std::pair<std::string, std::string>> ListRules() {
       {"CNT-REF-030", "every hw.<name> reference must name a real HwCounters X-macro field"},
       {"CNT-FOREACH-031", "MetricsRegistry must publish hw counters via ForEachField, not a "
                           "hand-maintained list"},
-      {"CNT-LAT-032", "every lat.<probe>.<stat> reference must name a real probe and stat"},
+      {"CNT-LAT-032", "every lat.<cause>.<stat> reference must name a real cause and stat"},
       {"CNT-XMACRO-033", "the HwCounters X-macro lists must parse and be non-empty"},
       {"CNT-SYS-034", "sys.<name> gauges in metrics.cc and the rule table must agree, and "
                       "references must name one of them"},

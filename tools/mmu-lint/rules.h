@@ -164,15 +164,12 @@ const std::vector<std::string>& KernelEntryPoints();
 struct CounterPaths {
   std::string hw_counters_h = "src/sim/hw_counters.h";
   std::string metrics_cc = "src/obs/metrics.cc";
-  std::string probes_cc = "src/sim/probes.cc";
+  std::string attr_cc = "src/sim/attr.cc";
 };
 
 // Dotted sys.* gauge names MetricsRegistry publishes, kept here so docs/tests referencing
 // them are checkable. Must match the Set() calls in metrics.cc (CNT-SYS-034 verifies).
 const std::vector<std::string>& SysGaugeNames();
-
-// lat.* suffixes beyond the per-probe {count,p50,p95,max,mean} family.
-const std::vector<std::string>& LatSpecialNames();
 
 // ---- Check entry points (each appends to *out) ---------------------------------------
 
