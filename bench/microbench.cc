@@ -1,12 +1,14 @@
 // Google-benchmark microbenchmarks over the primitive operations the paper's cost model is
 // built from: TLB reloads by strategy, HTAB search/insert, per-page and lazy flushes,
 // syscalls and context switches. These measure *simulated* cycles per operation (reported
-// as the "sim_cycles" counter) as well as host throughput of the simulator itself.
+// as the "sim_cycles" counter) as well as host throughput of the simulator itself; the
+// cache sweep cases report host time per line.
 
 #include <benchmark/benchmark.h>
 
 #include "src/core/system.h"
 #include "src/kernel/layout.h"
+#include "src/sim/rng.h"
 
 namespace ppcmm {
 namespace {
@@ -211,6 +213,55 @@ void BM_Prefetch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Prefetch);
+
+// Host time per cache line of the L1 sweep kernels, as the "line" counter (seconds per
+// line, printed with an "n" suffix for nanoseconds). These two patterns told a sweep whose
+// way select branches apart from a branch-free one: an all-miss read stream, where every
+// select goes the same way, and write sweeps over recycled frames that are partly resident
+// in random ways, where a hit/miss branch mispredicts.
+void SetLineRate(benchmark::State& state, uint64_t lines) {
+  state.counters["line"] = benchmark::Counter(
+      static_cast<double>(lines), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_SweepAllMissRead603(benchmark::State& state) {
+  Machine machine(MachineConfig::Ppc603(180));
+  const uint32_t line = machine.config().dcache.line_bytes;
+  const uint32_t lines = kPageSize / line;
+  uint32_t frame = 0;
+  uint64_t total = 0;
+  for (auto _ : state) {
+    machine.TouchDataRun(PhysAddr::FromFrame(frame), line, lines, /*is_write=*/false);
+    frame = (frame + 1) % 256;  // a 1 MB stream through an 8 KB cache: every line misses
+    total += lines;
+  }
+  benchmark::DoNotOptimize(machine.Now());
+  SetLineRate(state, total);
+}
+BENCHMARK(BM_SweepAllMissRead603);
+
+void BM_SweepRecycledWrites604(benchmark::State& state) {
+  Machine machine(MachineConfig::Ppc604(185));
+  constexpr uint32_t kPool = 96;
+  const uint32_t line = machine.config().dcache.line_bytes;
+  const uint32_t lines = kPageSize / line;
+  Rng rng(static_cast<uint64_t>(state.range(0)));
+  uint64_t total = 0;
+  for (auto _ : state) {
+    // A user read of part of one pool frame, then the zeroing of a recycled frame. Low
+    // frame numbers come up far more often, so the zeroed frame is often partly resident.
+    const auto user = static_cast<uint32_t>(rng.NextBelow(kPool));
+    const auto first = static_cast<uint32_t>(rng.NextBelow(lines));
+    const auto n = static_cast<uint32_t>(1 + rng.NextBelow(lines - first));
+    machine.TouchDataRun(PhysAddr::FromFrame(user, first * line), line, n, /*is_write=*/false);
+    const auto zeroed = static_cast<uint32_t>(rng.NextBelow(rng.NextBelow(kPool) + 1));
+    machine.TouchDataRun(PhysAddr::FromFrame(zeroed), line, lines, /*is_write=*/true);
+    total += n + lines;
+  }
+  benchmark::DoNotOptimize(machine.Now());
+  SetLineRate(state, total);
+}
+BENCHMARK(BM_SweepRecycledWrites604)->Arg(1);  // the argument seeds the frame choice
 
 void BM_PipeRoundTrip(benchmark::State& state) {
   auto system = NewSystem(ReloadStrategy::kHardwareHtabWalk, /*optimized=*/true);

@@ -1232,10 +1232,9 @@ void Kernel::CopyFrameCharged(uint32_t dst_frame, uint32_t src_frame) {
   // sets, so the interleaving is what decides the LRU victims. Only the word loop, which
   // touches no cache, is charged once for the page.
   const uint32_t line = machine_.config().dcache.line_bytes;
-  for (uint32_t offset = 0; offset < kPageSize; offset += line) {
-    machine_.TouchData(PhysAddr::FromFrame(src_frame, offset), /*is_write=*/false);
-    machine_.TouchData(PhysAddr::FromFrame(dst_frame, offset), /*is_write=*/true);
-  }
+  machine_.TouchDataPairRun(PhysAddr::FromFrame(src_frame), /*a_write=*/false,
+                            /*a_cached=*/true, PhysAddr::FromFrame(dst_frame),
+                            /*b_write=*/true, kPageSize / line);
   machine_.AddCycles(Cycles(uint64_t{kPageSize / line} * costs_.copy_cycles_per_line));
   machine_.memory().Copy(PhysAddr::FromFrame(dst_frame), PhysAddr::FromFrame(src_frame),
                          kPageSize);
@@ -1270,15 +1269,15 @@ void Kernel::CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool
     const std::optional<Mmu::SpanTarget> span =
         rest_lines > 0 ? mmu_->ReplaySpan(page_ea + in_page, kind, rest_lines) : std::nullopt;
     if (span.has_value()) {
-      for (; in_page < page_chunk; in_page += line) {
-        machine_.TouchData(PhysAddr::FromFrame(span->frame, (page_ea + in_page).PageOffset()),
-                           /*is_write=*/to_user, span->cached);
-        machine_.TouchData(kernel + done + in_page, /*is_write=*/!to_user);
-      }
+      machine_.TouchDataPairRun(
+          PhysAddr::FromFrame(span->frame, (page_ea + in_page).PageOffset()),
+          /*a_write=*/to_user, span->cached, kernel + done + in_page, /*b_write=*/!to_user,
+          rest_lines);
       machine_.AddCycles(Cycles(uint64_t{rest_lines} * costs_.copy_cycles_per_line));
-    }
-    for (; in_page < page_chunk; in_page += line) {
-      copy_line(in_page);
+    } else {
+      for (; in_page < page_chunk; in_page += line) {
+        copy_line(in_page);
+      }
     }
 
     // Functionally move the bytes so data-integrity tests hold end to end.

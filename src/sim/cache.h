@@ -64,8 +64,8 @@ class Cache {
   // AccessLine `n` times with same-line addresses. Only the first access can miss (the
   // returned outcome); the remaining n-1 are hits on the line the first one left resident,
   // so they reduce to counter adds and an LRU refresh of that line (its dirty bit already
-  // carries `is_write`). Serves every run charge: translation-span replay, kernel bulk
-  // memory work (page zeroing) and PTEG scans.
+  // carries `is_write`). Serves the run charges the sweep kernels below do not take:
+  // sub-line strides (PTEG scans, word-stride spans) and every run on a board with an L2.
   CacheAccessOutcome AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
     CacheAccessOutcome first;
     Line* line = TouchLine(pa, is_write, &first);
@@ -78,6 +78,17 @@ class Cache {
     }
     return first;
   }
+
+  // Sweep kernels: runs of consecutive lines charged in one out-of-line pass, bit-identical
+  // to one AccessLine per line (state, counters and LRU clock). They return the cycles of
+  // the run assuming misses fill straight from memory (no L2), computed once from the
+  // counts as hits + misses * fill + write-backs * write-back.
+  //
+  // SweepLines: `lines` accesses, one per line, from the line containing `pa` upwards.
+  Cycles SweepLines(PhysAddr pa, uint32_t lines, bool is_write);
+  // SweepLinePairs: for each i < `lines`, line i of `a` then line i of `b` (a copy's load
+  // and store interleaved, as the two streams compete for the same sets).
+  Cycles SweepLinePairs(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines);
 
   // Performs one cache-inhibited access (the line is neither looked up nor allocated).
   // Inline: the uncached idle-task configurations issue one of these per zeroed word.
@@ -161,6 +172,14 @@ class Cache {
     victim->last_used = tick_;
     return victim;
   }
+
+  // The sweep kernels' shared body: `kStreams` (1 or 2) interleaved line streams, with the
+  // way select specialised on associativity `kWays` (0 = any associativity); SweepStreams
+  // dispatches on the geometry.
+  template <uint32_t kStreams>
+  Cycles SweepStreams(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines);
+  template <uint32_t kWays, uint32_t kStreams>
+  Cycles Sweep(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines);
 
   // Line size and set count are powers of two (checked at construction), so the index and
   // tag divisions reduce to shifts — precomputed once, they keep integer division out of

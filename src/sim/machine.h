@@ -115,9 +115,10 @@ class Machine {
   // strictly increasing, so each cache line is visited in one contiguous group: the first
   // access of a group is the only one that can miss, the rest collapse inside
   // AccessLineRun, and the cycles accumulate into a single AddCycles (the ledger charges
-  // the same total into the same open cell). An uncached run is O(1). Used by translation
-  // spans (which never cross a page) and by the kernel's bulk memory work and PTEG scans
-  // (page zeroing, HTAB search and reclaim), whose runs may span many pages.
+  // the same total into the same open cell). A line-stride run on a board without an L2
+  // is one Cache::SweepLines pass; an uncached run is O(1). Used by translation spans
+  // (which never cross a page) and by the kernel's bulk memory work and PTEG scans (page
+  // zeroing, HTAB search and reclaim), whose runs may span many pages.
   void TouchDataRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write,
                     bool cached = true) {
     if (!cached) {
@@ -136,6 +137,31 @@ class Machine {
     }
     AddCycles(Cycles(CachedRunCycles(*icache_cur_, config_.icache.line_bytes, pa, stride,
                                      count, /*is_write=*/false)));
+  }
+
+  // Charges `count` line pairs — line i of `a` (uncached when `a_cached` is false), then
+  // line i of `b` — bit-identical to alternating TouchData(a + i * line, a_write, a_cached)
+  // and TouchData(b + i * line, b_write). The interleaving matters because both streams
+  // compete for the same sets; it is one Cache::SweepLinePairs pass without an L2. Used by
+  // page copies (COW, private file pages) and the user/kernel copies of pipes and files.
+  void TouchDataPairRun(PhysAddr a, bool a_write, bool a_cached, PhysAddr b, bool b_write,
+                        uint32_t count) {
+    const uint32_t line = config_.dcache.line_bytes;
+    if (!a_cached) {
+      // An uncached access leaves no cache state behind, so the streams separate.
+      TouchDataRun(a, line, count, a_write, /*cached=*/false);
+      TouchDataRun(b, line, count, b_write);
+      return;
+    }
+    if (l2_ == nullptr) {
+      AddCycles(dcache_cur_->SweepLinePairs(a, a_write, b, b_write, count));
+      return;
+    }
+    // With an L2 each L1 miss must reach it in order, so the pairs go one access at a time.
+    for (uint32_t i = 0; i < count; ++i) {
+      TouchData(a + i * line, a_write);
+      TouchData(b + i * line, b_write);
+    }
   }
 
   // Charges `count` (> 0) back-to-back instruction fetches of the same address `pa` —
@@ -177,11 +203,16 @@ class Machine {
   }
 
   // The cycles of a cached run through `cache` (the body shared by TouchDataRun and
-  // TouchInstructionRun); touches the cache but leaves the clock to the caller. When the
-  // stride is a power of two dividing the start address, every line group ends exactly at
-  // a line boundary, so its length is a shift rather than a division.
+  // TouchInstructionRun); touches the cache but leaves the clock to the caller. A
+  // line-stride run without an L2 is one sweep. Otherwise, when the stride is a power of
+  // two dividing the start address, every line group ends exactly at a line boundary, so
+  // its length is a shift rather than a division; with an L2 each L1 miss must reach it in
+  // order, one line group at a time.
   uint64_t CachedRunCycles(Cache& cache, uint32_t line, PhysAddr pa, uint32_t stride,
                            uint32_t count, bool is_write) {
+    if (stride == line && l2_ == nullptr) {
+      return cache.SweepLines(pa, count, is_write).value;
+    }
     const bool aligned = std::has_single_bit(stride) && (pa.value & (stride - 1)) == 0;
     const auto stride_shift = static_cast<uint32_t>(std::countr_zero(stride));
     uint64_t cycles = 0;

@@ -19,28 +19,38 @@
 
 namespace ppcmm {
 
-// Reference cache: a map of (set -> LRU list of resident lines).
+// Reference cache: a map of (set -> LRU list of resident lines), each line with a dirty bit
+// (write-back, write-allocate: a store dirties the line, a displaced dirty line is written
+// back).
 class ReferenceCache {
  public:
+  struct Outcome {
+    bool hit = false;
+    bool evicted_dirty = false;  // the access displaced a dirty line
+  };
+
   explicit ReferenceCache(const CacheGeometry& geometry) : geometry_(geometry) {}
 
-  // Returns true on hit; mirrors LRU with invalid-way preference via eviction on overflow.
-  bool Access(PhysAddr pa) {
+  // Mirrors LRU with invalid-way preference via eviction on overflow.
+  Outcome Access(PhysAddr pa, bool is_write) {
     const uint64_t line = pa.value / geometry_.line_bytes;
     const uint32_t set = static_cast<uint32_t>(line & (geometry_.NumSets() - 1));
-    std::list<uint64_t>& lru = sets_[set];
+    std::list<Resident>& lru = sets_[set];
     for (auto it = lru.begin(); it != lru.end(); ++it) {
-      if (*it == line) {
+      if (it->line == line) {
+        const Resident hit{.line = line, .dirty = it->dirty || is_write};
         lru.erase(it);
-        lru.push_back(line);  // most recent at the back
-        return true;
+        lru.push_back(hit);  // most recent at the back
+        return Outcome{.hit = true, .evicted_dirty = false};
       }
     }
-    lru.push_back(line);
+    lru.push_back(Resident{.line = line, .dirty = is_write});
+    Outcome outcome;
     if (lru.size() > geometry_.associativity) {
+      outcome.evicted_dirty = lru.front().dirty;
       lru.pop_front();
     }
-    return false;
+    return outcome;
   }
 
   bool Contains(PhysAddr pa) const {
@@ -50,8 +60,8 @@ class ReferenceCache {
     if (it == sets_.end()) {
       return false;
     }
-    for (const uint64_t resident : it->second) {
-      if (resident == line) {
+    for (const Resident& resident : it->second) {
+      if (resident.line == line) {
         return true;
       }
     }
@@ -59,8 +69,13 @@ class ReferenceCache {
   }
 
  private:
+  struct Resident {
+    uint64_t line = 0;
+    bool dirty = false;
+  };
+
   CacheGeometry geometry_;
-  std::map<uint32_t, std::list<uint64_t>> sets_;
+  std::map<uint32_t, std::list<Resident>> sets_;
 };
 
 }  // namespace ppcmm

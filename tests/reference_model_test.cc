@@ -2,7 +2,8 @@
 // check them against the trivially-correct reference implementations the differential
 // fuzzer also uses (src/verify/fuzz/reference_*.h):
 //
-//   Cache   vs ReferenceCache   — a map of (set -> LRU list) built with std::list
+//   Cache   vs ReferenceCache   — a map of (set -> LRU list of lines with dirty bits),
+//                                 per access and through the sweep kernels
 //   Tlb     vs ReferenceTlb     — a map keyed by (vsid, page index), same set/LRU discipline
 //   VmaList vs ReferenceVmaModel — a std::map of page -> attributes
 //
@@ -26,31 +27,96 @@ namespace {
 
 class CacheModelSweep : public ::testing::TestWithParam<CacheGeometry> {};
 
+constexpr MemoryTiming kModelTiming{.line_fill_cycles = 30, .single_beat_cycles = 12,
+                                    .writeback_cycles = 10};
+
 TEST_P(CacheModelSweep, MatchesReferenceLruModel) {
   const CacheGeometry geometry = GetParam();
-  const MemoryTiming timing{.line_fill_cycles = 30, .single_beat_cycles = 12,
-                            .writeback_cycles = 10};
-  Cache cache("model", geometry, timing);
+  Cache cache("model", geometry, kModelTiming);
   ReferenceCache reference(geometry);
   Rng rng(2024);
   uint64_t hits = 0;
+  uint64_t writebacks = 0;
   for (int i = 0; i < 30000; ++i) {
     // A mix of hot lines and cold sweeps.
     const uint32_t addr =
         rng.Chance(2, 3) ? static_cast<uint32_t>(rng.NextBelow(64)) * geometry.line_bytes
                          : static_cast<uint32_t>(rng.NextBelow(1 << 22));
     const PhysAddr pa(addr);
-    const bool model_hit = cache.AccessLine(pa, rng.Chance(1, 2)).hit;
-    const bool reference_hit = reference.Access(pa);
-    ASSERT_EQ(model_hit, reference_hit) << "divergence at access " << i << ", pa=0x"
-                                        << std::hex << addr;
-    hits += model_hit ? 1 : 0;
+    const bool is_write = rng.Chance(1, 2);
+    const CacheAccessOutcome model = cache.AccessLine(pa, is_write);
+    const ReferenceCache::Outcome expected = reference.Access(pa, is_write);
+    ASSERT_EQ(model.hit, expected.hit) << "divergence at access " << i << ", pa=0x" << std::hex
+                                       << addr;
+    ASSERT_EQ(model.evicted_dirty, expected.evicted_dirty)
+        << "write-back divergence at access " << i << ", pa=0x" << std::hex << addr;
+    hits += model.hit ? 1 : 0;
+    writebacks += model.evicted_dirty ? 1 : 0;
     if (i % 977 == 0) {
       ASSERT_EQ(cache.Contains(pa), reference.Contains(pa));
     }
   }
   EXPECT_GT(hits, 0u);
+  EXPECT_GT(writebacks, 0u);
   EXPECT_EQ(cache.stats().hits, hits);
+  EXPECT_EQ(cache.stats().dirty_writebacks, writebacks);
+}
+
+// The sweep kernels against one reference access per line: a single stream from the line
+// of its start address upwards, or two interleaved streams (line i of a, then line i of b).
+// Starts are unaligned, runs cross the set-index wrap, outrun the cache, and revisit lines
+// an earlier sweep left resident and dirty.
+TEST_P(CacheModelSweep, SweepsMatchReferenceLruModel) {
+  const CacheGeometry geometry = GetParam();
+  Cache cache("model", geometry, kModelTiming);
+  ReferenceCache reference(geometry);
+  Rng rng(77);
+  const uint32_t line = geometry.line_bytes;
+  CacheStats expected;
+  const auto reference_access = [&](PhysAddr pa, bool is_write) {
+    const ReferenceCache::Outcome outcome = reference.Access(pa, is_write);
+    ++(outcome.hit ? expected.hits : expected.misses);
+    expected.dirty_writebacks += outcome.evicted_dirty ? 1 : 0;
+  };
+  for (int i = 0; i < 3000; ++i) {
+    // Addresses within 64 KB keep lines coming back, resident and dirty.
+    const PhysAddr a(static_cast<uint32_t>(rng.NextBelow(64 * 1024)));
+    const PhysAddr b(static_cast<uint32_t>(rng.NextBelow(64 * 1024)));
+    const bool a_write = rng.Chance(1, 2);
+    const bool b_write = rng.Chance(1, 2);
+    const auto lines = static_cast<uint32_t>(rng.NextBelow(3 * geometry.NumLines() / 2));
+    const CacheStats before = cache.stats();
+    const CacheStats expected_before = expected;
+    uint64_t cycles = 0;
+    if (rng.Chance(1, 2)) {
+      cycles = cache.SweepLines(a, lines, a_write).value;
+      for (uint32_t l = 0; l < lines; ++l) {
+        reference_access(a + l * line, a_write);
+      }
+    } else {
+      cycles = cache.SweepLinePairs(a, a_write, b, b_write, lines).value;
+      for (uint32_t l = 0; l < lines; ++l) {
+        reference_access(a + l * line, a_write);
+        reference_access(b + l * line, b_write);
+      }
+    }
+    const uint64_t hits = expected.hits - expected_before.hits;
+    const uint64_t misses = expected.misses - expected_before.misses;
+    const uint64_t writebacks = expected.dirty_writebacks - expected_before.dirty_writebacks;
+    ASSERT_EQ(cache.stats().hits - before.hits, hits) << "sweep " << i;
+    ASSERT_EQ(cache.stats().misses - before.misses, misses) << "sweep " << i;
+    ASSERT_EQ(cache.stats().dirty_writebacks - before.dirty_writebacks, writebacks)
+        << "sweep " << i;
+    ASSERT_EQ(cycles, hits + misses * kModelTiming.line_fill_cycles +
+                          writebacks * kModelTiming.writeback_cycles)
+        << "sweep " << i;
+    for (int probe = 0; probe < 8; ++probe) {
+      const PhysAddr pa(static_cast<uint32_t>(rng.NextBelow(64 * 1024)));
+      ASSERT_EQ(cache.Contains(pa), reference.Contains(pa)) << "after sweep " << i;
+    }
+  }
+  EXPECT_GT(expected.hits, 0u);
+  EXPECT_GT(expected.dirty_writebacks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -58,7 +124,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         CacheGeometry{.size_bytes = 8 * 1024, .line_bytes = 32, .associativity = 2},
         CacheGeometry{.size_bytes = 16 * 1024, .line_bytes = 32, .associativity = 4},
-        CacheGeometry{.size_bytes = 4 * 1024, .line_bytes = 64, .associativity = 1}));
+        CacheGeometry{.size_bytes = 4 * 1024, .line_bytes = 64, .associativity = 1},
+        CacheGeometry{.size_bytes = 12 * 1024, .line_bytes = 32, .associativity = 3}));
 
 // ---- TLB vs reference ----
 

@@ -1,9 +1,10 @@
 // The run-charging contract: every run primitive must be bit-identical to the scalar loop it
-// stands for. Machine::TouchDataRun / TouchInstructionRun against TouchData /
-// TouchInstruction loops (cycles, every cache's counters, attribution cells, and the LRU
-// state a follow-up probe sequence reveals); the HTAB's run-charged PTEG scans against the
-// per-slot (address, is_write) sequence of a one-Charge-per-probe scan; and page zeroing
-// against a per-line reference.
+// stands for. Machine::TouchDataRun / TouchInstructionRun / TouchDataPairRun against
+// TouchData / TouchInstruction loops (cycles, every cache's counters, attribution cells, and
+// the LRU state a follow-up probe sequence reveals), including the line sweeps over frames
+// left partly resident and dirty; the HTAB's run-charged PTEG scans against the per-slot
+// (address, is_write) sequence of a one-Charge-per-probe scan; and page zeroing against a
+// per-line reference.
 
 #include <gtest/gtest.h>
 
@@ -27,14 +28,21 @@ struct ConfigCase {
   MachineConfig config;
 };
 
+// 603 (2-way L1s) and 604 (4-way) take the specialised sweeps; 604_l2 takes the per-line
+// path every L1 miss needs to reach the L2 in order; 3way (12 KB, 128 sets) takes the sweep
+// that reads the associativity at run time.
 std::vector<ConfigCase> Configs() {
   const auto small = [](MachineConfig mc) {
     mc.ram_bytes = 4ull * 1024 * 1024;
     return mc;
   };
+  MachineConfig three_way = MachineConfig::Ppc604(185);
+  three_way.icache = CacheGeometry{.size_bytes = 12 * 1024, .line_bytes = 32, .associativity = 3};
+  three_way.dcache = three_way.icache;
   return {{"603", small(MachineConfig::Ppc603(80))},
           {"604", small(MachineConfig::Ppc604(185))},
-          {"604_l2", small(MachineConfig::Ppc604WithL2(185))}};
+          {"604_l2", small(MachineConfig::Ppc604WithL2(185))},
+          {"3way", small(three_way)}};
 }
 
 void ExpectStatsEqual(const CacheStats& a, const CacheStats& b, const char* which) {
@@ -157,6 +165,124 @@ TEST(RunChargeTest, TouchInstructionRunMatchesTouchInstructionLoop) {
             Traffic(m.run, seed, 300);
             Traffic(m.loop, seed, 300);
             ++seed;
+            ExpectMachinesEqual(m.run, m.loop);
+            if (testing::Test::HasFailure()) {
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---- line sweeps ----
+
+// Leaves the 8 KB from `base` partly resident and partly dirty, in whichever ways the
+// accesses land, identically on both machines.
+void SeedPartlyResident(MachinePair& m, uint32_t base, uint64_t seed) {
+  for (Machine* machine : {&m.run, &m.loop}) {
+    Rng rng(seed);
+    for (uint32_t i = 0; i < 160; ++i) {
+      const PhysAddr pa(base + static_cast<uint32_t>(rng.NextBelow(8 * 1024)));
+      if (rng.NextBelow(5) == 0) {
+        machine->TouchInstruction(pa);
+      } else {
+        machine->TouchData(pa, rng.NextBelow(2) == 0);
+      }
+    }
+  }
+}
+
+// Unaligned starts, starts just below a set-index wrap (and with it a tag step), and counts
+// from one line past the wrap to more lines than either cache holds, so a sweep also evicts
+// lines it brought in itself.
+constexpr uint32_t kSweepStarts[] = {0x8000, 0x8004, 0x8F9C, 0x8FE0, 0x9FFF};
+constexpr uint32_t kSweepCounts[] = {1, 4, 127, 128, 129, 300, 513};
+
+TEST(RunChargeTest, LineSweepsMatchPerLineLoops) {
+  for (const ConfigCase& c : Configs()) {
+    MachinePair m(c.config);
+    const uint32_t line = c.config.dcache.line_bytes;
+    uint64_t seed = 3000;
+    for (const uint32_t start : kSweepStarts) {
+      for (const uint32_t count : kSweepCounts) {
+        for (const int kind : {0, 1, 2}) {  // load, store, instruction fetch
+          SCOPED_TRACE(c.name + " start=" + std::to_string(start) + " count=" +
+                       std::to_string(count) + " kind=" + std::to_string(kind));
+          SeedPartlyResident(m, start & ~0xFFFu, seed);
+          {
+            CycleScope scope(m.run, AttrCause::kIdleZero);
+            if (kind == 2) {
+              m.run.TouchInstructionRun(PhysAddr(start), line, count);
+            } else {
+              m.run.TouchDataRun(PhysAddr(start), line, count, kind == 1);
+            }
+          }
+          {
+            CycleScope scope(m.loop, AttrCause::kIdleZero);
+            for (uint32_t i = 0; i < count; ++i) {
+              if (kind == 2) {
+                m.loop.TouchInstruction(PhysAddr(start + i * line));
+              } else {
+                m.loop.TouchData(PhysAddr(start + i * line), kind == 1);
+              }
+            }
+          }
+          ExpectMachinesEqual(m.run, m.loop);
+          Traffic(m.run, seed, 300);
+          Traffic(m.loop, seed, 300);
+          ++seed;
+          ExpectMachinesEqual(m.run, m.loop);
+          if (testing::Test::HasFailure()) {
+            return;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A copy's interleaved streams: user lines at `a` (possibly uncached), kernel lines at `b`.
+// The pairs share the frame offset (both streams in the same sets), are offset by a few
+// lines, or have a kernel buffer that is not line-aligned.
+TEST(RunChargeTest, PairSweepsMatchAlternatingTouchData) {
+  struct PairCase {
+    uint32_t a;
+    uint32_t b;
+  };
+  constexpr PairCase kPairs[] = {
+      {0x20000, 0x31000}, {0x20040, 0x31040}, {0x20000, 0x310A4}, {0x207E0, 0x3201C}};
+  for (const ConfigCase& c : Configs()) {
+    MachinePair m(c.config);
+    const uint32_t line = c.config.dcache.line_bytes;
+    uint64_t seed = 5000;
+    for (const PairCase& pair : kPairs) {
+      for (const uint32_t count : {1u, 7u, 64u, 128u, 300u}) {
+        for (const bool a_cached : {true, false}) {
+          for (const bool to_user : {false, true}) {
+            SCOPED_TRACE(c.name + " a=" + std::to_string(pair.a) + " b=" +
+                         std::to_string(pair.b) + " count=" + std::to_string(count) +
+                         (a_cached ? " cached" : " uncached") +
+                         (to_user ? " to_user" : " from_user"));
+            SeedPartlyResident(m, pair.a & ~0xFFFu, seed);
+            SeedPartlyResident(m, pair.b & ~0xFFFu, seed + 1);
+            {
+              CycleScope scope(m.run, AttrCause::kCowCopy);
+              m.run.TouchDataPairRun(PhysAddr(pair.a), to_user, a_cached, PhysAddr(pair.b),
+                                     !to_user, count);
+            }
+            {
+              CycleScope scope(m.loop, AttrCause::kCowCopy);
+              for (uint32_t i = 0; i < count; ++i) {
+                m.loop.TouchData(PhysAddr(pair.a + i * line), to_user, a_cached);
+                m.loop.TouchData(PhysAddr(pair.b + i * line), !to_user);
+              }
+            }
+            ExpectMachinesEqual(m.run, m.loop);
+            Traffic(m.run, seed, 300);
+            Traffic(m.loop, seed, 300);
+            seed += 2;
             ExpectMachinesEqual(m.run, m.loop);
             if (testing::Test::HasFailure()) {
               return;

@@ -5,4 +5,5 @@ struct FixtureMachine {
   unsigned TouchInstruction(unsigned ea) const { return ea + 2; }
   unsigned TouchInstructionRun(unsigned ea, unsigned n) const { return ea + 2 * n; }
   unsigned TouchInstructionRepeat(unsigned ea, unsigned n) const { return ea + n; }
+  unsigned TouchDataPairRun(unsigned a, unsigned b, unsigned n) const { return a + b + n; }
 };
