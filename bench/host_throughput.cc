@@ -1,11 +1,12 @@
 // Host throughput — how fast the simulator itself runs.
 //
 // Unlike every other bench, the numbers here are about the *host*: simulated accesses and
-// simulated cycles retired per host second, for each reload strategy, with the MMU's host
-// fast path off and on, and with the configuration sweep run serially versus on the
-// SweepRunner thread pool. The fast path must be simulation-invisible, so each off/on pair
-// also cross-checks that total simulated cycles are bit-identical (fast_path_test proves
-// the full counter set; this is the cheap always-on guard).
+// simulated cycles retired per host second, for each reload strategy, with the MMU's
+// translation spans off (the per-access reference) and on, and with the configuration
+// sweep run serially versus on the SweepRunner thread pool. Spans must be
+// simulation-invisible, so each off/on pair also cross-checks that total simulated cycles
+// are bit-identical (fast_path_test proves the full counter set; this is the cheap
+// always-on guard). The metric names keep their historical fast_path prefix.
 //
 // PPCMM_QUICK=1 shrinks the workload for smoke runs (bench/run_all.sh --quick and the
 // ctest-registered host_throughput_test).
@@ -38,7 +39,7 @@ struct RunStats {
   double host_seconds = 0;
   uint64_t sim_accesses = 0;
   uint64_t sim_cycles = 0;
-  double fast_hit_rate = 0;
+  double span_share = 0;
 };
 
 bool QuickMode() {
@@ -62,15 +63,15 @@ RunStats RunOnce(const Strategy& strategy, uint32_t units) {
   const HwCounters& c = system.counters();
   stats.sim_accesses = c.itlb_accesses + c.dtlb_accesses + c.bat_translations;
   stats.sim_cycles = c.cycles;
-  const uint64_t probes = system.mmu().fast_path_hits() + system.mmu().fast_path_misses();
-  stats.fast_hit_rate =
-      probes == 0 ? 0.0
-                  : static_cast<double>(system.mmu().fast_path_hits()) /
-                        static_cast<double>(probes);
+  const uint64_t spans = system.mmu().span_accesses();
+  const uint64_t walks = system.mmu().fast_path_misses();
+  stats.span_share = spans + walks == 0 ? 0.0
+                                        : static_cast<double>(spans) /
+                                              static_cast<double>(spans + walks);
   return stats;
 }
 
-// Best host times for one strategy with the fast path off and on. The off/on runs are
+// Best host times for one strategy with spans off and on. The off/on runs are
 // interleaved round by round (off, on, off, on, ...): on a shared host, machine-speed
 // drift then lands on both sides of the ratio instead of biasing whichever phase happened
 // to run later. The simulation itself is deterministic; only host noise varies.
@@ -82,9 +83,10 @@ struct OffOnStats {
 OffOnStats RunInterleavedBest(const Strategy& strategy, uint32_t units, int reps) {
   OffOnStats best;
   for (int r = 0; r < reps; ++r) {
-    Mmu::SetFastPathDefault(false);
-    const RunStats off = RunOnce(strategy, units);
-    Mmu::SetFastPathDefault(true);
+    const RunStats off = [&] {
+      const ScopedSpanDefault spans_off(false);
+      return RunOnce(strategy, units);
+    }();
     const RunStats on = RunOnce(strategy, units);
     if (r == 0 || off.host_seconds < best.off.host_seconds) {
       best.off = off;
@@ -93,7 +95,6 @@ OffOnStats RunInterleavedBest(const Strategy& strategy, uint32_t units, int reps
       best.on = on;
     }
   }
-  Mmu::SetFastPathDefault(std::nullopt);
   return best;
 }
 
@@ -102,7 +103,7 @@ OffOnStats RunInterleavedBest(const Strategy& strategy, uint32_t units, int reps
 // Streams page-grained runs through a resident working set — the workload shape the
 // UserTouchRun/Mmu::AccessRun batching API exists for. `batched` off replays the exact
 // same access stream one UserTouch at a time, so the off/on pair both times the span
-// replay against the per-access fast path and cross-checks that the batching is
+// replay against per-access translation and cross-checks that the batching is
 // simulation-invisible (identical simulated accesses and cycles).
 struct StreamStats {
   double host_seconds = 0;
@@ -167,8 +168,8 @@ int Main() {
       {"603 direct reload", MachineConfig::Ppc603(133), OptimizationConfig::OnlyDirectReload()},
   };
 
-  TextTable table({"strategy", "Maccess/s off", "Maccess/s on", "Mcycles/s on", "fast speedup",
-                   "hit rate"});
+  TextTable table({"strategy", "Maccess/s off", "Maccess/s on", "Mcycles/s on", "span speedup",
+                   "span share"});
   double fast_speedup_sum = 0;
   bool cycles_identical = true;
   // One untimed warmup so first-run costs (allocator growth, cold host caches) are not
@@ -186,23 +187,22 @@ int Main() {
     const double mcycles_on = static_cast<double>(on.sim_cycles) / on.host_seconds / 1e6;
     table.AddRow({strategy.name, TextTable::Num(maccess_off, 2), TextTable::Num(maccess_on, 2),
                   TextTable::Num(mcycles_on, 1), TextTable::Num(speedup, 2) + "x",
-                  TextTable::Num(on.fast_hit_rate * 100.0, 1) + "%"});
+                  TextTable::Num(on.span_share * 100.0, 1) + "%"});
     BenchReport::Global().Add(std::string(strategy.name) + ".sim_accesses_per_sec_fast_on",
                               maccess_on * 1e6, "1/s");
     BenchReport::Global().Add(std::string(strategy.name) + ".sim_cycles_per_sec_fast_on",
                               mcycles_on * 1e6, "1/s");
     BenchReport::Global().Add(std::string(strategy.name) + ".fast_path_speedup", speedup, "x");
     BenchReport::Global().Add(std::string(strategy.name) + ".fast_path_hit_rate",
-                              on.fast_hit_rate, "");
+                              on.span_share, "");
   }
   std::printf("%s\n", table.ToString().c_str());
   const double fast_speedup = fast_speedup_sum / static_cast<double>(strategies.size());
-  std::printf("fast path simulation-invisible (cycles+accesses identical off/on): %s\n",
+  std::printf("spans simulation-invisible (cycles+accesses identical off/on): %s\n",
               cycles_identical ? "HOLDS" : "FAILS");
-  std::printf("mean fast-path speedup: %.2fx\n", fast_speedup);
+  std::printf("mean spans-on speedup: %.2fx\n", fast_speedup);
 
   Headline("Batched translation spans: page-grained runs vs per-access touches");
-  Mmu::SetFastPathDefault(true);
   const uint32_t ws_pages = quick ? 256 : 1024;  // 1 MB / 4 MB resident working set
   TextTable span_table(
       {"strategy", "stride", "Maccess/s per-access", "Maccess/s batched", "span speedup",
@@ -244,7 +244,6 @@ int Main() {
       (void)per_pass;
     }
   }
-  Mmu::SetFastPathDefault(std::nullopt);
   std::printf("%s\n", span_table.ToString().c_str());
   std::printf("batched runs simulation-invisible (cycles+accesses identical): %s\n",
               spans_identical ? "HOLDS" : "FAILS");
@@ -253,7 +252,6 @@ int Main() {
                             "1/s");
 
   Headline("Parallel sweep: all strategies, serial vs SweepRunner");
-  Mmu::SetFastPathDefault(true);
   const auto serial_start = std::chrono::steady_clock::now();
   for (const Strategy& strategy : strategies) {
     RunOnce(strategy, units);
@@ -265,67 +263,29 @@ int Main() {
   runner.Map(strategies.size(), [&](size_t i) { return RunOnce(strategies[i], units); });
   const double parallel_s = Seconds(std::chrono::steady_clock::now() - par_start);
 
-  // Combined: the shipped configuration (fast path on, parallel sweep) against the
-  // all-slow baseline (fast path off, serial sweep).
-  Mmu::SetFastPathDefault(false);
-  const auto base_start = std::chrono::steady_clock::now();
-  for (const Strategy& strategy : strategies) {
-    RunOnce(strategy, units);
-  }
-  const double baseline_s = Seconds(std::chrono::steady_clock::now() - base_start);
-  Mmu::SetFastPathDefault(std::nullopt);
+  // Combined: the shipped configuration (spans on, parallel sweep) against the all-slow
+  // baseline (spans off, serial sweep).
+  const double baseline_s = [&] {
+    const ScopedSpanDefault spans_off(false);
+    const auto base_start = std::chrono::steady_clock::now();
+    for (const Strategy& strategy : strategies) {
+      RunOnce(strategy, units);
+    }
+    return Seconds(std::chrono::steady_clock::now() - base_start);
+  }();
 
   const double parallel_speedup = serial_s / parallel_s;
   const double combined_speedup = baseline_s / parallel_s;
   std::printf("  sweep threads: %u (host cores: %u)\n", runner.threads(),
               std::thread::hardware_concurrency());
-  std::printf("  serial %.2fs, parallel %.2fs -> %.2fx; combined vs fast-off serial %.2fx\n",
+  std::printf("  serial %.2fs, parallel %.2fs -> %.2fx; combined vs spans-off serial %.2fx\n",
               serial_s, parallel_s, parallel_speedup, combined_speedup);
   BenchReport::Global().Add("sweep_threads", runner.threads(), "");
   BenchReport::Global().Add("parallel_speedup", parallel_speedup, "x");
   BenchReport::Global().Add("fast_path_mean_speedup", fast_speedup, "x");
   BenchReport::Global().Add("combined_speedup_vs_serial_fast_off", combined_speedup, "x");
 
-  Headline("Sharded sweep: fork-per-shard processes vs serial");
-  // PPCMM_SWEEP_SHARDS (bench/run_all.sh --shards) picks the shard count; without it the
-  // bench still exercises the forked path on a couple of shards. All SweepRunner threads
-  // above are joined by now, so the process is single-threaded and safe to fork.
-  const unsigned env_shards = SweepRunner::DefaultShards();
-  const unsigned hw_cores = std::thread::hardware_concurrency();
-  const unsigned shards =
-      env_shards > 1 ? env_shards : std::min(2u, hw_cores != 0 ? hw_cores : 1u);
-  Mmu::SetFastPathDefault(true);
-  const auto shard_serial_start = std::chrono::steady_clock::now();
-  std::vector<RunStats> shard_serial;
-  shard_serial.reserve(strategies.size());
-  for (const Strategy& strategy : strategies) {
-    shard_serial.push_back(RunOnce(strategy, units));
-  }
-  const double shard_serial_s = Seconds(std::chrono::steady_clock::now() - shard_serial_start);
-
-  const auto shard_start = std::chrono::steady_clock::now();
-  const std::vector<RunStats> sharded = runner.MapSharded(
-      strategies.size(), shards, [&](size_t i) { return RunOnce(strategies[i], units); });
-  const double sharded_s = Seconds(std::chrono::steady_clock::now() - shard_start);
-  Mmu::SetFastPathDefault(std::nullopt);
-
-  // The shards run the identical deterministic simulations, so the merged results must be
-  // bit-identical to the serial pass — this is the same contract the CI sharded-smoke job
-  // checks at the BENCH-json level.
-  bool sharded_identical = sharded.size() == shard_serial.size();
-  for (size_t i = 0; sharded_identical && i < sharded.size(); ++i) {
-    sharded_identical = sharded[i].sim_accesses == shard_serial[i].sim_accesses &&
-                        sharded[i].sim_cycles == shard_serial[i].sim_cycles;
-  }
-  const double sharded_speedup = shard_serial_s / sharded_s;
-  std::printf("  shards: %u (host cores: %u)\n", shards, hw_cores);
-  std::printf("  serial %.2fs, sharded %.2fs -> %.2fx; results bit-identical: %s\n",
-              shard_serial_s, sharded_s, sharded_speedup,
-              sharded_identical ? "HOLDS" : "FAILS");
-  BenchReport::Global().Add("sweep_shards", shards, "");
-  BenchReport::Global().Add("sharded_speedup", sharded_speedup, "x");
-
-  return cycles_identical && spans_identical && sharded_identical ? 0 : 1;
+  return cycles_identical && spans_identical ? 0 : 1;
 }
 
 }  // namespace

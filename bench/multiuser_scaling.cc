@@ -22,8 +22,7 @@ int Main() {
   Headline("Multiuser scaling: aggregate throughput, baseline vs optimized (604/133)");
 
   // One independent simulation per (user count, kernel) cell; sweep all eight across host
-  // threads (or forked shards under PPCMM_SWEEP_SHARDS) and render the table from the
-  // index-ordered results.
+  // threads and render the table from the index-ordered results.
   const std::vector<uint32_t> user_counts = {1u, 2u, 4u, 8u};
   SweepRunner runner;
   const auto run_cell = [&](size_t i) {
@@ -34,10 +33,7 @@ int Main() {
                                                   : OptimizationConfig::AllOptimizations());
     return RunMultiuserWorkload(system, config);
   };
-  const unsigned shards = SweepRunner::DefaultShards();
-  const std::vector<MultiuserResult> results =
-      shards > 1 ? runner.MapSharded(user_counts.size() * 2, shards, run_cell)
-                 : runner.Map(user_counts.size() * 2, run_cell);
+  const std::vector<MultiuserResult> results = runner.Map(user_counts.size() * 2, run_cell);
 
   TextTable table({"users", "baseline ops/s", "optimized ops/s", "speedup",
                    "baseline TLB miss/op", "optimized TLB miss/op"});

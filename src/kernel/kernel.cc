@@ -1249,8 +1249,8 @@ void Kernel::CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool
     const EffAddr page_ea = user + done;
     const uint32_t page_chunk = std::min(kPageSize - page_ea.PageOffset(), length - done);
     // One line the per-access way: the user side through UserTouch (which faults the page
-    // in, breaks COW, sets a deferred C bit and installs the memo as needed), then the
-    // kernel side and the word loop.
+    // in, breaks COW, sets a deferred C bit and loads the TLB as needed), then the kernel
+    // side and the word loop.
     const auto copy_line = [&](uint32_t in_page) {
       UserTouch(page_ea + in_page, kind);
       machine_.TouchData(kernel + done + in_page, /*is_write=*/!to_user);
@@ -1260,7 +1260,7 @@ void Kernel::CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool
     const std::optional<PhysAddr> user_pa = mmu_->Probe(page_ea, kind);
     PPCMM_CHECK_MSG(user_pa.has_value(), "user page vanished mid-copy");
 
-    // Every remaining user-side access would replay the memo hit the first line left, so
+    // Every remaining user-side access would repeat the TLB hit the first line left, so
     // one span replays their translations. The user and kernel lines still alternate,
     // because both index the same D-cache sets; the word loop touches no cache, so it is
     // charged once. Without a span the lines go the per-access way.

@@ -163,8 +163,8 @@ class Kernel : public PteBackingSource {
 
   // Programs (on) or clears (off) the user-visible framebuffer DBAT — the §5.1 extension's
   // register write, exposed so workloads can model an X server remapping its aperture
-  // mid-run. Independent of any VMA state; BatArray's generation counter keeps the MMU fast
-  // path coherent across the rewrite.
+  // mid-run. Independent of any VMA state; translation spans read the BATs directly, so the
+  // rewrite needs no invalidation.
   void SetFramebufferBat(bool on);
   // True while the framebuffer DBAT is programmed.
   bool FramebufferBatActive() { return mmu_->dbats().Get(1).valid; }

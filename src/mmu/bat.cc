@@ -21,13 +21,11 @@ void BatArray::Set(uint32_t index, const BatEntry& entry) {
                     "BAT physical base not aligned to block size");
   }
   entries_[index] = entry;
-  ++generation_;
 }
 
 void BatArray::Clear(uint32_t index) {
   PPCMM_CHECK(index < kNumBats);
   entries_[index] = BatEntry{};
-  ++generation_;
 }
 
 const BatEntry& BatArray::Get(uint32_t index) const {

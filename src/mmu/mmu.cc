@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <string_view>
 
 #include "src/sim/check.h"
 
@@ -11,21 +9,10 @@ namespace ppcmm {
 
 namespace {
 
-// Process-wide override for the fast-path default: -1 = follow the environment,
-// 0/1 = forced by SetFastPathDefault (the torture differential flips this around
-// workloads that build their own System internally).
-std::atomic<int>& FastPathForced() {
-  static std::atomic<int> forced{-1};
-  return forced;
-}
-
-bool FastPathEnvDefault() {
-  const char* env = std::getenv("PPCMM_FAST_PATH");
-  if (env == nullptr) {
-    return true;
-  }
-  const std::string_view value(env);
-  return !(value == "0" || value == "off");
+// The spans default new Mmu instances read (see Mmu::SetFastPathDefault).
+std::atomic<bool>& SpansDefault() {
+  static std::atomic<bool> enabled{true};
+  return enabled;
 }
 
 // The attribution cause for a TLB reload: which TLB missed × which strategy serves it.
@@ -43,43 +30,21 @@ AttrCause ReloadCause(ReloadStrategy strategy, bool is_ifetch) {
 
 }  // namespace
 
-bool Mmu::FastPathDefault() {
-  const int forced = FastPathForced().load(std::memory_order_relaxed);
-  if (forced >= 0) {
-    return forced != 0;
-  }
-  return FastPathEnvDefault();
-}
-
 void Mmu::SetFastPathDefault(std::optional<bool> forced) {
-  FastPathForced().store(forced.has_value() ? (*forced ? 1 : 0) : -1,
-                         std::memory_order_relaxed);
-}
-
-void Mmu::SetFastPathEnabled(bool enabled) {
-  fast_path_enabled_ = enabled;
-  FastPathInvalidate();
-}
-
-void Mmu::FastPathInvalidate() {
-  for (auto& bank : banks_) {
-    for (auto& side : bank->fast_slots) {
-      side.fill(FastSlot{});
-    }
-  }
+  SpansDefault().store(forced.value_or(true), std::memory_order_relaxed);
 }
 
 Mmu::Mmu(Machine& machine, const MmuPolicy& policy, PhysAddr htab_base)
     : machine_(machine),
       policy_(policy),
       htab_(machine.config().htab_ptegs, htab_base),
-      fast_path_enabled_(FastPathDefault()) {
+      spans_enabled_(SpansDefault().load(std::memory_order_relaxed)) {
   const uint32_t ncpus = std::max(1u, machine.config().ncpus);
   banks_.reserve(ncpus);
   for (uint32_t cpu = 0; cpu < ncpus; ++cpu) {
-    banks_.push_back(std::make_unique<CpuBank>(machine.config()));
+    banks_.emplace_back(machine.config());
   }
-  bank_ = banks_[0].get();
+  bank_ = &banks_[0];
 }
 
 AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
@@ -98,69 +63,13 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
 
   const bool is_ifetch = IsInstruction(kind);
   const bool is_write = IsWrite(kind);
-  const uint32_t epn = ea.EffPageNumber();
-  FastSlot& slot = bank_->fast_slots[is_ifetch ? 1 : 0][epn & (kFastPathSlots - 1)];
-
-  // Host fast path: replay the memoized outcome for this page when nothing it depends on
-  // has changed. Everything up to the commit point is a pure read — a rejected memo must
-  // leave no trace in the simulation.
-  if (fast_path_enabled_ && slot.eff_page == epn && slot.gen == FastGen()) {
-    if (slot.entry == nullptr) {
-      // Memoized BAT hit. BAT state is unchanged (generation match) and BAT blocks are
-      // page-aligned linear maps, so the same effective page still hits the same block and
-      // lands in the same frame.
-      ++fast_hits_;
-      ++counters.bat_translations;
-      const PhysAddr pa = PhysAddr::FromFrame(slot.bat_frame, ea.PageOffset());
-      if (is_ifetch) {
-        machine_.TouchInstruction(pa, !slot.bat_cache_inhibited);
-      } else {
-        machine_.TouchData(pa, is_write, !slot.bat_cache_inhibited);
-      }
-      return AccessOutcome::kOk;
-    }
-    TlbEntry* entry = slot.entry;
-    if (entry->valid && entry->vsid.value == slot.vsid &&
-        entry->page_index == (epn & kPageIndexMask) &&
-        (!is_write || (entry->writable && entry->changed))) {
-      // The segment registers are unchanged (generation match), so resolving `ea` would
-      // yield slot.vsid again; the way still holds exactly that tag, so the associative
-      // lookup would hit it; the write gate guarantees no protection fault and no pending
-      // C-bit work. Replay the lookup's side effects and charge the payload access.
-      ++fast_hits_;
-      Tlb& tlb = is_ifetch ? bank_->itlb : bank_->dtlb;
-      if (is_ifetch) {
-        ++counters.itlb_accesses;
-      } else {
-        ++counters.dtlb_accesses;
-      }
-      tlb.TouchLru(entry);
-      const PhysAddr pa = PhysAddr::FromFrame(entry->frame, ea.PageOffset());
-      if (is_ifetch) {
-        machine_.TouchInstruction(pa, !entry->cache_inhibited);
-      } else {
-        machine_.TouchData(pa, is_write, !entry->cache_inhibited);
-      }
-      return AccessOutcome::kOk;
-    }
-  }
-  if (fast_path_enabled_) {
-    ++fast_misses_;
-  }
+  ++access_walks_;
 
   // BAT translation runs in parallel with the segment lookup; a BAT hit abandons the
   // page-table path entirely (§3).
   const BatArray& bats = is_ifetch ? ibats_ : dbats_;
   if (const std::optional<BatHit> hit = bats.Translate(ea, supervisor); hit.has_value()) {
     ++counters.bat_translations;
-    if (fast_path_enabled_) {
-      slot = FastSlot{.eff_page = epn,
-                      .vsid = 0,
-                      .gen = FastGen(),
-                      .entry = nullptr,
-                      .bat_frame = hit->pa.PageFrame(),
-                      .bat_cache_inhibited = hit->cache_inhibited};
-    }
     if (is_ifetch) {
       machine_.TouchInstruction(hit->pa, !hit->cache_inhibited);
     } else {
@@ -213,15 +122,6 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
     bank_->dtlb.MarkChanged(vp);  // sets entry->changed: stores only come through the DTLB
   }
 
-  if (fast_path_enabled_) {
-    slot = FastSlot{.eff_page = epn,
-                    .vsid = vp.vsid.value,
-                    .gen = FastGen(),
-                    .entry = entry,
-                    .bat_frame = 0,
-                    .bat_cache_inhibited = false};
-  }
-
   const PhysAddr pa = PhysAddr::FromFrame(entry->frame, ea.PageOffset());
   if (is_ifetch) {
     machine_.TouchInstruction(pa, !entry->cache_inhibited);
@@ -240,14 +140,13 @@ uint32_t Mmu::AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind 
   while (done < count) {
     const EffAddr cur = ea + done * stride;
     const uint32_t offset = cur.PageOffset();
-    // A page-or-wider stride puts one access in each page; skipping the division matters
-    // because such runs mostly miss the memo and are declined.
     const uint32_t n = stride >= kPageSize
                            ? 1
                            : std::min(count - done, (kPageSize - 1 - offset) / stride + 1);
-    if (const std::optional<SpanTarget> span = ReplaySpan(cur, kind, n); span.has_value()) {
-      // Every in-page access replays the identical memo hit: charge their payloads as one
-      // run into the memoized frame.
+    const std::optional<SpanTarget> span = n > 1 ? ReplaySpan(cur, kind, n) : std::nullopt;
+    if (span.has_value()) {
+      // Every in-page access repeats the identical translation hit: charge their payloads
+      // as one run into the page's frame.
       const PhysAddr pa = PhysAddr::FromFrame(span->frame, offset);
       if (is_ifetch) {
         machine_.TouchInstructionRun(pa, stride, n, span->cached);
@@ -268,46 +167,38 @@ uint32_t Mmu::AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind 
 }
 
 std::optional<Mmu::SpanTarget> Mmu::ReplaySpan(EffAddr ea, AccessKind kind, uint32_t n) {
-  // Span replay is legal only when the memo fast path is trusted for this page and no
-  // fault injector demands per-access polling. The validity test is byte-for-byte the one
-  // Access() applies; a span that validates proves all n accesses would take the identical
-  // memo hit, because nothing a replay does (cache state, counters, LRU ticks) feeds back
-  // into the generation counters or the entry tag.
-  if (!fast_path_enabled_ || injector_ != nullptr) {
+  // A fault injector polls on every access, so it rules spans out. Otherwise the lookup is
+  // Access()'s own — BAT, segment register, TLB — minus its side effects, so a span that
+  // validates proves all n accesses would take the identical hit: nothing a replay does
+  // (cache state, counters, LRU ticks) feeds back into the BATs, the segment registers or
+  // the entry's tag and R/C state.
+  if (!spans_enabled_ || injector_ != nullptr) {
     return std::nullopt;
   }
   const bool is_ifetch = IsInstruction(kind);
-  const uint32_t epn = ea.EffPageNumber();
-  const FastSlot& slot = bank_->fast_slots[is_ifetch ? 1 : 0][epn & (kFastPathSlots - 1)];
-  if (slot.eff_page != epn || slot.gen != FastGen()) {
-    return std::nullopt;
-  }
   HwCounters& counters = machine_.counters();
   SpanTarget target;
-  if (slot.entry == nullptr) {
-    // Memoized BAT hit: the block is a page-aligned linear map, so the whole page lands in
-    // the memoized frame.
+  const BatArray& bats = is_ifetch ? ibats_ : dbats_;
+  if (const std::optional<BatHit> hit = bats.Translate(ea, ea.IsKernel()); hit.has_value()) {
+    // BAT blocks are page-aligned linear maps, so the whole page lands in one frame.
     counters.bat_translations += n;
-    target = SpanTarget{.frame = slot.bat_frame, .cached = !slot.bat_cache_inhibited};
+    target = SpanTarget{.frame = hit->pa.PageFrame(), .cached = !hit->cache_inhibited};
   } else {
-    TlbEntry* entry = slot.entry;
-    if (!entry->valid || entry->vsid.value != slot.vsid ||
-        entry->page_index != (epn & kPageIndexMask) ||
-        (IsWrite(kind) && !(entry->writable && entry->changed))) {
+    Tlb& tlb = is_ifetch ? bank_->itlb : bank_->dtlb;
+    TlbEntry* entry = tlb.ProbePtr(bank_->segments.Resolve(ea));
+    if (entry == nullptr || (IsWrite(kind) && !(entry->writable && entry->changed))) {
       return std::nullopt;
     }
     if (is_ifetch) {
       counters.itlb_accesses += n;
-      bank_->itlb.TouchLruRun(entry, n);
     } else {
       counters.dtlb_accesses += n;
-      bank_->dtlb.TouchLruRun(entry, n);
     }
+    tlb.TouchLruRun(entry, n);
     target = SpanTarget{.frame = entry->frame, .cached = !entry->cache_inhibited};
   }
   ++span_runs_;
   span_accesses_ += n;
-  fast_hits_ += n;
   return target;
 }
 

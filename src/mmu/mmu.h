@@ -21,9 +21,7 @@
 #ifndef PPCMM_SRC_MMU_MMU_H_
 #define PPCMM_SRC_MMU_MMU_H_
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -134,13 +132,12 @@ class Mmu {
   // accesses completed; on a fault `*outcome` names it and the caller resumes at
   // ea + done*stride after repairing the PTE tree (the kernel fault loop).
   //
-  // The speed comes from *translation spans*: when the memo slot for the current page
-  // validates (generation counters match, the TLB entry still carries the memoized tag,
-  // and the write gate shows no pending protection/C-bit work), every remaining access
-  // inside that page is proven to replay the identical memo hit, so the whole in-page run
-  // is charged at once — one counter add, one LRU tick advance, one batched payload charge.
-  // Span validity keys off generation counters and entry tags only; anything else (a fault
-  // injector being armed, fast path off, memo miss) degrades to the per-access path.
+  // The speed comes from *translation spans*: when ReplaySpan finds the current page's
+  // translation resident and past the write gate, every remaining access inside that page
+  // is proven to repeat the identical TLB (or BAT) hit, so the whole in-page run is
+  // charged at once — one counter add, one LRU tick advance, one batched payload charge.
+  // A single access (page-or-wider strides, the last line of a page) goes straight to
+  // Access(); a declined span degrades to the per-access path.
   uint32_t AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind kind,
                      AccessOutcome* outcome);
 
@@ -151,12 +148,14 @@ class Mmu {
   };
 
   // The translation span gate shared by every batched caller (AccessRun, the idle loop's
-  // fetch fast-forward, page-batched user copies). When the memo for the page of `ea`
-  // validates exactly as Access() would test it, replays the translation side of `n` (> 0)
-  // memo hits on that page — counters, TLB LRU ticks, host span statistics — and returns
-  // where their payloads land; the caller charges those payload accesses itself, so it can
-  // interleave them with other cache traffic. Declines (nullopt, nothing touched) whenever
-  // a single Access() would not take the memo hit, or spans are disabled.
+  // fetch fast-forward, page-batched user copies). Looks the page of `ea` up exactly as
+  // Access() would — BAT, then segment register, then the TLB — but through a probe that
+  // leaves LRU state alone. On a BAT hit, or a TLB hit that passes the write gate
+  // (writable and changed for stores), replays the translation side of `n` (> 0) hits on
+  // that page — counters, TLB LRU ticks, host span statistics — and returns where their
+  // payloads land; the caller charges those payload accesses itself, so it can interleave
+  // them with other cache traffic. Declines (nullopt, nothing touched) on a TLB miss, a
+  // pending protection or C-bit trap, an attached fault injector, or spans switched off.
   std::optional<SpanTarget> ReplaySpan(EffAddr ea, AccessKind kind, uint32_t n);
 
   // Translation without the final payload cache access (probe used by tests/instrumentation;
@@ -171,13 +170,12 @@ class Mmu {
 
   // ---- SMP ----
   //
-  // Each simulated CPU owns a bank of private MMU state: split I/D TLBs, segment
-  // registers, and the host-side memo slots. The BATs, the HTAB, and the backing PTE
-  // tree are shared, exactly like physical memory. SetCurrentCpu moves the translation
-  // spotlight; everything above (Access, reloads, local flushes) then reads and writes
-  // that CPU's bank.
+  // Each simulated CPU owns a bank of private MMU state: split I/D TLBs and segment
+  // registers. The BATs, the HTAB, and the backing PTE tree are shared, exactly like
+  // physical memory. SetCurrentCpu moves the translation spotlight; everything above
+  // (Access, reloads, local flushes) then reads and writes that CPU's bank.
   uint32_t NumCpus() const { return static_cast<uint32_t>(banks_.size()); }
-  void SetCurrentCpu(uint32_t cpu) { bank_ = banks_[cpu].get(); }
+  void SetCurrentCpu(uint32_t cpu) { bank_ = &banks_[cpu]; }
 
   // Shootdown primitives: invalidate translations in CPU `cpu`'s TLBs on behalf of a
   // remote requester. Pure state mutation — the caller (the flush engine's IPI round)
@@ -185,12 +183,12 @@ class Mmu {
   // mmu-lint rule SMP-IPI-028 confines callers to the shootdown/IPI path in flush.cc:
   // any other cross-CPU TLB mutation would be a coherence hole the auditor cannot see.
   void ShootdownInvalidatePage(uint32_t cpu, EffAddr ea) {
-    banks_[cpu]->itlb.InvalidatePage(ea.PageIndex());
-    banks_[cpu]->dtlb.InvalidatePage(ea.PageIndex());
+    banks_[cpu].itlb.InvalidatePage(ea.PageIndex());
+    banks_[cpu].dtlb.InvalidatePage(ea.PageIndex());
   }
   void ShootdownInvalidateAll(uint32_t cpu) {
-    banks_[cpu]->itlb.InvalidateAll();
-    banks_[cpu]->dtlb.InvalidateAll();
+    banks_[cpu].itlb.InvalidateAll();
+    banks_[cpu].dtlb.InvalidateAll();
   }
 
   // Component access (the current CPU's bank for per-CPU components).
@@ -202,9 +200,9 @@ class Mmu {
   Tlb& itlb() { return bank_->itlb; }
   Tlb& dtlb() { return bank_->dtlb; }
   // Per-CPU views (verification: the auditor checks every CPU's TLBs and segments).
-  SegmentRegs& segments(uint32_t cpu) { return banks_[cpu]->segments; }
-  Tlb& itlb(uint32_t cpu) { return banks_[cpu]->itlb; }
-  Tlb& dtlb(uint32_t cpu) { return banks_[cpu]->dtlb; }
+  SegmentRegs& segments(uint32_t cpu) { return banks_[cpu].segments; }
+  Tlb& itlb(uint32_t cpu) { return banks_[cpu].itlb; }
+  Tlb& dtlb(uint32_t cpu) { return banks_[cpu].dtlb; }
   const MmuPolicy& policy() const { return policy_; }
   Machine& machine() { return machine_; }
 
@@ -214,54 +212,25 @@ class Mmu {
     return DataMemCharger(machine_, policy_.cache_page_tables);
   }
 
-  // ---- host fast path ----
+  // ---- translation spans ----
   //
-  // A simulation-invisible memoization cache over Access(): a direct-mapped table keyed by
-  // effective page number and access side remembers where the last full walk for that page
-  // landed (the TLB entry it hit, or the BAT frame that matched), so a repeated reference
-  // replays the identical counter increments, LRU tick, and payload cache charge without
-  // re-scanning the BATs, re-resolving the segment, or re-searching the TLB's ways. The
-  // memo is only trusted when (a) the segment-register and BAT generation counters still
-  // match the snapshot taken at install time, and (b) the TLB entry it names is still
-  // valid, still tagged with the same (VSID, page index), and has no pending protection or
-  // C-bit work; anything else falls back to the full path. See DESIGN.md for the complete
-  // invalidation contract. Counters and cycles are bit-identical either way (fast_path_test
-  // proves it differentially).
-
-  // Process-wide default for new Mmu instances: on unless PPCMM_FAST_PATH=0/off in the
-  // environment, or a test forced it with SetFastPathDefault.
-  static bool FastPathDefault();
-  static void SetFastPathDefault(std::optional<bool> forced);  // nullopt = back to the env
-
-  void SetFastPathEnabled(bool enabled);
-  bool fast_path_enabled() const { return fast_path_enabled_; }
-  // Drops every memoized translation. Host-side only: charges nothing, counts nothing.
-  void FastPathInvalidate();
+  // Spans are host-side batching only: counters and cycles are bit-identical with them on
+  // or off (fast_path_test and batched_run_test prove it differentially). The switch is
+  // process-wide and read when an Mmu is built, so a twin System built under
+  // ScopedSpanDefault(false) is the per-access reference. nullopt restores the default, on.
+  static void SetFastPathDefault(std::optional<bool> forced);
   // Host-side statistics (not HwCounters: they must not exist inside the simulation).
-  uint64_t fast_path_hits() const { return fast_hits_; }
-  uint64_t fast_path_misses() const { return fast_misses_; }
-  // Translation-span replays served by ReplaySpan (for AccessRun, the idle fast-forward and
-  // user copies) and the accesses they covered (each also counted in fast_path_hits).
+  // fast_path_hits() and fast_path_misses() keep the names perfbench reads: span-replayed
+  // accesses and full Access() walks, so hits / (hits + misses) is the share spans carried.
+  uint64_t fast_path_hits() const { return span_accesses_; }
+  uint64_t fast_path_misses() const { return access_walks_; }
+  // Spans replayed by ReplaySpan (for AccessRun, the idle fast-forward and user copies)
+  // and the accesses they covered.
   uint64_t span_runs() const { return span_runs_; }
   uint64_t span_accesses() const { return span_accesses_; }
 
  private:
-  // One memoized outcome. `entry == nullptr` marks a memoized BAT hit (bat_frame/WIMG-I
-  // valid); otherwise `entry` points at the TLB way the last full walk hit, re-validated
-  // against `vsid` and the slot's page tag on every use.
-  struct FastSlot {
-    uint32_t eff_page = kNoFastTag;  // 20-bit effective page number, kNoFastTag = empty
-    uint32_t vsid = 0;
-    uint64_t gen = 0;                // segment+BAT generation snapshot at install
-    TlbEntry* entry = nullptr;
-    uint32_t bat_frame = 0;
-    bool bat_cache_inhibited = false;
-  };
-  static constexpr uint32_t kFastPathSlots = 256;  // per side, direct-mapped
-  static constexpr uint32_t kNoFastTag = 0xFFFFFFFFu;
-
-  // Per-CPU MMU state (see the SMP section above). unique_ptr keeps bank addresses
-  // stable: FastSlot::entry aliases into a bank's TLB ways.
+  // Per-CPU MMU state (see the SMP section above).
   struct CpuBank {
     explicit CpuBank(const MachineConfig& config)
         : itlb("itlb", config.itlb_entries, config.tlb_associativity),
@@ -269,17 +238,8 @@ class Mmu {
     SegmentRegs segments;
     Tlb itlb;
     Tlb dtlb;
-    std::array<std::array<FastSlot, kFastPathSlots>, 2> fast_slots{};
   };
 
-  // The combined mutation clock the fast path snapshots. Each component only ever
-  // increments, so the sum strictly increases on any segment or BAT write and a stale
-  // snapshot can never compare equal again. Segment registers are per-CPU, so the clock
-  // is read against the current bank — memo slots live in the same bank, keeping every
-  // snapshot and its later comparison on one CPU.
-  uint64_t FastGen() const {
-    return bank_->segments.generation() + ibats_.generation() + dbats_.generation();
-  }
   // Refills the TLB after a miss. Returns the walk result or nullopt on page fault.
   std::optional<PteWalkInfo> Reload(EffAddr ea, VirtPage vp, AccessKind kind);
   // Software path shared by every strategy once the HTAB (if any) has missed.
@@ -292,18 +252,26 @@ class Mmu {
   BatArray ibats_;
   BatArray dbats_;
   HashTable htab_;
-  std::vector<std::unique_ptr<CpuBank>> banks_;  // one per CPU, fixed at construction
-  CpuBank* bank_;                                // the current CPU's bank
+  std::vector<CpuBank> banks_;  // one per CPU, fixed at construction
+  CpuBank* bank_;               // the current CPU's bank
   PteBackingSource* backing_ = nullptr;
   const VsidOracle* oracle_ = nullptr;
   AllLiveVsidOracle all_live_;
   FaultInjector* injector_ = nullptr;
 
-  bool fast_path_enabled_;
-  uint64_t fast_hits_ = 0;
-  uint64_t fast_misses_ = 0;
+  const bool spans_enabled_;
+  uint64_t access_walks_ = 0;
   uint64_t span_runs_ = 0;
   uint64_t span_accesses_ = 0;
+};
+
+// Holds the spans default at `enabled` for every Mmu built while the guard lives.
+class ScopedSpanDefault {
+ public:
+  explicit ScopedSpanDefault(bool enabled) { Mmu::SetFastPathDefault(enabled); }
+  ~ScopedSpanDefault() { Mmu::SetFastPathDefault(std::nullopt); }
+  ScopedSpanDefault(const ScopedSpanDefault&) = delete;
+  ScopedSpanDefault& operator=(const ScopedSpanDefault&) = delete;
 };
 
 }  // namespace ppcmm

@@ -27,7 +27,6 @@ class SegmentRegs {
   void Set(uint32_t index, Vsid vsid) {
     PPCMM_CHECK(index < kNumSegments);
     regs_[index] = vsid;
-    ++generation_;
   }
 
   // Resolves an effective address to its virtual page through the selected register.
@@ -40,23 +39,13 @@ class SegmentRegs {
     for (uint32_t i = 0; i < kFirstKernelSegment; ++i) {
       regs_[i] = vsids[i];
     }
-    ++generation_;
   }
 
   // Loads all 16 registers.
-  void LoadAll(const std::array<Vsid, kNumSegments>& vsids) {
-    regs_ = vsids;
-    ++generation_;
-  }
-
-  // Monotonic count of register-file writes. The MMU's host fast path snapshots it so any
-  // segment mutation (context switch, lazy-flush reload, direct Set) invalidates memoized
-  // translations that resolved through the old VSIDs.
-  uint64_t generation() const { return generation_; }
+  void LoadAll(const std::array<Vsid, kNumSegments>& vsids) { regs_ = vsids; }
 
  private:
   std::array<Vsid, kNumSegments> regs_{};
-  uint64_t generation_ = 0;
 };
 
 }  // namespace ppcmm

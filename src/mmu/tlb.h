@@ -48,29 +48,33 @@ class Tlb {
   // Lookup variant returning a pointer into the TLB's backing store (nullptr on miss), with
   // byte-identical LRU/tick behaviour. The pointer stays valid for the TLB's lifetime (the
   // way array never reallocates) but the *entry* it names may be replaced or invalidated by
-  // any later Insert/Invalidate*; callers that cache it (the MMU host fast path) must
-  // re-validate the entry's valid bit and (vsid, page_index) tag before trusting it.
-  // Inline: this sits on the translation path of every non-BAT memory reference.
+  // any later Insert/Invalidate*. Inline: this sits on the translation path of every
+  // non-BAT memory reference.
   TlbEntry* LookupPtr(VirtPage vp) {
     ++tick_;
+    TlbEntry* entry = ProbePtr(vp);
+    if (entry != nullptr) {
+      entry->last_used = tick_;
+    }
+    return entry;
+  }
+
+  // The same associative search with no side effects: neither the tick nor any entry's
+  // LRU state moves. The MMU judges translation spans with it before replaying any hit.
+  TlbEntry* ProbePtr(VirtPage vp) {
     TlbEntry* ways = SetBase(SetIndex(vp.page_index));
     for (uint32_t w = 0; w < associativity_; ++w) {
       TlbEntry& entry = ways[w];
       if (entry.valid && entry.vsid == vp.vsid && entry.page_index == vp.page_index) {
-        entry.last_used = tick_;
         return &entry;
       }
     }
     return nullptr;
   }
 
-  // Refreshes LRU state on an entry known to be resident — exactly the side effect a
-  // Lookup hit would have had. Host-fast-path use only.
-  void TouchLru(TlbEntry* entry) { entry->last_used = ++tick_; }
-
-  // `n` back-to-back hits on the same resident entry, collapsed: bit-identical to calling
-  // TouchLru `n` times (the tick advances by n and the entry ends up most recent).
-  // Host-fast-path use only (translation-span replay).
+  // `n` back-to-back hits on the same resident entry, collapsed: bit-identical to `n`
+  // LookupPtr hits on it (the tick advances by n and the entry ends up most recent).
+  // Translation-span replay only.
   void TouchLruRun(TlbEntry* entry, uint32_t n) {
     tick_ += n;
     entry->last_used = tick_;

@@ -4,16 +4,6 @@
 
 namespace ppcmm {
 
-unsigned SweepRunner::DefaultShards() {
-  if (const char* env = std::getenv("PPCMM_SWEEP_SHARDS"); env != nullptr) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) {
-      return static_cast<unsigned>(parsed);
-    }
-  }
-  return 1;
-}
-
 unsigned SweepRunner::DefaultThreads() {
   if (const char* env = std::getenv("PPCMM_SWEEP_THREADS"); env != nullptr) {
     const long parsed = std::strtol(env, nullptr, 10);

@@ -19,24 +19,17 @@
 #ifndef PPCMM_SRC_SIM_SWEEP_RUNNER_H_
 #define PPCMM_SRC_SIM_SWEEP_RUNNER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#ifdef __unix__
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 namespace ppcmm {
 
@@ -106,136 +99,6 @@ class SweepRunner {
     }
     return results;
   }
-
-  // ---- multi-process sharding ----
-  //
-  // Runs fn(index) for every index in [0, count) across `shards` forked child processes
-  // and returns the results in index order, exactly as Map would. Shard s owns indices
-  // i % shards == s (deterministic shard→config assignment) and runs them serially; each
-  // child streams fixed-size (index, result) records back over a pipe and _exit(0)s —
-  // atexit handlers (BenchReport's output write among them) never run in a child, so the
-  // parent process remains the only writer of bench-out/BENCH_*.json and the merged
-  // report carries the parent's single host fingerprint.
-  //
-  // Result must be trivially copyable (it crosses the process boundary as raw bytes) and
-  // default-constructible (the parent materializes it from the pipe). A child that dies —
-  // CHECK failure, crash, uncaught exception — surfaces as std::runtime_error here.
-  // Sharding is engaged deliberately (explicit argument or PPCMM_SWEEP_SHARDS): fork
-  // requires the caller to hold no live threads, so call it from the main thread before
-  // any pool spins up. On non-unix hosts it degrades to the thread-pool Map.
-  template <typename Fn>
-  auto MapSharded(size_t count, unsigned shards, Fn&& fn)
-      -> std::vector<std::invoke_result_t<Fn&, size_t>> {
-    using Result = std::invoke_result_t<Fn&, size_t>;
-    static_assert(std::is_trivially_copyable_v<Result>,
-                  "MapSharded streams results over a pipe as raw bytes");
-    static_assert(std::is_default_constructible_v<Result>,
-                  "MapSharded materializes results from the pipe");
-#ifndef __unix__
-    (void)shards;
-    return Map(count, std::forward<Fn>(fn));
-#else
-    if (shards <= 1 || count <= 1) {
-      std::vector<Result> serial;
-      serial.reserve(count);
-      for (size_t i = 0; i < count; ++i) {
-        serial.push_back(fn(i));
-      }
-      return serial;
-    }
-    shards = static_cast<unsigned>(std::min<size_t>(shards, count));
-
-    struct Record {
-      uint64_t index;
-      Result result;
-    };
-    std::vector<std::optional<Result>> slots(count);
-    std::vector<pid_t> pids(shards, -1);
-    std::vector<int> fds(shards, -1);
-    for (unsigned s = 0; s < shards; ++s) {
-      int pipe_fd[2];
-      if (pipe(pipe_fd) != 0) {
-        throw std::runtime_error("MapSharded: pipe() failed");
-      }
-      const pid_t pid = fork();
-      if (pid < 0) {
-        throw std::runtime_error("MapSharded: fork() failed");
-      }
-      if (pid == 0) {
-        close(pipe_fd[0]);
-        for (size_t i = s; i < count; i += shards) {
-          Record record{i, fn(i)};
-          const char* p = reinterpret_cast<const char*>(&record);
-          size_t left = sizeof(record);
-          while (left > 0) {
-            const ssize_t n = write(pipe_fd[1], p, left);
-            if (n <= 0) {
-              _exit(3);
-            }
-            p += n;
-            left -= static_cast<size_t>(n);
-          }
-        }
-        _exit(0);
-      }
-      close(pipe_fd[1]);
-      pids[s] = pid;
-      fds[s] = pipe_fd[0];
-    }
-
-    std::string failure;
-    for (unsigned s = 0; s < shards; ++s) {
-      const size_t expected = (count - s + shards - 1) / shards;
-      size_t received = 0;
-      while (received < expected) {
-        Record record{};
-        char* p = reinterpret_cast<char*>(&record);
-        size_t got = 0;
-        while (got < sizeof(record)) {
-          const ssize_t n = read(fds[s], p + got, sizeof(record) - got);
-          if (n <= 0) {
-            break;  // EOF mid-record: the child died; waitpid below explains
-          }
-          got += static_cast<size_t>(n);
-        }
-        if (got < sizeof(record)) {
-          break;
-        }
-        if (record.index < count) {
-          slots[record.index].emplace(record.result);
-        }
-        ++received;
-      }
-      close(fds[s]);
-      int status = 0;
-      waitpid(pids[s], &status, 0);
-      if (failure.empty()) {
-        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-          failure = "MapSharded: shard " + std::to_string(s) + " of " +
-                    std::to_string(shards) + " died (status " + std::to_string(status) + ")";
-        } else if (received < expected) {
-          failure = "MapSharded: shard " + std::to_string(s) + " returned " +
-                    std::to_string(received) + " of " + std::to_string(expected) +
-                    " results";
-        }
-      }
-    }
-    if (!failure.empty()) {
-      throw std::runtime_error(failure);
-    }
-
-    std::vector<Result> results;
-    results.reserve(count);
-    for (std::optional<Result>& slot : slots) {
-      results.push_back(std::move(*slot));
-    }
-    return results;
-#endif
-  }
-
-  // Shard count from PPCMM_SWEEP_SHARDS, else 1: unlike threads, fork-based sharding
-  // stays off unless asked for (bench/run_all.sh --shards N plumbs it through).
-  static unsigned DefaultShards();
 
  private:
   static unsigned DefaultThreads();

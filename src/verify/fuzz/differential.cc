@@ -392,7 +392,6 @@ DifferentialResult RunDifferential(const FuzzStream& stream,
   // Flight recorder: on divergence the report carries the last attributed events, and every
   // lockstep run doubles as proof that attribution does not perturb the simulation.
   sys.machine().attr().SetEnabled(true);
-  sys.mmu().SetFastPathEnabled(options.fast_path);
   if (options.break_tlb_invalidate) {
     sys.kernel().flusher().TestOnlyBreakTlbInvalidate(true);
   }
@@ -446,8 +445,7 @@ DifferentialResult RunDifferential(const FuzzStream& stream,
     oss << "=== fuzz divergence ===\n"
         << "seed:      " << stream.seed << "\n"
         << "preset:    " << options.config_name << "\n"
-        << "strategy:  " << ReloadStrategyName(options.strategy) << "\n"
-        << "fast path: " << (options.fast_path ? "on" : "off") << "\n";
+        << "strategy:  " << ReloadStrategyName(options.strategy) << "\n";
     if (machine.ncpus > 1) {
       oss << "ncpus:     " << machine.ncpus << "\n";
     }
@@ -487,24 +485,21 @@ MatrixResult RunMatrix(const FuzzStream& stream, const OptimizationConfig& confi
                                        ReloadStrategy::kSoftwareHtab,
                                        ReloadStrategy::kHardwareHtabWalk};
   for (const ReloadStrategy strategy : strategies) {
-    for (const bool fast_path : {true, false}) {
-      DifferentialOptions options;
-      options.config = config;
-      options.config_name = config_name;
-      options.strategy = strategy;
-      options.fast_path = fast_path;
-      options.check_period = check_period;
-      options.break_tlb_invalidate = break_tlb_invalidate;
-      options.ncpus = ncpus;
-      DifferentialResult run = RunDifferential(stream, options);
-      ++result.runs;
-      result.coverage.Merge(run.coverage);
-      if (run.diverged) {
-        result.diverged = true;
-        result.first_failure = std::move(run);
-        result.failing_options = options;
-        return result;
-      }
+    DifferentialOptions options;
+    options.config = config;
+    options.config_name = config_name;
+    options.strategy = strategy;
+    options.check_period = check_period;
+    options.break_tlb_invalidate = break_tlb_invalidate;
+    options.ncpus = ncpus;
+    DifferentialResult run = RunDifferential(stream, options);
+    ++result.runs;
+    result.coverage.Merge(run.coverage);
+    if (run.diverged) {
+      result.diverged = true;
+      result.first_failure = std::move(run);
+      result.failing_options = options;
+      return result;
     }
   }
   return result;

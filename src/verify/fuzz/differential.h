@@ -6,7 +6,7 @@
 // unreachability, the C-bit contract) against the oracle.
 //
 // A stream is run across the full configuration matrix: every optimization preset × every
-// reload strategy × MMU fast path on/off. Divergences throw inside and come back as a
+// reload strategy. Divergences throw inside and come back as a
 // DifferentialResult with a self-contained report (seed, combo, op index, serialized op,
 // trailing op trace) ready for the minimizer.
 
@@ -34,12 +34,11 @@ std::vector<FuzzPreset> FuzzPresets();
 // against FuzzPresets() first).
 FuzzPreset FuzzPresetByName(const std::string& name);
 
-// One run = one (config, strategy, fast-path) combination.
+// One run = one (config, strategy) combination.
 struct DifferentialOptions {
   OptimizationConfig config;
   std::string config_name;  // for reports only
   ReloadStrategy strategy = ReloadStrategy::kHardwareHtabWalk;
-  bool fast_path = true;
   // Simulated CPUs for both the real System and the oracle. kCpuSwitch ops in the stream
   // are skipped at ncpus=1, so any stream runs at any width.
   uint32_t ncpus = 1;
@@ -66,8 +65,8 @@ struct DifferentialResult {
 DifferentialResult RunDifferential(const FuzzStream& stream,
                                    const DifferentialOptions& options);
 
-// The full matrix for one preset: {software-direct, software-htab, hardware-walk} × fast
-// path {on, off} = 6 runs. Stops at the first divergence.
+// The full matrix for one preset: {software-direct, software-htab, hardware-walk} = 3 runs.
+// Stops at the first divergence.
 struct MatrixResult {
   bool diverged = false;
   uint32_t runs = 0;  // runs completed or attempted

@@ -1,6 +1,6 @@
 // The batched-run contract: UserTouchRun / Mmu::AccessRun must be bit-identical to
 // issuing the same accesses one UserTouch at a time — across every fuzz preset, every
-// reload strategy, and with the host fast path on and off. The driven workload crosses
+// reload strategy, and with translation spans on and off. The driven workload crosses
 // every boundary a translation span must not batch across: demand faults mid-run, COW
 // breaks mid-run, eager (tlbie) and lazy (VSID-bump) munmap flushes between runs, context
 // switches, sub-page strides, and deferred first-store C-bit traps.
@@ -45,7 +45,7 @@ void Touch(Kernel& kernel, bool batched, EffAddr start, uint32_t stride, uint32_
 }
 
 // Returns the span accesses formed before the trailing idle slice: the idle loop's
-// fetch fast-forward forms spans of its own whenever the fast path is on.
+// fetch fast-forward forms spans of its own whenever spans are on.
 uint64_t DriveWorkload(System& sys, bool batched) {
   Kernel& kernel = sys.kernel();
   auto touch = [&](EffAddr start, uint32_t stride, uint32_t count, AccessKind kind) {
@@ -60,8 +60,8 @@ uint64_t DriveWorkload(System& sys, bool batched) {
   touch(EffAddr(kUserDataBase), 64, 8 * (kPageSize / 64), AccessKind::kLoad);
   const TaskId child = kernel.Fork(a);
   kernel.SwitchTo(child);
-  // Loads memoize the read-only shared translations, then the store run COW-breaks every
-  // page mid-run.
+  // The loads put the read-only shared translations in the TLB, then the store run
+  // COW-breaks every page mid-run.
   touch(EffAddr(kUserDataBase), kPageSize, 16, AccessKind::kLoad);
   touch(EffAddr(kUserDataBase), kPageSize, 16, AccessKind::kStore);
   const uint32_t map = kernel.Mmap(30);
@@ -70,7 +70,7 @@ uint64_t DriveWorkload(System& sys, bool batched) {
   const uint32_t map2 = kernel.Mmap(4);
   touch(EffAddr::FromPage(map2), kPageSize, 4, AccessKind::kStore);
   kernel.Munmap(map2, 4);  // below the cutoff: eager per-page tlbie flush
-  // Post-flush re-touch: spans must not survive the generation bumps above.
+  // Post-flush re-touch: spans must not outlive the flushes above.
   touch(EffAddr(kUserDataBase), kPageSize, 32, AccessKind::kLoad);
   kernel.SwitchTo(a);
   touch(EffAddr(kUserDataBase), 512, 16 * 8, AccessKind::kLoad);
@@ -100,20 +100,19 @@ TEST(BatchedRunTest, BitIdenticalAcrossPresetsStrategiesAndFastPath) {
     for (const StrategyCase& s : Strategies()) {
       OptimizationConfig config = preset.config;
       config.no_htab_direct_reload = s.direct_reload;
-      for (const bool fast : {false, true}) {
-        SCOPED_TRACE(preset.name + "/" + s.name + (fast ? "/fast" : "/slow"));
+      for (const bool spans : {false, true}) {
+        SCOPED_TRACE(preset.name + "/" + s.name + (spans ? "/spans" : "/per_access"));
+        const ScopedSpanDefault spans_default(spans);
         System single(s.machine, config);
-        single.mmu().SetFastPathEnabled(fast);
         const uint64_t single_spans = DriveWorkload(single, /*batched=*/false);
 
         System batched(s.machine, config);
-        batched.mmu().SetFastPathEnabled(fast);
         const uint64_t batched_spans = DriveWorkload(batched, /*batched=*/true);
 
         ExpectCountersIdentical(single.counters(), batched.counters());
-        // Per-access touches never form spans; batched runs only form them on the fast path.
+        // Per-access touches never form spans; batched runs only form them with spans on.
         EXPECT_EQ(single_spans, 0u);
-        if (fast) {
+        if (spans) {
           EXPECT_GT(batched_spans, 0u) << "spans never engaged";
         } else {
           EXPECT_EQ(batched_spans, 0u);
@@ -153,7 +152,6 @@ TEST(BatchedRunTest, ReplaySpanRefreshesTheTlbLru) {
   // A replayed span counts as n hits on its TLB entry, so it must leave that entry the most
   // recently used of its set: the next fill in the set evicts the other way.
   System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
-  sys.mmu().SetFastPathEnabled(true);
   Kernel& kernel = sys.kernel();
   const TaskId t = kernel.CreateTask("t");
   kernel.Exec(t, ExecImage{.text_pages = 2, .data_pages = 160, .stack_pages = 2});
@@ -168,7 +166,7 @@ TEST(BatchedRunTest, ReplaySpanRefreshesTheTlbLru) {
   for (const EffAddr ea : {a, b, c, b, a, b}) {
     kernel.UserTouch(ea, AccessKind::kLoad);
   }
-  // The set holds {a, b} with b the more recent; a's memo is still valid.
+  // The set holds {a, b} with b the more recent; a is still resident.
   ASSERT_TRUE(sys.mmu().ReplaySpan(a, AccessKind::kLoad, 4).has_value());
   kernel.UserTouch(c, AccessKind::kLoad);  // evicts b, the least recently used
   const uint64_t misses = sys.counters().dtlb_misses;
@@ -180,9 +178,8 @@ TEST(BatchedRunTest, ReplaySpanRefreshesTheTlbLru) {
 
 TEST(BatchedRunTest, SpansCarryMostOfASteadyStateStream) {
   // The perf claim behind the API: once a working set is resident, nearly every access in
-  // a page-grained run rides a span instead of a per-access memo probe.
+  // a page-grained run rides a span instead of a per-access walk.
   System sys(MachineConfig::Ppc603(133), OptimizationConfig::OnlyDirectReload());
-  sys.mmu().SetFastPathEnabled(true);
   Kernel& kernel = sys.kernel();
   const TaskId t = kernel.CreateTask("t");
   kernel.Exec(t, ExecImage{.text_pages = 2, .data_pages = 40, .stack_pages = 2});

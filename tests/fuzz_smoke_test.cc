@@ -1,8 +1,8 @@
 // Differential-fuzzer smoke tests:
 //
-//   * every optimization preset survives a 10k-op differential run at a fixed seed with
-//     zero divergences (reload strategy and fast path rotate with the preset index so the
-//     suite covers all six combinations);
+//   * every optimization preset survives its 10k-op stream at a fixed seed with zero
+//     divergences under two reload strategies (the pair rotates with the preset index so
+//     the suite covers every strategy);
 //   * a planted kernel bug (eager page flush skips its tlbie) is detected and the
 //     minimizer shrinks the failing stream to a handful of ops that still reproduce it;
 //   * streams serialize to replay files and back losslessly, and generation is
@@ -14,6 +14,7 @@
 
 #include "src/verify/fuzz/differential.h"
 #include "src/verify/fuzz/minimize.h"
+#include "src/verify/torture.h"
 
 namespace ppcmm {
 namespace {
@@ -24,24 +25,26 @@ TEST_P(FuzzPresetSmoke, TenThousandOpsNoDivergence) {
   const int index = GetParam();
   const FuzzPreset preset = FuzzPresets()[static_cast<size_t>(index)];
 
-  DifferentialOptions options;
-  options.config = preset.config;
-  options.config_name = preset.name;
   const ReloadStrategy strategies[] = {ReloadStrategy::kSoftwareDirect,
                                        ReloadStrategy::kSoftwareHtab,
                                        ReloadStrategy::kHardwareHtabWalk};
-  options.strategy = strategies[index % 3];
-  options.fast_path = index % 2 == 0;
-  options.check_period = 2000;
-
   const FuzzStream stream = GenerateStream(0xF00D + static_cast<uint64_t>(index), 10000);
-  const DifferentialResult result = RunDifferential(stream, options);
-  EXPECT_FALSE(result.diverged) << result.report;
-  // The stream must be doing real work, not degenerating into skips.
-  EXPECT_GT(result.ops_executed, 5000u);
-  EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kFork)], 0u);
-  EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kMmap)], 0u);
-  EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kFbTouch)], 0u);
+  for (const int offset : {0, 1}) {
+    DifferentialOptions options;
+    options.config = preset.config;
+    options.config_name = preset.name;
+    options.strategy = strategies[(index + offset) % 3];
+    options.check_period = 2000;
+    SCOPED_TRACE(ReloadStrategyName(options.strategy));
+
+    const DifferentialResult result = RunDifferential(stream, options);
+    EXPECT_FALSE(result.diverged) << result.report;
+    // The stream must be doing real work, not degenerating into skips.
+    EXPECT_GT(result.ops_executed, 5000u);
+    EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kFork)], 0u);
+    EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kMmap)], 0u);
+    EXPECT_GT(result.coverage.executed[static_cast<uint32_t>(FuzzOpKind::kFbTouch)], 0u);
+  }
 }
 
 std::string PresetCaseName(const ::testing::TestParamInfo<int>& info) {
@@ -60,7 +63,6 @@ TEST(FuzzMinimizer, ShrinksPlantedDivergenceToAFewOps) {
   options.config = OptimizationConfig::Baseline();
   options.config_name = "baseline";
   options.strategy = ReloadStrategy::kSoftwareHtab;
-  options.fast_path = true;
   options.check_period = 200;
   options.break_tlb_invalidate = true;
 
@@ -110,8 +112,7 @@ TEST_P(FuzzSmpLockstep, TenThousandOpsNoDivergence) {
     options.config_name = preset.name;
     options.strategy =
         ncpus == 4 ? ReloadStrategy::kHardwareHtabWalk : ReloadStrategy::kSoftwareHtab;
-    options.fast_path = true;
-    options.check_period = 2000;
+      options.check_period = 2000;
     options.ncpus = ncpus;
 
     const DifferentialResult result = RunDifferential(stream, options);
@@ -140,7 +141,6 @@ TEST(FuzzMinimizer, ShrinksPlantedDivergenceAtFourCpus) {
   options.config = OptimizationConfig::Baseline();
   options.config_name = "baseline";
   options.strategy = ReloadStrategy::kSoftwareHtab;
-  options.fast_path = true;
   options.check_period = 100;
   options.break_tlb_invalidate = true;
   options.ncpus = 4;
@@ -174,7 +174,6 @@ TEST(FuzzMinimizer, BrokenShootdownNeedsACpuHopToReproduce) {
   options.config = OptimizationConfig::Baseline();
   options.config_name = "baseline";
   options.strategy = ReloadStrategy::kSoftwareHtab;
-  options.fast_path = true;
   options.check_period = 100;
   options.break_shootdown = true;
   options.ncpus = 4;

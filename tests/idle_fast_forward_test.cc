@@ -1,13 +1,14 @@
 // The idle spin fast-forward contract: once two back-to-back idle iterations find no work,
 // Kernel::RunIdle charges the rest of the budget at once through Mmu::ReplaySpan and
 // Machine::TouchInstructionRepeat, and that must be bit-identical to iterating. Every case
-// runs one idle schedule with the host fast path off (the per-iteration reference) and on,
+// runs one idle schedule with translation spans off (the per-iteration reference) and on,
 // then compares everything the simulation exposes: HwCounters, the I and D cache stats and
 // per-CPU clocks, a follow-up workload's hits and misses (which see the LRU state the idle
 // spin left), and with the ledger on its cells, event count and trace ring.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,12 +73,18 @@ void ExpectSnapshotsEqual(const Snapshot& off, const Snapshot& on) {
   }
 }
 
+// A System built with translation spans on, or off for the per-access reference.
+std::unique_ptr<System> BuildSystem(const MachineConfig& machine, const OptimizationConfig& opts,
+                                    bool spans) {
+  const ScopedSpanDefault spans_default(spans);
+  return std::make_unique<System>(machine, opts);
+}
+
 // The idle schedule: a cold slice (zeroing fills the list, reclaim sweeps), then slices
 // shorter than one iteration, ending exactly on an iteration boundary and ending
 // mid-iteration, an idle slice on the second CPU, and a follow-up workload that runs into
 // whatever cache and TLB state the idle spin left behind.
-Snapshot DriveIdle(System& sys, bool fast, bool ledger, FaultInjector* injector = nullptr) {
-  sys.mmu().SetFastPathEnabled(fast);
+Snapshot DriveIdle(System& sys, bool ledger, FaultInjector* injector = nullptr) {
   sys.machine().attr().SetEnabled(ledger);
   if (injector != nullptr) {
     sys.kernel().SetFaultInjector(injector);
@@ -180,13 +187,13 @@ TEST(IdleFastForwardTest, BitIdenticalToTheSpinLoopAcrossTheMatrix) {
               opts.uncached_idle_task = uncached_idle;
               opts.kernel_bat_mapping = kernel_bat;
 
-              System off_sys(machine.config, opts);
-              const Snapshot off = DriveIdle(off_sys, /*fast=*/false, ledger);
-              System on_sys(machine.config, opts);
-              const Snapshot on = DriveIdle(on_sys, /*fast=*/true, ledger);
+              const Snapshot off =
+                  DriveIdle(*BuildSystem(machine.config, opts, /*spans=*/false), ledger);
+              const Snapshot on =
+                  DriveIdle(*BuildSystem(machine.config, opts, /*spans=*/true), ledger);
               ExpectSnapshotsEqual(off, on);
 
-              // Spans form only on the fast path, only for the translated (cached-variant)
+              // Spans form only when switched on, only for the translated (cached-variant)
               // fetch, only when iterations find no work, and never when a live ledger
               // must record each iteration's idle_zero scope.
               EXPECT_EQ(off.idle_spans, 0u);
@@ -214,11 +221,11 @@ TEST(IdleFastForwardTest, NeverEngagesWithAFaultInjectorAttached) {
     OptimizationConfig opts = OptimizationConfig::AllOptimizations();
     opts.uncached_idle_task = uncached_idle;
     opts.idle_zombie_reclaim = false;
-    auto run = [&](bool fast) {
+    auto run = [&](bool spans) {
       FaultInjector injector(17);
       injector.Enable(FaultClass::kSpuriousTlbFlush, 400);
-      System sys(MachineConfig::Ppc604(185), opts);
-      Snapshot snap = DriveIdle(sys, fast, /*ledger=*/false, &injector);
+      Snapshot snap = DriveIdle(*BuildSystem(MachineConfig::Ppc604(185), opts, spans),
+                                /*ledger=*/false, &injector);
       return std::pair<Snapshot, uint64_t>(snap, injector.Polls(FaultClass::kSpuriousTlbFlush));
     };
     const auto [off, polls_off] = run(false);
@@ -233,7 +240,6 @@ TEST(IdleFastForwardTest, ChunksSpinsPastThirtyTwoBits) {
   // A budget of more than 2^32 iterations must split into chunks and still charge every
   // iteration: one fetch translation, one I-cache hit and one iteration's cycles each.
   System sys(MachineConfig::Ppc604(185), OptimizationConfig::Baseline());
-  sys.mmu().SetFastPathEnabled(true);
   Kernel& kernel = sys.kernel();
   kernel.RunIdle(Cycles(10'000));  // warm the fetch line and its translation
   const Cycles before = sys.machine().Now();

@@ -94,7 +94,7 @@ TEST(MmuLintFixtures, DeterminismRulesFireAtStagedLines) {
 
 TEST(MmuLintFixtures, HotPathRulesFireAtStagedLines) {
   // hash_table.cc's Grow() uses `new` outside any registered hot function and must stay
-  // quiet; the missing Tlb::TouchLru must be reported so the rule table cannot rot.
+  // quiet; the missing Tlb::ProbePtr must be reported so the rule table cannot rot.
   ExpectExactly(RunFixture("hotpath", "HOT"),
                 {
                     {"src/mmu/bat.h", 5, "HOT-ATTR-026"},
@@ -111,8 +111,9 @@ TEST(MmuLintFixtures, HotPathRulesFireAtStagedLines) {
 
 TEST(MmuLintFixtures, SpanValidityRulesFireAtStagedLines) {
   // AccessRun in the hotpath fixture stages both forbidden span-validity inputs: pointer
-  // identity (reinterpret_cast) and wall-clock time (clock_gettime). The clean FastGen in
-  // mmu.h and the registered-but-clean run bodies must stay quiet.
+  // identity (reinterpret_cast) and wall-clock time (clock_gettime). The same cast in
+  // mmu.h, outside any registered body, and the registered-but-clean ReplaySpan must stay
+  // quiet.
   ExpectExactly(RunFixture("hotpath", "SPAN"),
                 {
                     {"src/mmu/mmu.cc", 23, "SPAN-GEN-027"},
@@ -133,11 +134,10 @@ TEST(MmuLintFixtures, SmpIpiRuleFiresAtStagedLines) {
 
 TEST(MmuLintFixtures, FlushContractFiresAtStagedLines) {
   // ZapFlushed (same-body tlbie), ZapVia (flush one call-graph hop down) and ZapDeferred
-  // (annotated with a reason) must all stay quiet; the bare insert, the reason-less
-  // marker, and the self-flushing SegmentRegs::Set without a generation_ bump must not.
+  // (annotated with a reason) must all stay quiet; the bare insert and the reason-less
+  // marker must not.
   ExpectExactly(RunFixture("flushcontract", "FLUSH"),
                 {
-                    {"src/mmu/segment_regs.cc", 3, "FLUSH-CONTRACT-029"},
                     {"src/mmu/zapper.cc", 7, "FLUSH-CONTRACT-029"},
                     {"src/mmu/zapper.cc", 35, "FLUSH-CONTRACT-029"},
                     {"src/mmu/zapper.cc", 36, "FLUSH-CONTRACT-029"},

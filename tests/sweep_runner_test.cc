@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -102,76 +101,6 @@ TEST(SweepRunnerTest, MoreThreadsThanItemsIsFine) {
 TEST(SweepRunnerTest, ExplicitThreadCountIsHonored) {
   EXPECT_EQ(SweepRunner(3).threads(), 3u);
   EXPECT_GE(SweepRunner().threads(), 1u);  // auto: env override or hardware_concurrency
-}
-
-TEST(SweepRunnerShardTest, ShardedMatchesMapOnPlainFunctions) {
-  SweepRunner runner(1);
-  const auto square = [](size_t i) { return i * i; };
-  const std::vector<size_t> expected = runner.Map(37, square);
-  for (const unsigned shards : {1u, 2u, 3u, 8u, 64u}) {
-    EXPECT_EQ(runner.MapSharded(37, shards, square), expected) << shards << " shards";
-  }
-}
-
-TEST(SweepRunnerShardTest, ShardedMatchesSerialOnRealSimulations) {
-  // Same contract as the thread pool: forked shards run identical deterministic
-  // simulations, so the merged results are byte-identical to a serial sweep.
-  const auto simulate = [](size_t i) {
-    System sys(MachineConfig::Ppc604(133 + static_cast<uint32_t>(i)),
-               OptimizationConfig::AllOptimizations());
-    Kernel& kernel = sys.kernel();
-    const TaskId t = kernel.CreateTask("t");
-    kernel.Exec(t, ExecImage{.text_pages = 2, .data_pages = 24, .stack_pages = 2});
-    kernel.SwitchTo(t);
-    kernel.UserTouchRun(EffAddr(kUserDataBase), kPageSize, 24, AccessKind::kStore);
-    return sys.counters().cycles;
-  };
-  SweepRunner runner(1);
-  const std::vector<uint64_t> serial = runner.Map(8, simulate);
-  const std::vector<uint64_t> sharded = runner.MapSharded(8, 3, simulate);
-  EXPECT_EQ(serial, sharded);
-}
-
-TEST(SweepRunnerShardTest, DeadShardSurfacesAsError) {
-#ifdef __unix__
-  SweepRunner runner(1);
-  EXPECT_THROW(runner.MapSharded(8, 2,
-                                 [](size_t i) -> int {
-                                   if (i == 5) {
-                                     _exit(7);  // a shard crashing mid-sweep
-                                   }
-                                   return static_cast<int>(i);
-                                 }),
-               std::runtime_error);
-#endif
-}
-
-TEST(SweepRunnerShardTest, SingleShardAndSingleItemRunInProcess) {
-  // shards <= 1 (the PPCMM_SWEEP_SHARDS default) must not fork: side effects written by
-  // the callback stay visible in this process.
-  SweepRunner runner(1);
-  int witnessed = 0;
-  runner.MapSharded(4, 1, [&](size_t i) {
-    ++witnessed;
-    return static_cast<int>(i);
-  });
-  EXPECT_EQ(witnessed, 4);
-  witnessed = 0;
-  runner.MapSharded(1, 8, [&](size_t i) {
-    ++witnessed;
-    return static_cast<int>(i);
-  });
-  EXPECT_EQ(witnessed, 1);
-}
-
-TEST(SweepRunnerShardTest, DefaultShardsIsOneUnlessAskedFor) {
-  // Fork-based sharding stays opt-in (PPCMM_SWEEP_SHARDS / --shards); the tests run with
-  // the variable unset.
-  if (std::getenv("PPCMM_SWEEP_SHARDS") == nullptr) {
-    EXPECT_EQ(SweepRunner::DefaultShards(), 1u);
-  } else {
-    EXPECT_GE(SweepRunner::DefaultShards(), 1u);
-  }
 }
 
 }  // namespace

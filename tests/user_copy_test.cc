@@ -1,7 +1,7 @@
 // Page-batched user copies: Kernel::CopyUserKernel replays each user page's remaining
 // lines through one Mmu::ReplaySpan after the first line's UserTouch, and that must be
 // bit-identical to translating every line. FileRead, FileWrite, PipeRead and PipeWrite run
-// with the host fast path off (the per-line reference) and on, over unaligned buffers and
+// with translation spans off (the per-line reference) and on, over unaligned buffers and
 // lengths, page-crossing copies, pipe ring wraps, demand faults and a COW-shared
 // destination after Fork; counters, cache stats, cycles, ledger cells and the copied bytes
 // must all match.
@@ -37,8 +37,7 @@ void AppendUserBytes(Kernel& kernel, TaskId task, EffAddr ea, uint32_t len,
   }
 }
 
-Outcome DriveCopies(System& sys, bool fast, bool ledger) {
-  sys.mmu().SetFastPathEnabled(fast);
+Outcome DriveCopies(System& sys, bool ledger) {
   sys.machine().attr().SetEnabled(ledger);
   Kernel& kernel = sys.kernel();
   const TaskId a = kernel.CreateTask("a");
@@ -128,10 +127,13 @@ TEST(UserCopyTest, PageBatchedCopiesAreBitIdentical) {
   for (const CopyCase& c : Cases()) {
     for (const bool ledger : {false, true}) {
       SCOPED_TRACE(std::string(c.name) + (ledger ? "/ledger" : ""));
-      System off_sys(c.machine, c.opts);
-      const Outcome off = DriveCopies(off_sys, /*fast=*/false, ledger);
-      System on_sys(c.machine, c.opts);
-      const Outcome on = DriveCopies(on_sys, /*fast=*/true, ledger);
+      const auto drive = [&](bool spans) {
+        const ScopedSpanDefault spans_default(spans);
+        System sys(c.machine, c.opts);
+        return DriveCopies(sys, ledger);
+      };
+      const Outcome off = drive(false);
+      const Outcome on = drive(true);
 
       off.counters.ForEachField([&](const char* name, uint64_t value_off, bool) {
         on.counters.ForEachField([&](const char* on_name, uint64_t value_on, bool) {

@@ -9,14 +9,13 @@ struct CleanMmu {
   }
   void InstallTlbEntry(unsigned ea) { last_ = ea; }
   unsigned AccessRun(unsigned ea, unsigned n) {
-    // Span replay: valid only while the generation combiner matches the memo.
-    for (unsigned i = 0; i < n && gen_ == memo_gen_; ++i) {
+    // Span replay: valid only while the side-effect-free probe finds the page resident.
+    for (unsigned i = 0; i < n && resident_ == ea; ++i) {
       last_ = ea + i;
     }
     return last_;
   }
-  unsigned ReplaySpan(unsigned ea, unsigned n) { return gen_ == memo_gen_ ? ea + n : 0; }
+  unsigned ReplaySpan(unsigned ea, unsigned n) { return resident_ == ea ? ea + n : 0; }
   unsigned last_ = 0;
-  unsigned gen_ = 0;
-  unsigned memo_gen_ = 0;
+  unsigned resident_ = 0;
 };

@@ -1,8 +1,3 @@
 // Clean fixture stub.
 #include "src/sim/types.h"
-struct CleanMmuH {
-  unsigned FastGen() const { return seg_gen_ + ibat_gen_ + dbat_gen_; }
-  unsigned seg_gen_ = 0;
-  unsigned ibat_gen_ = 0;
-  unsigned dbat_gen_ = 0;
-};
+struct CleanMmuH {};

@@ -1,7 +1,5 @@
-// Fixture: a clean span-validity generation combiner — sums counters, nothing else.
+// Fixture: a decoy outside the registered span-validity bodies — the same pointer cast
+// that fires inside Mmu::AccessRun must stay quiet here.
 struct FixtureMmuH {
-  unsigned FastGen() const { return seg_gen_ + ibat_gen_ + dbat_gen_; }
-  unsigned seg_gen_ = 0;
-  unsigned ibat_gen_ = 0;
-  unsigned dbat_gen_ = 0;
+  unsigned Stamp() const { return unsigned(reinterpret_cast<unsigned long>(this)); }
 };

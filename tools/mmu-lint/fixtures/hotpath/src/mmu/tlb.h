@@ -1,4 +1,4 @@
-// Fixture: the pure-translation tier dispatching into the PTE tree; TouchLru is
+// Fixture: the pure-translation tier dispatching into the PTE tree; ProbePtr is
 // deliberately missing so HOT-MISSING-025 proves the rule table cannot rot silently.
 struct FixtureTlb {
   const unsigned* LookupPtr(unsigned vp) {

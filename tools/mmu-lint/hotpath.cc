@@ -134,8 +134,8 @@ void CheckHotPaths(const LintConfig& config, const Tree& tree, std::vector<Diagn
     CheckBody(config, it->second, fn, begin, end, out);
   }
 
-  // SPAN-GEN-027: the registered span-validity bodies must derive validity from
-  // generation counters alone — no wall-clock reads, no pointer identity smuggled in
+  // SPAN-GEN-027: the registered span-validity bodies must derive validity from a
+  // side-effect-free lookup alone — no wall-clock reads, no pointer identity smuggled in
   // through casts. Missing bodies rot the table exactly like hot functions, so they fall
   // under HOT-MISSING-025 too.
   for (const HotFunction& fn : SpanValidityFunctions()) {

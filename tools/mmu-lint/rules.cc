@@ -98,7 +98,7 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/sim/cache.cc", "Cache", "SweepLinePairs", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.cc", "Cache", "Sweep", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/tlb.h", "Tlb", "LookupPtr", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/tlb.h", "Tlb", "TouchLru", {"WalkPte", "MarkPteDirty"}},
+      {"src/mmu/tlb.h", "Tlb", "ProbePtr", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/tlb.h", "Tlb", "TouchLruRun", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/hash_table.cc", "HashTable", "Search", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/mmu.cc", "Mmu", "Access", {"WalkPte"}},
@@ -112,13 +112,12 @@ const std::vector<HotFunction>& HotFunctions() {
 }
 
 const std::vector<HotFunction>& SpanValidityFunctions() {
-  // The places a translation span is judged valid: the shared replay gate ReplaySpan, its
-  // caller AccessRun, and the generation combiner every memo comparison keys off.
-  // banned_virtual is unused here (the PTE-tree bans live in the HotFunctions() entries).
+  // The places a translation span is judged valid: the shared replay gate ReplaySpan and
+  // its caller AccessRun. banned_virtual is unused here (the PTE-tree bans live in the
+  // HotFunctions() entries).
   static const std::vector<HotFunction> kSpan = {
       {"src/mmu/mmu.cc", "Mmu", "AccessRun", {}},
       {"src/mmu/mmu.cc", "Mmu", "ReplaySpan", {}},
-      {"src/mmu/mmu.h", "Mmu", "FastGen", {}},
   };
   return kSpan;
 }
@@ -126,23 +125,23 @@ const std::vector<HotFunction>& SpanValidityFunctions() {
 const std::vector<BannedIdent>& SpanValidityBans() {
   static const std::vector<BannedIdent> kBans = {
       {"SPAN-GEN-027", "reinterpret_cast", "pointer identity laundered into span validity",
-       "key validity off segment/BAT/TLB generation counters, never off addresses"},
+       "validity comes from a side-effect-free lookup, never from addresses"},
       {"SPAN-GEN-027", "uintptr_t", "pointer identity laundered into span validity",
-       "key validity off segment/BAT/TLB generation counters, never off addresses"},
+       "validity comes from a side-effect-free lookup, never from addresses"},
       {"SPAN-GEN-027", "intptr_t", "pointer identity laundered into span validity",
-       "key validity off segment/BAT/TLB generation counters, never off addresses"},
+       "validity comes from a side-effect-free lookup, never from addresses"},
       {"SPAN-GEN-027", "system_clock", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "validity comes from a side-effect-free lookup, not time"},
       {"SPAN-GEN-027", "steady_clock", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "validity comes from a side-effect-free lookup, not time"},
       {"SPAN-GEN-027", "high_resolution_clock", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "validity comes from a side-effect-free lookup, not time"},
       {"SPAN-GEN-027", "clock_gettime", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "validity comes from a side-effect-free lookup, not time"},
       {"SPAN-GEN-027", "gettimeofday", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "validity comes from a side-effect-free lookup, not time"},
       {"SPAN-GEN-027", "timespec_get", "wall-clock time in span validity",
-       "spans invalidate via generation counters, not time"},
+       "validity comes from a side-effect-free lookup, not time"},
   };
   return kBans;
 }
@@ -290,20 +289,19 @@ const std::vector<FlushMutator>& FlushMutators() {
   // PageTable::Map is deliberately absent: mapping a previously-invalid page cannot leave
   // a stale positive translation in any TLB (the paper's invariant concerns entries that
   // were visible). HashTable::MarkChanged only sets the C bit, which is a strengthening
-  // write the TLBs already agree with.
+  // write the TLBs already agree with. The segment registers are absent too: TLB entries
+  // are tagged by VSID, so rewriting a register cannot make a stale entry reachable, and
+  // translation spans re-read the registers on every lookup.
   static const std::vector<FlushMutator> kMutators = {
-      {"PageTable::Update", "the PTE tree", false,
+      {"PageTable::Update", "the PTE tree",
        "pair the PTE write with FlushEngine::FlushPage/FlushRange (src/kernel/flush.cc), "
        "which runs tlbie plus the IPI shootdown round"},
-      {"PageTable::Unmap", "the PTE tree", false,
+      {"PageTable::Unmap", "the PTE tree",
        "pair the PTE write with FlushEngine::FlushPage/FlushRange (src/kernel/flush.cc), "
        "which runs tlbie plus the IPI shootdown round"},
-      {"HashTable::Insert", "the HTAB", false,
+      {"HashTable::Insert", "the HTAB",
        "invalidate the displaced translation via Mmu::TlbInvalidatePage (tlbie) or route "
        "the update through FlushEngine (src/kernel/flush.cc)"},
-      {"SegmentRegs::Set", "the segment registers", true, ""},
-      {"SegmentRegs::LoadAll", "the segment registers", true, ""},
-      {"SegmentRegs::LoadUserSegments", "the segment registers", true, ""},
   };
   return kMutators;
 }
@@ -416,7 +414,7 @@ std::vector<std::pair<std::string, std::string>> ListRules() {
                           "table says it does"},
       {"HOT-ATTR-026", "no direct MetricsRegistry/BenchReport/cycle-ledger access in hot "
                        "headers; attribution goes through CycleScope only"},
-      {"SPAN-GEN-027", "translation-span validity may key only off generation counters — "
+      {"SPAN-GEN-027", "translation-span validity comes from a side-effect-free lookup — "
                        "no wall-clock reads or pointer-identity laundering in the "
                        "registered span-validity bodies"},
       {"SMP-IPI-028", "no direct cross-CPU TLB mutation (Mmu::ShootdownInvalidate*) outside "

@@ -73,12 +73,11 @@ const std::vector<HotFunction>& HotFunctions();
 // Globally banned inside every hot function body, with the rule that fires.
 const std::vector<BannedIdent>& HotPathBans();
 
-// SPAN-GEN-027: translation-span validity may key only off generation counters. The
-// registered span-validity bodies (the Mmu::ReplaySpan gate, its AccessRun caller, and the
-// FastGen combiner they compare against) must not consult wall-clock time or launder
-// pointer identity into validity state — a recycled TlbEntry at the same address must
-// still invalidate the span. Missing registered bodies fall under HOT-MISSING-025 like the
-// hot functions.
+// SPAN-GEN-027: translation-span validity comes from a side-effect-free lookup. The
+// registered span-validity bodies (the Mmu::ReplaySpan gate and its AccessRun caller) must
+// not consult wall-clock time or launder pointer identity into validity state — a recycled
+// TlbEntry at the same address must still be judged by its tag. Missing registered bodies
+// fall under HOT-MISSING-025 like the hot functions.
 const std::vector<HotFunction>& SpanValidityFunctions();
 const std::vector<BannedIdent>& SpanValidityBans();
 
@@ -119,9 +118,6 @@ const std::vector<ReceiverType>& MethodReturnTypes();
 struct FlushMutator {
   std::string id;         // call-graph node id, e.g. "PageTable::Update"
   std::string structure;  // what it writes, for the diagnostic
-  // Self-flushing mutators carry their own invalidation (a generation bump in their body);
-  // callers owe nothing, but the body is verified to actually contain `generation_`.
-  bool self_flushing = false;
   std::string flush_hint;  // fix text naming the nearest flush primitive
 };
 const std::vector<FlushMutator>& FlushMutators();
