@@ -48,30 +48,17 @@ void FlushEngine::FlushContext(Mm& mm, bool mm_is_current) {
 }
 
 void FlushEngine::EagerFlushPage(Mm& mm, EffAddr ea) {
-  HwCounters& counters = mmu_.machine().counters();
   // The flush loop body around each page (address arithmetic, bounds checks).
   mmu_.machine().AddCycles(Cycles(8));
   if (mmu_.policy().UsesHtab()) {
     const VirtPage vp{.vsid = vsids_.UserVsid(mm.context, ea.SegmentIndex()),
                       .page_index = ea.PageIndex()};
     DataMemCharger charger = mmu_.PageTableCharger();
-    // Count the references the search makes for the §7 statistics while charging them.
-    class CountingCharger : public MemCharger {
-     public:
-      CountingCharger(MemCharger& inner, uint64_t& count) : inner_(inner), count_(count) {}
-      void Charge(PhysAddr pa, bool is_write) override {
-        ++count_;
-        inner_.Charge(pa, is_write);
-      }
-
-     private:
-      MemCharger& inner_;
-      uint64_t& count_;
-    } counting(charger, counters.htab_flush_memory_refs);
-    const std::optional<HashedPte> invalidated = mmu_.htab().InvalidatePage(vp, counting);
+    const HtabSearchResult invalidated = mmu_.htab().InvalidatePage(vp, charger);
+    mmu_.machine().counters().htab_flush_memory_refs += invalidated.memory_refs;
     // Deferred dirty scheme: the C bit accumulated in the HTAB must survive in the Linux
     // PTE (with eager marking the PTE was already dirtied at fault/reload time).
-    if (invalidated.has_value() && invalidated->changed) {
+    if (invalidated.found && invalidated.pte.changed) {
       const std::optional<LinuxPte> pte = mm.page_table->LookupQuiet(ea);
       if (pte.has_value() && pte->present && !pte->dirty) {
         mm.page_table->Update(ea, [](LinuxPte& p) { p.dirty = true; }, &charger);

@@ -679,28 +679,15 @@ void Kernel::ReleaseRange(Mm& mm, uint32_t start_page, uint32_t page_count) {
 }
 
 void Kernel::FileRead(FileId file, uint32_t offset_bytes, uint32_t length, EffAddr user_dst) {
-  CycleScope io_scope(machine_, AttrCause::kFileIo);
-  ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kFileIo);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
-                                                       : costs_.syscall_body_unopt));
-  uint32_t done = 0;
-  while (done < length) {
-    const uint32_t file_page = (offset_bytes + done) >> kPageShift;
-    const uint32_t in_page = (offset_bytes + done) & kPageOffsetMask;
-    const uint32_t chunk = std::min(length - done, kPageSize - in_page);
-    bool miss = false;
-    const uint32_t frame = page_cache_.GetPage(file, file_page, &miss);
-    if (miss) {
-      SimulateIoWait(Cycles(costs_.disk_latency_cycles));
-    }
-    CopyUserKernel(user_dst + done, PhysAddr::FromFrame(frame, in_page), chunk,
-                   /*to_user=*/true);
-    done += chunk;
-  }
+  FileIo(file, offset_bytes, length, user_dst, /*to_user=*/true);
 }
 
 void Kernel::FileWrite(FileId file, uint32_t offset_bytes, uint32_t length, EffAddr user_src) {
+  FileIo(file, offset_bytes, length, user_src, /*to_user=*/false);
+}
+
+void Kernel::FileIo(FileId file, uint32_t offset_bytes, uint32_t length, EffAddr user,
+                    bool to_user) {
   CycleScope io_scope(machine_, AttrCause::kFileIo);
   ++machine_.counters().syscalls;
   ChargeKernelWork(KernelOp::kFileIo);
@@ -716,8 +703,7 @@ void Kernel::FileWrite(FileId file, uint32_t offset_bytes, uint32_t length, EffA
     if (miss) {
       SimulateIoWait(Cycles(costs_.disk_latency_cycles));
     }
-    CopyUserKernel(user_src + done, PhysAddr::FromFrame(frame, in_page), chunk,
-                   /*to_user=*/false);
+    CopyUserKernel(user + done, PhysAddr::FromFrame(frame, in_page), chunk, to_user);
     done += chunk;
   }
 }
@@ -927,23 +913,32 @@ void Kernel::PipeReadBlocking(uint32_t pipe_id, EffAddr user_dst, uint32_t lengt
 
 // ---- user-mode execution ----
 
+void Kernel::RepairFault(Task& task, EffAddr ea, AccessKind kind, AccessOutcome outcome) {
+  switch (outcome) {
+    case AccessOutcome::kOk:
+      PPCMM_CHECK_MSG(false, "no fault to repair at 0x" << std::hex << ea.value);
+      break;
+    case AccessOutcome::kPageFault:
+      HandlePageFault(task, ea, kind);
+      break;
+    case AccessOutcome::kProtectionFault: {
+      const std::optional<LinuxPte> pte = task.mm->page_table->LookupQuiet(ea);
+      PPCMM_CHECK_MSG(pte.has_value() && pte->present && pte->cow,
+                      "write to a genuinely read-only mapping at 0x" << std::hex << ea.value);
+      HandleCowFault(task, ea);
+      break;
+    }
+  }
+}
+
 void Kernel::UserTouch(EffAddr ea, AccessKind kind) {
   Task& current = CurrentTask();
   for (uint32_t attempt = 0; attempt < 8; ++attempt) {
-    switch (mmu_->Access(ea, kind)) {
-      case AccessOutcome::kOk:
-        return;
-      case AccessOutcome::kPageFault:
-        HandlePageFault(current, ea, kind);
-        break;
-      case AccessOutcome::kProtectionFault: {
-        const std::optional<LinuxPte> pte = current.mm->page_table->LookupQuiet(ea);
-        PPCMM_CHECK_MSG(pte.has_value() && pte->present && pte->cow,
-                        "write to a genuinely read-only mapping at 0x" << std::hex << ea.value);
-        HandleCowFault(current, ea);
-        break;
-      }
+    const AccessOutcome outcome = mmu_->Access(ea, kind);
+    if (outcome == AccessOutcome::kOk) {
+      return;
     }
+    RepairFault(current, ea, kind, outcome);
   }
   PPCMM_CHECK_MSG(false, "fault loop did not converge at 0x" << std::hex << ea.value);
 }
@@ -967,21 +962,7 @@ void Kernel::UserTouchRun(EffAddr start, uint32_t stride, uint32_t count, Access
     // The run stopped on a fault at access `done`; repair exactly as UserTouch would and
     // resume the run from the faulting access.
     const EffAddr ea = start + done * stride;
-    switch (outcome) {
-      case AccessOutcome::kOk:
-        PPCMM_CHECK_MSG(false, "AccessRun stopped short without a fault");
-        break;
-      case AccessOutcome::kPageFault:
-        HandlePageFault(current, ea, kind);
-        break;
-      case AccessOutcome::kProtectionFault: {
-        const std::optional<LinuxPte> pte = current.mm->page_table->LookupQuiet(ea);
-        PPCMM_CHECK_MSG(pte.has_value() && pte->present && pte->cow,
-                        "write to a genuinely read-only mapping at 0x" << std::hex << ea.value);
-        HandleCowFault(current, ea);
-        break;
-      }
-    }
+    RepairFault(current, ea, kind, outcome);
     ++attempts;
     PPCMM_CHECK_MSG(attempts < 8, "fault loop did not converge at 0x" << std::hex << ea.value);
   }
@@ -1127,7 +1108,7 @@ void Kernel::HandlePageFault(Task& task, EffAddr ea, AccessKind kind) {
   // no store will ever trap to set the Linux dirty bit — it must be set here, at fault time,
   // even when the faulting access is a load. Otherwise the first store is invisible and the
   // dirty bit is lost (the §7 trade the paper accepts: eager marking over-reports dirtiness).
-  const bool eager_marking = config_.eager_dirty_marking || config_.lazy_context_flush;
+  const bool eager_marking = mmu_->policy().eager_dirty_marking;
   const auto finalize_dirty = [eager_marking](LinuxPte& p) {
     p.dirty = p.dirty || (eager_marking && p.writable);
   };
@@ -1345,42 +1326,39 @@ void Kernel::ChargeKernelWork(KernelOp op) {
   }
 }
 
-void Kernel::MarkPteDirty(EffAddr ea, MemCharger& charger) {
-  // mmu-lint-deferred-flush(FLUSH-CONTRACT-029): dirty-bit-only update — the translation
-  // (frame, protection) is unchanged, so any cached TLB/HTAB copy remains correct
-  PageTable* table = nullptr;
+std::optional<Kernel::PteRoot> Kernel::RootFor(EffAddr ea) {
   if (ea.IsKernel()) {
-    table = kernel_page_table_.get();
-  } else if (current_.value != 0) {
-    table = CurrentTask().mm->page_table.get();
-  }
-  if (table == nullptr) {
-    return;
-  }
-  const std::optional<LinuxPte> pte = table->LookupQuiet(ea);
-  if (pte.has_value() && pte->present) {
-    table->Update(ea, [](LinuxPte& p) { p.dirty = true; }, &charger);
-  }
-}
-
-std::optional<PteWalkInfo> Kernel::WalkPte(EffAddr ea, MemCharger& charger) {
-  // Load 1 of the paper's three: the PGD pointer out of the task structure.
-  if (ea.IsKernel()) {
-    charger.Charge(PhysAddr(kKernelMiscPhysBase), /*is_write=*/false);
-    const std::optional<LinuxPte> pte = kernel_page_table_->Lookup(ea, charger);
-    if (!pte.has_value() || !pte->present) {
-      return std::nullopt;
-    }
-    return PteWalkInfo{.frame = pte->frame,
-                       .writable = pte->writable,
-                       .cache_inhibited = pte->cache_inhibited};
+    return PteRoot{.table = kernel_page_table_.get(),
+                   .pgd_pointer = PhysAddr(kKernelMiscPhysBase)};
   }
   if (current_.value == 0) {
     return std::nullopt;
   }
   Task& current = CurrentTask();
-  charger.Charge(current.task_struct_pa, /*is_write=*/false);
-  const std::optional<LinuxPte> pte = current.mm->page_table->Lookup(ea, charger);
+  return PteRoot{.table = current.mm->page_table.get(), .pgd_pointer = current.task_struct_pa};
+}
+
+void Kernel::MarkPteDirty(EffAddr ea, MemCharger& charger) {
+  // mmu-lint-deferred-flush(FLUSH-CONTRACT-029): dirty-bit-only update — the translation
+  // (frame, protection) is unchanged, so any cached TLB/HTAB copy remains correct
+  const std::optional<PteRoot> root = RootFor(ea);
+  if (!root.has_value()) {
+    return;
+  }
+  const std::optional<LinuxPte> pte = root->table->LookupQuiet(ea);
+  if (pte.has_value() && pte->present) {
+    root->table->Update(ea, [](LinuxPte& p) { p.dirty = true; }, &charger);
+  }
+}
+
+std::optional<PteWalkInfo> Kernel::WalkPte(EffAddr ea, MemCharger& charger) {
+  const std::optional<PteRoot> root = RootFor(ea);
+  if (!root.has_value()) {
+    return std::nullopt;
+  }
+  // Load 1 of the paper's three: the PGD pointer out of the task structure.
+  charger.Charge(root->pgd_pointer, /*is_write=*/false);
+  const std::optional<LinuxPte> pte = root->table->Lookup(ea, charger);
   if (!pte.has_value() || !pte->present) {
     return std::nullopt;
   }

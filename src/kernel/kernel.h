@@ -305,10 +305,15 @@ class Kernel : public PteBackingSource {
   // Fault injection: seed the HTAB with a burst of just-retired (zombie) PTEs.
   void InjectZombieFlood();
   void HandlePageFault(Task& task, EffAddr ea, AccessKind kind);
+  // Repairs the fault a user access at `ea` stopped on: a page fault, or the COW break a
+  // protection fault must be. The caller retries the access.
+  void RepairFault(Task& task, EffAddr ea, AccessKind kind, AccessOutcome outcome);
   void HandleCowFault(Task& task, EffAddr ea);
   // Copies one frame to another (COW break, private file fault), charged through the data
   // cache.
   void CopyFrameCharged(uint32_t dst_frame, uint32_t src_frame);
+  // read()/write() body: copies `length` bytes between the file and the user buffer.
+  void FileIo(FileId file, uint32_t offset_bytes, uint32_t length, EffAddr user, bool to_user);
   // Copies between a user range and a kernel physical range, charged line by line.
   void CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool to_user);
   // Unmaps PTEs and releases frames in a page range (no flushing; callers flush first).
@@ -316,6 +321,14 @@ class Kernel : public PteBackingSource {
   // Drops one reference to a frame unless it belongs to an I/O aperture.
   void ReleaseFrame(uint32_t frame);
   Task& CurrentTask();
+  // The page table that translates `ea` and the physical address of its PGD pointer (the
+  // first load of a tree walk): the kernel's for kernel addresses, else the current task's;
+  // nullopt when no task is current.
+  struct PteRoot {
+    PageTable* table = nullptr;
+    PhysAddr pgd_pointer;
+  };
+  std::optional<PteRoot> RootFor(EffAddr ea);
 
   Machine& machine_;
   OptimizationConfig config_;

@@ -1,6 +1,7 @@
 #include "src/mmu/hash_table.h"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "src/sim/check.h"
 
@@ -12,6 +13,11 @@ bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 // The 19 low-order VSID bits participate in the architected primary hash.
 constexpr uint32_t kHashVsidMask = 0x7FFFF;
+
+// The slot predicate of a page lookup.
+auto MatchesPage(VirtPage vp) {
+  return [vp](const HashedPte& pte) { return pte.Matches(vp); };
+}
 
 }  // namespace
 
@@ -39,91 +45,35 @@ void HashTable::ChargeSlotReads(MemCharger& charger, uint32_t first, uint32_t en
   }
 }
 
-uint32_t HashTable::ChargeProbes(uint32_t pteg, uint32_t first_hit, MemCharger& charger) const {
-  const uint32_t probed = std::min(first_hit + 1, kPtesPerPteg);
-  ChargeSlotReads(charger, pteg * kPtesPerPteg, pteg * kPtesPerPteg + probed);
-  return probed;
-}
-
-HtabSearchResult HashTable::Search(VirtPage vp, MemCharger& charger) const {
-  HtabSearchResult result;
-  const uint32_t groups[2] = {PrimaryPteg(vp), SecondaryPteg(vp)};
-  for (uint32_t g : groups) {
-    const uint32_t s = FirstSlot(g, [vp](const HashedPte& pte) { return pte.Matches(vp); });
-    result.memory_refs += ChargeProbes(g, s, charger);
+template <typename Pred>
+HashTable::PtegProbe HashTable::ProbePair(VirtPage vp, Pred pred, MemCharger& charger) const {
+  // The host-side scan of a PTEG runs first so its probes (up to and including the slot
+  // found, else all eight) go out as one run.
+  PtegProbe probe;
+  for (const uint32_t g : {PrimaryPteg(vp), SecondaryPteg(vp)}) {
+    uint32_t s = 0;
+    while (s < kPtesPerPteg && !pred(ptegs_[g][s])) {
+      ++s;
+    }
+    const uint32_t probed = std::min(s + 1, kPtesPerPteg);
+    ChargeSlotReads(charger, g * kPtesPerPteg, g * kPtesPerPteg + probed);
+    probe.refs += probed;
     if (s < kPtesPerPteg) {
-      result.found = true;
-      result.pte = ptegs_[g][s];
-      return result;
+      probe.pteg = g;
+      probe.slot = s;
+      break;
     }
   }
-  return result;
+  return probe;
 }
 
-HtabInsertOutcome HashTable::Insert(const HashedPte& pte, const VsidOracle& oracle,
-                                    MemCharger& charger) {
-  PPCMM_CHECK_MSG(pte.valid, "inserting an invalid PTE makes no sense");
-  const uint32_t groups[2] = {PrimaryPteg(pte.virt_page()), SecondaryPteg(pte.virt_page())};
-
-  // Pass 1: look for a free slot, charging a read per probe (the reload code examines each
-  // candidate slot's valid bit).
-  for (uint32_t g : groups) {
-    const uint32_t s = FirstSlot(g, [](const HashedPte& slot) { return !slot.valid; });
-    ChargeProbes(g, s, charger);
-    if (s < kPtesPerPteg) {
-      ptegs_[g][s] = pte;
-      charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-      return HtabInsertOutcome::kFreeSlot;
-    }
-  }
-
-  // Both PTEGs full: replace an arbitrary candidate (round-robin over the 16 slots), exactly
-  // the paper's non-optimal replacement that does not distinguish live PTEs from zombies.
-  const uint32_t pick = replace_cursor_++ % (2 * kPtesPerPteg);
-  const uint32_t g = groups[pick / kPtesPerPteg];
-  const uint32_t s = pick % kPtesPerPteg;
-  const bool victim_live = oracle.IsLive(ptegs_[g][s].vsid);
-  ptegs_[g][s] = pte;
-  charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-  return victim_live ? HtabInsertOutcome::kReplacedLive : HtabInsertOutcome::kReplacedZombie;
-}
-
-std::optional<HashedPte> HashTable::InvalidatePage(VirtPage vp, MemCharger& charger) {
-  const uint32_t groups[2] = {PrimaryPteg(vp), SecondaryPteg(vp)};
-  for (uint32_t g : groups) {
-    const uint32_t s = FirstSlot(g, [vp](const HashedPte& pte) { return pte.Matches(vp); });
-    ChargeProbes(g, s, charger);
-    if (s < kPtesPerPteg) {
-      const HashedPte old = ptegs_[g][s];
-      ptegs_[g][s].valid = false;
-      charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-      return old;
-    }
-  }
-  return std::nullopt;
-}
-
-bool HashTable::MarkChanged(VirtPage vp, MemCharger& charger) {
-  const uint32_t groups[2] = {PrimaryPteg(vp), SecondaryPteg(vp)};
-  for (uint32_t g : groups) {
-    const uint32_t s = FirstSlot(g, [vp](const HashedPte& pte) { return pte.Matches(vp); });
-    ChargeProbes(g, s, charger);
-    if (s < kPtesPerPteg) {
-      ptegs_[g][s].changed = true;
-      charger.Charge(SlotAddr(g, s), /*is_write=*/true);
-      return true;
-    }
-  }
-  return false;
-}
-
-uint32_t HashTable::InvalidateMatching(const std::function<bool(const HashedPte&)>& pred,
-                                       MemCharger* charger) {
-  // Slot addresses are contiguous across PTEGs, so the reads between two invalidations are
-  // one run; `run_start` is the first slot whose read is not yet charged.
+template <typename Pred>
+uint32_t HashTable::SweepSlots(uint32_t first, uint32_t end, Pred pred, MemCharger* charger) {
+  // `run_start` is the first slot whose read is not yet charged: a run ends at a clearing
+  // store, which must land after the reads before it.
   uint32_t cleared = 0;
-  uint32_t run_start = 0;
-  for (uint32_t slot = 0; slot < capacity(); ++slot) {
+  uint32_t run_start = first;
+  for (uint32_t slot = first; slot < end; ++slot) {
     HashedPte& pte = ptegs_[slot / kPtesPerPteg][slot % kPtesPerPteg];
     if (pte.valid && pred(pte)) {
       pte.valid = false;
@@ -136,9 +86,68 @@ uint32_t HashTable::InvalidateMatching(const std::function<bool(const HashedPte&
     }
   }
   if (charger != nullptr) {
-    ChargeSlotReads(*charger, run_start, capacity());
+    ChargeSlotReads(*charger, run_start, end);
   }
   return cleared;
+}
+
+HtabSearchResult HashTable::Search(VirtPage vp, MemCharger& charger) const {
+  const PtegProbe probe = ProbePair(vp, MatchesPage(vp), charger);
+  if (!probe.found()) {
+    return HtabSearchResult{.memory_refs = probe.refs};
+  }
+  return HtabSearchResult{
+      .found = true, .pte = ptegs_[probe.pteg][probe.slot], .memory_refs = probe.refs};
+}
+
+HtabInsertOutcome HashTable::Insert(const HashedPte& pte, const VsidOracle& oracle,
+                                    MemCharger& charger) {
+  PPCMM_CHECK_MSG(pte.valid, "inserting an invalid PTE makes no sense");
+  const VirtPage vp = pte.virt_page();
+  // Look for a free slot, charging a read per probe (the reload code examines each
+  // candidate slot's valid bit).
+  PtegProbe target = ProbePair(vp, [](const HashedPte& slot) { return !slot.valid; }, charger);
+  HtabInsertOutcome outcome = HtabInsertOutcome::kFreeSlot;
+  if (!target.found()) {
+    // Both PTEGs full: replace an arbitrary candidate (round-robin over the 16 slots),
+    // exactly the paper's non-optimal replacement that does not distinguish live PTEs from
+    // zombies.
+    const uint32_t pick = replace_cursor_++ % (2 * kPtesPerPteg);
+    target.pteg = pick < kPtesPerPteg ? PrimaryPteg(vp) : SecondaryPteg(vp);
+    target.slot = pick % kPtesPerPteg;
+    outcome = oracle.IsLive(ptegs_[target.pteg][target.slot].vsid)
+                  ? HtabInsertOutcome::kReplacedLive
+                  : HtabInsertOutcome::kReplacedZombie;
+  }
+  ptegs_[target.pteg][target.slot] = pte;
+  charger.Charge(SlotAddr(target.pteg, target.slot), /*is_write=*/true);
+  return outcome;
+}
+
+HtabSearchResult HashTable::InvalidatePage(VirtPage vp, MemCharger& charger) {
+  const PtegProbe probe = ProbePair(vp, MatchesPage(vp), charger);
+  if (!probe.found()) {
+    return HtabSearchResult{.memory_refs = probe.refs};
+  }
+  HashedPte& slot = ptegs_[probe.pteg][probe.slot];
+  const HtabSearchResult cleared{.found = true, .pte = slot, .memory_refs = probe.refs + 1};
+  slot.valid = false;
+  charger.Charge(SlotAddr(probe.pteg, probe.slot), /*is_write=*/true);
+  return cleared;
+}
+
+bool HashTable::MarkChanged(VirtPage vp, MemCharger& charger) {
+  const PtegProbe probe = ProbePair(vp, MatchesPage(vp), charger);
+  if (probe.found()) {
+    ptegs_[probe.pteg][probe.slot].changed = true;
+    charger.Charge(SlotAddr(probe.pteg, probe.slot), /*is_write=*/true);
+  }
+  return probe.found();
+}
+
+uint32_t HashTable::InvalidateMatching(const std::function<bool(const HashedPte&)>& pred,
+                                       MemCharger* charger) {
+  return SweepSlots(0, capacity(), pred, charger);
 }
 
 uint32_t HashTable::InvalidatePteg(uint32_t pteg, MemCharger* charger) {
@@ -159,32 +168,16 @@ uint32_t HashTable::InvalidatePteg(uint32_t pteg, MemCharger* charger) {
 
 uint32_t HashTable::ReclaimZombies(uint32_t max_ptegs, const VsidOracle& oracle,
                                    MemCharger& charger) {
-  // The scan's slot reads are charged as maximal runs starting at `run_start`: a run ends
-  // at a reclaim write, which must land after the reads before it, and where the cursor
-  // wraps to PTEG 0, where the addresses stop being contiguous.
-  uint32_t reclaimed = 0;
-  const uint32_t limit = std::min(max_ptegs, num_ptegs());
-  uint32_t run_start = reclaim_cursor_ * kPtesPerPteg;
-  for (uint32_t i = 0; i < limit; ++i) {
-    const uint32_t g = reclaim_cursor_;
-    reclaim_cursor_ = (reclaim_cursor_ + 1) & hash_mask_;
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      HashedPte& pte = ptegs_[g][s];
-      if (pte.valid && !oracle.IsLive(pte.vsid)) {
-        pte.valid = false;
-        ++reclaimed;
-        const uint32_t slot = g * kPtesPerPteg + s;
-        ChargeSlotReads(charger, run_start, slot + 1);
-        charger.Charge(base_ + slot * kPteBytes, /*is_write=*/true);
-        run_start = slot + 1;
-      }
-    }
-    if (reclaim_cursor_ == 0) {
-      ChargeSlotReads(charger, run_start, capacity());
-      run_start = 0;
-    }
+  // The scan starts at the cursor and wraps to PTEG 0 at most once; slot addresses stop
+  // being contiguous at the wrap, so each side is its own sweep.
+  const auto zombie = [&oracle](const HashedPte& pte) { return !oracle.IsLive(pte.vsid); };
+  const uint32_t stop = reclaim_cursor_ + std::min(max_ptegs, num_ptegs());
+  uint32_t reclaimed = SweepSlots(reclaim_cursor_ * kPtesPerPteg,
+                                  std::min(stop, num_ptegs()) * kPtesPerPteg, zombie, &charger);
+  if (stop > num_ptegs()) {
+    reclaimed += SweepSlots(0, (stop - num_ptegs()) * kPtesPerPteg, zombie, &charger);
   }
-  ChargeSlotReads(charger, run_start, reclaim_cursor_ * kPtesPerPteg);
+  reclaim_cursor_ = stop & hash_mask_;
   return reclaimed;
 }
 

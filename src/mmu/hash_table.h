@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "src/sim/addr.h"
@@ -35,11 +34,11 @@ enum class HtabInsertOutcome {
   kReplacedLive,    // displaced a valid PTE of a live context (a real evict)
 };
 
-// Result of a search.
+// Result of a search (or of InvalidatePage, which reports the entry it cleared).
 struct HtabSearchResult {
   bool found = false;
   HashedPte pte;          // valid only when found
-  uint32_t memory_refs = 0;  // slots probed (each charged to the MemCharger)
+  uint32_t memory_refs = 0;  // references charged to the MemCharger
 };
 
 // The hashed page table.
@@ -71,9 +70,10 @@ class HashTable {
   HtabInsertOutcome Insert(const HashedPte& pte, const VsidOracle& oracle, MemCharger& charger);
 
   // Searches both PTEGs for `vp` and clears its valid bit. Returns the entry that was
-  // invalidated (so the caller can propagate its R/C bits back to the Linux PTE), or
-  // nullopt. This is the expensive per-page flush: up to 16 charged references.
-  std::optional<HashedPte> InvalidatePage(VirtPage vp, MemCharger& charger);
+  // invalidated, if any (so the caller can propagate its R/C bits back to the Linux PTE),
+  // and the references charged: the probes plus the clearing store. This is the expensive
+  // per-page flush: 16 references when the page is absent.
+  HtabSearchResult InvalidatePage(VirtPage vp, MemCharger& charger);
 
   // Sets the C (changed) bit on the entry for `vp` (the hardware's deferred store-update).
   // Returns true if the entry was found. Charges the search plus one store.
@@ -110,23 +110,25 @@ class HashTable {
  private:
   using Pteg = std::array<HashedPte, kPtesPerPteg>;
 
-  // Index of the first slot of PTEG `pteg` satisfying `pred`, or kPtesPerPteg when none
-  // does. Scanning the host-side slots first lets the probes be charged as one run.
+  // Where a two-PTEG probe stopped: the first slot satisfying its predicate, primary PTEG
+  // first (slot == kPtesPerPteg when neither PTEG has one), and the slot reads it charged.
+  struct PtegProbe {
+    uint32_t pteg = 0;
+    uint32_t slot = kPtesPerPteg;
+    uint32_t refs = 0;
+    bool found() const { return slot < kPtesPerPteg; }
+  };
+  // The one two-PTEG probe behind Search, Insert, InvalidatePage and MarkChanged.
   template <typename Pred>
-  uint32_t FirstSlot(uint32_t pteg, Pred pred) const {
-    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-      if (pred(ptegs_[pteg][s])) {
-        return s;
-      }
-    }
-    return kPtesPerPteg;
-  }
+  PtegProbe ProbePair(VirtPage vp, Pred pred, MemCharger& charger) const;
+  // The one slot sweep behind InvalidateMatching and ReclaimZombies: clears every valid slot
+  // `pred` selects among flat slots [first, end), charging (when `charger` is non-null) the
+  // slot reads as maximal runs split by the clearing stores. Returns entries cleared.
+  template <typename Pred>
+  uint32_t SweepSlots(uint32_t first, uint32_t end, Pred pred, MemCharger* charger);
   // Charges the reads of slots [first, end) in table order (slot i of PTEG g is flat slot
   // g * 8 + i, and flat slots are contiguous in memory).
   void ChargeSlotReads(MemCharger& charger, uint32_t first, uint32_t end) const;
-  // Charges the probe reads a PTEG search made up to and including `first_hit` (all eight
-  // when it is kPtesPerPteg); returns how many.
-  uint32_t ChargeProbes(uint32_t pteg, uint32_t first_hit, MemCharger& charger) const;
 
   std::vector<Pteg> ptegs_;
   PhysAddr base_;

@@ -119,7 +119,7 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
     if (backing_ != nullptr) {
       backing_->MarkPteDirty(ea, pt_charger);
     }
-    bank_->dtlb.MarkChanged(vp);  // sets entry->changed: stores only come through the DTLB
+    entry->changed = true;  // a store, so `entry` is the DTLB entry for `vp`
   }
 
   const PhysAddr pa = PhysAddr::FromFrame(entry->frame, ea.PageOffset());
@@ -209,8 +209,8 @@ std::optional<PhysAddr> Mmu::Probe(EffAddr ea, AccessKind kind) const {
     return hit->pa;
   }
   const VirtPage vp = bank_->segments.Resolve(ea);
-  // Probe the TLB without touching LRU state by scanning the HTAB and backing instead: the
-  // TLB is a pure cache of those, so consult the HTAB copy first, then the backing source.
+  // Probe must answer for pages the TLB does not hold, so it reads what the TLB caches: the
+  // HTAB copy first, then the backing PTE tree, both through a charger that charges nothing.
   NullMemCharger null_charger;
   if (policy_.UsesHtab()) {
     const HtabSearchResult found = htab_.Search(vp, null_charger);
@@ -234,9 +234,10 @@ std::optional<PteWalkInfo> Mmu::Reload(EffAddr ea, VirtPage vp, AccessKind kind)
   CycleScope reload_scope(machine_, ReloadCause(policy_.strategy, IsInstruction(kind)));
   // An HTAB search under the reload scope, reclassified on return into the depth bucket the
   // probe actually reached: primary-PTEG-only, spilled into the secondary, or a full miss.
-  const auto attributed_search = [&](VirtPage page) {
+  const auto attributed_search = [&]() {
+    ++counters.htab_searches;
     CycleScope search_scope(machine_, AttrCause::kHashSearchPrimary);
-    const HtabSearchResult found = htab_.Search(page, pt_charger);
+    const HtabSearchResult found = htab_.Search(vp, pt_charger);
     if (!found.found) {
       search_scope.Rebind(AttrCause::kHashSearchMiss);
     } else if (found.memory_refs > kPtesPerPteg) {
@@ -244,74 +245,50 @@ std::optional<PteWalkInfo> Mmu::Reload(EffAddr ea, VirtPage vp, AccessKind kind)
     }
     return found;
   };
-
-  switch (policy_.strategy) {
-    case ReloadStrategy::kHardwareHtabWalk: {
-      // The 604 walks the HTAB in hardware: fixed walk overhead plus the charged probes.
-      machine_.AddCycles(Cycles(config.hw_walk_base_cycles));
-      ++counters.htab_searches;
-      const HtabSearchResult found = attributed_search(vp);
-      if (found.found) {
-        ++counters.htab_hits;
-        const PteWalkInfo info{.frame = found.pte.rpn,
-                               .writable = found.pte.writable,
-                               .cache_inhibited = found.pte.cache_inhibited};
-        InstallTlbEntry(ea, vp, info, kind);
-        return info;
-      }
+  // The strategies share one sequence and differ in its entry cost and in whether the HTAB
+  // takes part. Entry: the 604 walks the HTAB in hardware (fixed overhead plus the charged
+  // probes); the 603 takes its TLB-miss interrupt into the software handler.
+  const bool hw_walk = policy_.strategy == ReloadStrategy::kHardwareHtabWalk;
+  if (hw_walk) {
+    machine_.AddCycles(Cycles(config.hw_walk_base_cycles));
+  } else {
+    machine_.AddCycles(Cycles(config.tlb_miss_interrupt_cycles));
+    machine_.AddCycles(Cycles(policy_.HandlerBodyCycles()));
+  }
+  std::optional<PteWalkInfo> info;
+  if (policy_.UsesHtab()) {
+    const HtabSearchResult found = attributed_search();
+    if (found.found) {
+      ++counters.htab_hits;
+      info = PteWalkInfo{.frame = found.pte.rpn,
+                         .writable = found.pte.writable,
+                         .cache_inhibited = found.pte.cache_inhibited};
+    } else {
       ++counters.htab_misses;
-      // Hash-table miss interrupt into the software handler (§5: at least 91 cycles).
-      machine_.AddCycles(Cycles(config.hash_miss_interrupt_cycles));
-      machine_.AddCycles(Cycles(policy_.HandlerBodyCycles()));
-      std::optional<PteWalkInfo> info = SoftwareRefill(ea, vp, /*insert_into_htab=*/true);
-      if (info.has_value()) {
-        // The faulting access retries and the hardware walk now hits the fresh HTAB entry.
-        machine_.AddCycles(Cycles(config.hw_walk_base_cycles));
-        ++counters.htab_searches;
-        ++counters.htab_hits;
-        const HtabSearchResult refound = attributed_search(vp);
-        PPCMM_CHECK_MSG(refound.found, "freshly inserted HTAB entry must be found on retry");
-        InstallTlbEntry(ea, vp, *info, kind);
+      if (hw_walk) {
+        // Hash-table miss interrupt into the software handler (§5: at least 91 cycles).
+        machine_.AddCycles(Cycles(config.hash_miss_interrupt_cycles));
+        machine_.AddCycles(Cycles(policy_.HandlerBodyCycles()));
       }
-      return info;
-    }
-
-    case ReloadStrategy::kSoftwareHtab: {
-      // 603 emulating the 604: software miss handler searches the HTAB.
-      machine_.AddCycles(Cycles(config.tlb_miss_interrupt_cycles));
-      machine_.AddCycles(Cycles(policy_.HandlerBodyCycles()));
-      ++counters.htab_searches;
-      const HtabSearchResult found = attributed_search(vp);
-      if (found.found) {
-        ++counters.htab_hits;
-        const PteWalkInfo info{.frame = found.pte.rpn,
-                               .writable = found.pte.writable,
-                               .cache_inhibited = found.pte.cache_inhibited};
-        InstallTlbEntry(ea, vp, info, kind);
-        return info;
-      }
-      ++counters.htab_misses;
-      std::optional<PteWalkInfo> info = SoftwareRefill(ea, vp, /*insert_into_htab=*/true);
-      if (info.has_value()) {
-        InstallTlbEntry(ea, vp, *info, kind);
-      }
-      return info;
-    }
-
-    case ReloadStrategy::kSoftwareDirect: {
-      // §6.2: no HTAB at all — the miss handler goes straight to the Linux PTE tree,
-      // three loads in the worst case.
-      machine_.AddCycles(Cycles(config.tlb_miss_interrupt_cycles));
-      machine_.AddCycles(Cycles(policy_.HandlerBodyCycles()));
-      std::optional<PteWalkInfo> info = SoftwareRefill(ea, vp, /*insert_into_htab=*/false);
-      if (info.has_value()) {
-        InstallTlbEntry(ea, vp, *info, kind);
-      }
-      return info;
     }
   }
-  PPCMM_CHECK_MSG(false, "unreachable reload strategy");
-  return std::nullopt;
+  if (!info.has_value()) {
+    // §6.2: without an HTAB the handler goes straight to the Linux PTE tree, three loads
+    // in the worst case; with one, the walk refills it.
+    info = SoftwareRefill(ea, vp, /*insert_into_htab=*/policy_.UsesHtab());
+    if (!info.has_value()) {
+      return info;
+    }
+    if (hw_walk) {
+      // The faulting access retries and the hardware walk now hits the fresh HTAB entry.
+      machine_.AddCycles(Cycles(config.hw_walk_base_cycles));
+      ++counters.htab_hits;
+      const bool refound = attributed_search().found;
+      PPCMM_CHECK_MSG(refound, "freshly inserted HTAB entry must be found on retry");
+    }
+  }
+  InstallTlbEntry(ea, vp, *info, kind);
+  return info;
 }
 
 std::optional<PteWalkInfo> Mmu::SoftwareRefill(EffAddr ea, VirtPage vp, bool insert_into_htab) {

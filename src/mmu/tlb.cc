@@ -74,17 +74,6 @@ uint32_t Tlb::InvalidatePage(uint32_t page_index) {
   return cleared;
 }
 
-void Tlb::MarkChanged(VirtPage vp) {
-  TlbEntry* ways = SetBase(SetIndex(vp.page_index));
-  for (uint32_t w = 0; w < associativity_; ++w) {
-    TlbEntry& entry = ways[w];
-    if (entry.valid && entry.vsid == vp.vsid && entry.page_index == vp.page_index) {
-      entry.changed = true;
-      return;
-    }
-  }
-}
-
 void Tlb::InvalidateAll() {
   for (TlbEntry& entry : ways_) {
     entry.valid = false;

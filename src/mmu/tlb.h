@@ -90,9 +90,6 @@ class Tlb {
   // Invalidates every entry (tlbia / full flush).
   void InvalidateAll();
 
-  // Sets the C (changed) bit on the entry for `vp`, if present.
-  void MarkChanged(VirtPage vp);
-
   // Invalidates entries selected by `pred`; returns the count (simulation convenience).
   uint32_t InvalidateMatching(const std::function<bool(const TlbEntry&)>& pred);
 

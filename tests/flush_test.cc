@@ -31,13 +31,19 @@ TEST(FlushTest, EagerMunmapSearchesHtabPerPage) {
   Kernel& kernel = sys.kernel();
   SpawnStd(kernel, "t");
   const uint32_t start = MapAndTouch(kernel, 40);
+  // Every page pays the HTAB search: the probes plus the invalidating store when its entry
+  // is resident, all 16 slots of both PTEGs when it is not.
+  uint64_t expected_refs = 0;
+  for (uint32_t i = 0; i < 40; ++i) {
+    NullMemCharger uncharged;
+    const VirtPage vp = sys.mmu().segments().Resolve(EffAddr::FromPage(start + i));
+    const HtabSearchResult found = sys.mmu().htab().Search(vp, uncharged);
+    expected_refs += found.found ? found.memory_refs + 1 : 2 * kPtesPerPteg;
+  }
   const HwCounters before = sys.counters();
   kernel.Munmap(start, 40);
   const HwCounters delta = sys.counters().Diff(before);
-  // Every page pays the HTAB search: at least a probe plus the invalidating store when the
-  // entry sits early in its PTEG, up to 17 references when it doesn't.
-  EXPECT_GE(delta.htab_flush_memory_refs, 40u * 2u);
-  EXPECT_LE(delta.htab_flush_memory_refs, 40u * 17u);
+  EXPECT_EQ(delta.htab_flush_memory_refs, expected_refs);
   EXPECT_EQ(delta.tlb_context_flushes, 0u);
   EXPECT_EQ(delta.tlb_page_flushes, 40u);
 }
@@ -162,7 +168,7 @@ TEST(FlushTest, RangeFlushBlindlySearchesUnmappedPages) {
   const HwCounters before = sys.counters();
   kernel.Munmap(start, 50);
   const HwCounters delta = sys.counters().Diff(before);
-  EXPECT_GE(delta.htab_flush_memory_refs, 50u * 16u);
+  EXPECT_EQ(delta.htab_flush_memory_refs, 50u * 2 * kPtesPerPteg);
 }
 
 }  // namespace

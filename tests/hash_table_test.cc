@@ -148,11 +148,12 @@ TEST(HashTableTest, InvalidatePageClearsExactlyThatEntry) {
   NullMemCharger charger;
   htab.Insert(MakePte(5, 0x10), oracle, charger);
   htab.Insert(MakePte(5, 0x11), oracle, charger);
-  EXPECT_TRUE(htab.InvalidatePage(VirtPage{.vsid = Vsid(5), .page_index = 0x10}, charger));
-  EXPECT_FALSE(htab.Search(VirtPage{.vsid = Vsid(5), .page_index = 0x10}, charger).found);
+  const VirtPage page{.vsid = Vsid(5), .page_index = 0x10};
+  EXPECT_TRUE(htab.InvalidatePage(page, charger).found);
+  EXPECT_FALSE(htab.Search(page, charger).found);
   EXPECT_TRUE(htab.Search(VirtPage{.vsid = Vsid(5), .page_index = 0x11}, charger).found);
   // Invalidating again finds nothing.
-  EXPECT_FALSE(htab.InvalidatePage(VirtPage{.vsid = Vsid(5), .page_index = 0x10}, charger));
+  EXPECT_FALSE(htab.InvalidatePage(page, charger).found);
 }
 
 TEST(HashTableTest, ReclaimZombiesSweepsOnlyDeadVsids) {

@@ -241,6 +241,97 @@ TEST(MmuTest, ProbeDoesNotChargeOrMutate) {
   EXPECT_FALSE(f.mmu.Probe(EffAddr(0x00020000), AccessKind::kLoad).has_value());
 }
 
+// One TLB miss, end to end. kHtabHit finds the page in slot 0 of its primary PTEG (under
+// kSoftwareDirect there is no HTAB, so it refills from the tree); kTreeRefill finds the
+// HTAB empty; kPageFault misses everywhere.
+enum class MissCase { kHtabHit, kTreeRefill, kPageFault };
+
+struct ReloadTrail {
+  uint64_t cycles = 0;
+  uint64_t searches = 0;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t reloads = 0;
+  uint64_t walks = 0;
+};
+
+// The exact trail of one miss, from the MachineConfig constants. Page tables are uncached,
+// so each HTAB or tree reference costs single_beat_cycles; the payload, when there is one,
+// hits a line the setup access left in the data cache (1 cycle).
+ReloadTrail ExpectedTrail(const MachineConfig& mc, const MmuPolicy& policy, MissCase c) {
+  const uint64_t beat = mc.memory.single_beat_cycles;
+  const bool hw_walk = policy.strategy == ReloadStrategy::kHardwareHtabWalk;
+  ReloadTrail t;
+  t.cycles = hw_walk ? mc.hw_walk_base_cycles
+                     : mc.tlb_miss_interrupt_cycles + policy.HandlerBodyCycles();
+  if (policy.UsesHtab()) {
+    t.searches = 1;
+    if (c == MissCase::kHtabHit) {
+      t.hits = 1;
+      t.cycles += beat + 1;  // one probe, then the payload
+      return t;
+    }
+    t.misses = 1;
+    t.cycles += 2 * kPtesPerPteg * beat;  // both PTEGs probed in full
+    if (hw_walk) {
+      t.cycles += mc.hash_miss_interrupt_cycles + policy.HandlerBodyCycles();
+    }
+  }
+  t.walks = 1;
+  t.cycles += 3 * beat;  // FakeBacking's three loads
+  if (c == MissCase::kPageFault) {
+    return t;
+  }
+  if (policy.UsesHtab()) {
+    t.reloads = 1;
+    t.cycles += 2 * beat;  // the insert probes slot 0 of the primary PTEG, then stores it
+    if (hw_walk) {
+      // The retried hardware walk finds the fresh entry with one probe.
+      t.cycles += mc.hw_walk_base_cycles + beat;
+      ++t.searches;
+      ++t.hits;
+    }
+  }
+  t.cycles += 1;  // the payload
+  return t;
+}
+
+TEST(MmuTest, ReloadTrailIsExactForEveryStrategy) {
+  for (const ReloadStrategy strategy :
+       {ReloadStrategy::kHardwareHtabWalk, ReloadStrategy::kSoftwareHtab,
+        ReloadStrategy::kSoftwareDirect}) {
+    for (const bool optimized : {true, false}) {
+      for (const MissCase c : {MissCase::kHtabHit, MissCase::kTreeRefill, MissCase::kPageFault}) {
+        SCOPED_TRACE(::testing::Message() << "strategy " << static_cast<int>(strategy)
+                                          << " optimized " << optimized << " case "
+                                          << static_cast<int>(c));
+        MmuFixture f(strategy, optimized, /*cache_page_tables=*/false);
+        f.backing.MapPage(0x00010, 0x500);
+        // Setup: one miss installs the page in the HTAB (if any) and warms the payload line.
+        ASSERT_EQ(f.mmu.Access(EffAddr(0x00010000), AccessKind::kLoad), AccessOutcome::kOk);
+        f.mmu.TlbInvalidateAll();
+        if (c == MissCase::kTreeRefill) {
+          f.mmu.htab().Clear();
+        }
+        const EffAddr ea(c == MissCase::kPageFault ? 0x00011000 : 0x00010000);
+        const HwCounters before = f.machine.counters();
+        EXPECT_EQ(f.mmu.Access(ea, AccessKind::kLoad),
+                  c == MissCase::kPageFault ? AccessOutcome::kPageFault : AccessOutcome::kOk);
+        const HwCounters delta = f.machine.counters().Diff(before);
+        const ReloadTrail want = ExpectedTrail(f.machine.config(), f.mmu.policy(), c);
+        EXPECT_EQ(delta.cycles, want.cycles);
+        EXPECT_EQ(delta.dtlb_misses, 1u);
+        EXPECT_EQ(delta.htab_searches, want.searches);
+        EXPECT_EQ(delta.htab_hits, want.hits);
+        EXPECT_EQ(delta.htab_misses, want.misses);
+        EXPECT_EQ(delta.htab_reloads, want.reloads);
+        EXPECT_EQ(delta.pte_tree_walks, want.walks);
+        EXPECT_EQ(f.mmu.dtlb().ValidCount(), c == MissCase::kPageFault ? 0u : 1u);
+      }
+    }
+  }
+}
+
 TEST(MmuTest, UncachedPageTablesKeepHtabTrafficOutOfDcache) {
   MmuFixture cached(ReloadStrategy::kHardwareHtabWalk, true, /*cache_page_tables=*/true);
   MmuFixture uncached(ReloadStrategy::kHardwareHtabWalk, true, /*cache_page_tables=*/false);

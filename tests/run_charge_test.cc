@@ -475,8 +475,9 @@ TEST(RunChargeTest, PtegSearchesMatchPerSlotSequence) {
       }
       case 2: {
         const ChargeLog expected = ScalarSearchLog(htab, vp, matches, true);
-        htab.InvalidatePage(vp, charger);
+        const HtabSearchResult cleared = htab.InvalidatePage(vp, charger);
         EXPECT_EQ(charger.log, expected);
+        EXPECT_EQ(cleared.memory_refs, charger.log.size());
         break;
       }
       case 3: {

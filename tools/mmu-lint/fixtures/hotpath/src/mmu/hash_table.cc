@@ -3,4 +3,5 @@
 struct FixtureHashTable {
   unsigned Search(unsigned hash) const { return hash & 1023u; }
   unsigned* Grow() { return new unsigned[64]; }  // not a hot function: no diagnostic
+  unsigned ProbePair(unsigned hash) const { return ~hash & 1023u; }
 };

@@ -101,6 +101,7 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/mmu/tlb.h", "Tlb", "ProbePtr", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/tlb.h", "Tlb", "TouchLruRun", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/hash_table.cc", "HashTable", "Search", {"WalkPte", "MarkPteDirty"}},
+      {"src/mmu/hash_table.cc", "HashTable", "ProbePair", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/mmu.cc", "Mmu", "Access", {"WalkPte"}},
       {"src/mmu/mmu.cc", "Mmu", "AccessRun", {"WalkPte"}},
       {"src/mmu/mmu.cc", "Mmu", "ReplaySpan", {"WalkPte", "MarkPteDirty"}},
