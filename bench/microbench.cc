@@ -214,11 +214,11 @@ void BM_Prefetch(benchmark::State& state) {
 }
 BENCHMARK(BM_Prefetch);
 
-// Host time per cache line of the L1 sweep kernels, as the "line" counter (seconds per
-// line, printed with an "n" suffix for nanoseconds). These two patterns told a sweep whose
-// way select branches apart from a branch-free one: an all-miss read stream, where every
-// select goes the same way, and write sweeps over recycled frames that are partly resident
-// in random ways, where a hit/miss branch mispredicts.
+// Host time per cache line of the L1 sweep kernel, as the "line" counter (seconds per
+// line, printed with an "n" suffix for nanoseconds). One case per kernel specialisation
+// the simulator runs: all-miss read streams on the 2-way 603 and the 4-way 604, write
+// sweeps over recycled frames that are partly resident in random ways, set-aligned page
+// copies (two streams), and PTEG reclaim scans (whole lines with a per-line repeat).
 void SetLineRate(benchmark::State& state, uint64_t lines) {
   state.counters["line"] = benchmark::Counter(
       static_cast<double>(lines), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
@@ -262,6 +262,66 @@ void BM_SweepRecycledWrites604(benchmark::State& state) {
   SetLineRate(state, total);
 }
 BENCHMARK(BM_SweepRecycledWrites604)->Arg(1);  // the argument seeds the frame choice
+
+// The all-miss read stream on the 604's 4-way L1 (16 KB): 4 MB of frames, so every line
+// misses and every fill displaces a valid line.
+void BM_SweepAllMissRead604(benchmark::State& state) {
+  Machine machine(MachineConfig::Ppc604(185));
+  const uint32_t line = machine.config().dcache.line_bytes;
+  const uint32_t lines = kPageSize / line;
+  uint32_t frame = 0;
+  uint64_t total = 0;
+  for (auto _ : state) {
+    machine.TouchDataRun(PhysAddr::FromFrame(frame), line, lines, /*is_write=*/false);
+    frame = (frame + 1) % 1024;
+    total += lines;
+  }
+  benchmark::DoNotOptimize(machine.Now());
+  SetLineRate(state, total);
+}
+BENCHMARK(BM_SweepAllMissRead604);
+
+// Page copies as COW and private file faults issue them: line i of a source frame, then
+// line i of a destination frame, both page-aligned so the two streams share every set.
+// Sources come from a small pool that stays partly resident; destinations stream.
+void BM_SweepCopyPairs604(benchmark::State& state) {
+  Machine machine(MachineConfig::Ppc604(185));
+  const uint32_t line = machine.config().dcache.line_bytes;
+  const uint32_t lines = kPageSize / line;
+  uint32_t i = 0;
+  uint64_t total = 0;
+  for (auto _ : state) {
+    machine.TouchDataPairRun(PhysAddr::FromFrame(i % 8), /*a_write=*/false, /*a_cached=*/true,
+                             PhysAddr::FromFrame(64 + i % 512), /*b_write=*/true, lines);
+    ++i;
+    total += 2 * lines;
+  }
+  benchmark::DoNotOptimize(machine.Now());
+  SetLineRate(state, total);
+}
+BENCHMARK(BM_SweepCopyPairs604);
+
+// The idle task's zombie reclaim reads as HashTable::ReclaimZombies charges them: 16 PTEGs
+// of eight 8-byte PTEs, one stride-8 run of 128 reads over 32 lines (four reads per line),
+// stepping through a 64 KB hash table.
+void BM_PtegReclaimScan604(benchmark::State& state) {
+  Machine machine(MachineConfig::Ppc604(185));
+  constexpr uint32_t kHtabBase = 0x100000;
+  constexpr uint32_t kPtegBytes = 64;
+  constexpr uint32_t kPtegs = 16;
+  const uint32_t line = machine.config().dcache.line_bytes;
+  uint32_t offset = 0;
+  uint64_t total = 0;
+  for (auto _ : state) {
+    machine.TouchDataRun(PhysAddr(kHtabBase + offset), 8, kPtegs * kPtegBytes / 8,
+                         /*is_write=*/false);
+    offset = (offset + kPtegs * kPtegBytes) % (64 * 1024);
+    total += kPtegs * kPtegBytes / line;
+  }
+  benchmark::DoNotOptimize(machine.Now());
+  SetLineRate(state, total);
+}
+BENCHMARK(BM_PtegReclaimScan604);
 
 void BM_PipeRoundTrip(benchmark::State& state) {
   auto system = NewSystem(ReloadStrategy::kHardwareHtabWalk, /*optimized=*/true);

@@ -10,6 +10,8 @@
 #ifndef PPCMM_SRC_SIM_CACHE_H_
 #define PPCMM_SRC_SIM_CACHE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -54,41 +56,39 @@ class Cache {
   // Line-level access without timing: updates state, reports what happened. Defined inline:
   // this is the hottest function in the whole simulator (every charged memory reference
   // lands here), and the call would otherwise cross a translation-unit boundary.
-  CacheAccessOutcome AccessLine(PhysAddr pa, bool is_write) {
-    CacheAccessOutcome outcome;
-    TouchLine(pa, is_write, &outcome);
-    return outcome;
-  }
+  CacheAccessOutcome AccessLine(PhysAddr pa, bool is_write) { return TouchLine(pa, is_write); }
 
   // `n` accesses to the single line containing `pa`, collapsed: bit-identical to calling
   // AccessLine `n` times with same-line addresses. Only the first access can miss (the
-  // returned outcome); the remaining n-1 are hits on the line the first one left resident,
-  // so they reduce to counter adds and an LRU refresh of that line (its dirty bit already
-  // carries `is_write`). Serves the run charges the sweep kernels below do not take:
-  // sub-line strides (PTEG scans, word-stride spans) and every run on a board with an L2.
+  // returned outcome); the remaining n-1 are hits on the line the first one left most
+  // recently used in its set, so they reduce to counter adds (its stamp already orders it
+  // last and its dirty bit already carries `is_write`). Serves the run charges the sweep
+  // kernel below does not take: short sub-line runs (PTEG probes, word-stride spans) and
+  // every run on a board with an L2.
   CacheAccessOutcome AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
-    CacheAccessOutcome first;
-    Line* line = TouchLine(pa, is_write, &first);
+    const CacheAccessOutcome first = TouchLine(pa, is_write);
     if (n > 1) {
-      const uint64_t extra = n - 1;
-      stats_.accesses += extra;
-      stats_.hits += extra;
-      tick_ += extra;
-      line->last_used = tick_;
+      stats_.accesses += n - 1;
+      stats_.hits += n - 1;
     }
     return first;
   }
 
-  // Sweep kernels: runs of consecutive lines charged in one out-of-line pass, bit-identical
-  // to one AccessLine per line (state, counters and LRU clock). They return the cycles of
-  // the run assuming misses fill straight from memory (no L2), computed once from the
-  // counts as hits + misses * fill + write-backs * write-back.
+  // Sweeps: runs of consecutive lines charged in one out-of-line pass of the set-parallel
+  // kernel, bit-identical to one AccessLine per access (state and counters). They return
+  // the cycles of the run assuming misses fill straight from memory (no L2), computed once
+  // from the counts as hits + misses * fill + write-backs * write-back.
   //
-  // SweepLines: `lines` accesses, one per line, from the line containing `pa` upwards.
-  Cycles SweepLines(PhysAddr pa, uint32_t lines, bool is_write);
+  // SweepLines: `lines` lines from the line containing `pa` upwards, each accessed `repeat`
+  // (> 0) times back to back (a sub-line-stride run's whole-line groups).
+  Cycles SweepLines(PhysAddr pa, uint32_t lines, bool is_write, uint32_t repeat = 1) {
+    return SweepSets<1>(pa, is_write, pa, is_write, lines, repeat);
+  }
   // SweepLinePairs: for each i < `lines`, line i of `a` then line i of `b` (a copy's load
   // and store interleaved, as the two streams compete for the same sets).
-  Cycles SweepLinePairs(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines);
+  Cycles SweepLinePairs(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines) {
+    return SweepSets<2>(a, a_write, b, b_write, lines, 1);
+  }
 
   // Performs one cache-inhibited access (the line is neither looked up nor allocated).
   // Inline: the uncached idle-task configurations issue one of these per zeroed word.
@@ -118,68 +118,95 @@ class Cache {
   // Number of currently valid lines (occupancy probe for pollution experiments).
   uint32_t ValidLineCount() const;
 
+  // Largest LRU stamp. Stamps stay below 2^31 so the sweep kernel compares them as signed
+  // lanes, the one comparison baseline SSE2 has.
+  static constexpr uint32_t kMaxStamp = 0x7fffffffu;
+
+  // Moves the LRU clock forward to `tick` (at least the current tick, at most kMaxStamp)
+  // without touching a line. Stamps only order the lines within a set, so this changes no
+  // outcome; it lets tests reach the point where the stamps are renumbered.
+  void AdvanceLruClock(uint32_t tick);
+
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats{}; }
   const CacheGeometry& geometry() const { return geometry_; }
   const std::string& name() const { return name_; }
 
  private:
-  struct Line {
-    bool valid = false;
-    bool dirty = false;
-    uint32_t tag = 0;
-    uint64_t last_used = 0;
-  };
+  // Tag of an invalid line: Tag() shifts a 32-bit address right by at least one bit
+  // (checked at construction), so no address has it.
+  static constexpr uint32_t kNoTag = 0xffffffffu;
 
   // One access to the line containing `pa` in a single pass over the set's ways: the pass
   // finds the hit, or else remembers the victim — the first invalid way, otherwise the
   // least recently used one (strict <, so the lowest way wins a tie). Both fall out of one
-  // minimum over last_used: an invalid line's last_used is always 0 (lines start that way
-  // and are only invalidated wholesale, by InvalidateAll), while a valid line's is at least
-  // 1 because every access bumps the clock first. Reports the outcome and returns the line
-  // the access left resident.
-  Line* TouchLine(PhysAddr pa, bool is_write, CacheAccessOutcome* outcome) {
+  // minimum over the stamps: an invalid line's stamp is always 0 (lines start that way and
+  // are only invalidated wholesale, by InvalidateAll), while a valid line's is at least 1
+  // because every access takes the next tick of the clock.
+  CacheAccessOutcome TouchLine(PhysAddr pa, bool is_write) {
     ++stats_.accesses;
-    ++tick_;
-
+    const uint32_t stamp = NextStamps(1);
     const uint32_t tag = Tag(pa);
-    Line* ways = &lines_[static_cast<size_t>(SetIndex(pa)) * geometry_.associativity];
-    Line* victim = &ways[0];
-    for (uint32_t w = 0; w < geometry_.associativity; ++w) {
-      Line& line = ways[w];
-      if (line.valid && line.tag == tag) {
+    uint32_t* tags = SetWords(SetIndex(pa));
+    uint32_t* stamps = tags + field_words_;
+    uint32_t* dirty = stamps + field_words_;
+    // The victim select is mask arithmetic: written as a ternary, GCC compiles it to a
+    // branch on the stamps, which mispredicts whenever the LRU way varies between misses.
+    size_t victim = 0;
+    uint32_t oldest = kMaxStamp;  // stamps[victim] once way 0 is read (no stamp is larger)
+    for (size_t w = 0; w < field_words_; w += kSetGroup) {
+      if (tags[w] == tag) {
         ++stats_.hits;
-        line.last_used = tick_;
-        line.dirty = line.dirty || is_write;
-        *outcome = CacheAccessOutcome{.hit = true, .evicted_dirty = false};
-        return &line;
+        stamps[w] = stamp;
+        dirty[w] |= static_cast<uint32_t>(is_write);
+        return CacheAccessOutcome{.hit = true, .evicted_dirty = false};
       }
-      victim = line.last_used < victim->last_used ? &line : victim;
+      const size_t older = 0 - static_cast<size_t>(stamps[w] < oldest);
+      victim ^= (victim ^ w) & older;
+      oldest = std::min(stamps[w], oldest);
     }
-
     ++stats_.misses;
-    *outcome = CacheAccessOutcome{.hit = false, .evicted_dirty = false};
-    if (victim->valid) {
+    CacheAccessOutcome outcome{.hit = false, .evicted_dirty = false};
+    if (oldest != 0) {
       ++stats_.evictions;
-      if (victim->dirty) {
+      if (dirty[victim] != 0) {
         ++stats_.dirty_writebacks;
-        outcome->evicted_dirty = true;
+        outcome.evicted_dirty = true;
       }
     }
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->tag = tag;
-    victim->last_used = tick_;
-    return victim;
+    tags[victim] = tag;
+    stamps[victim] = stamp;
+    dirty[victim] = is_write;
+    return outcome;
   }
 
-  // The sweep kernels' shared body: `kStreams` (1 or 2) interleaved line streams, with the
-  // way select specialised on associativity `kWays` (0 = any associativity); SweepStreams
-  // dispatches on the geometry.
+  // Takes `n` consecutive ticks of the LRU clock and returns the first. Only the order of
+  // the stamps inside one set is ever read, so when the clock would pass kMaxStamp every
+  // set's stamps are first replaced by their ranks (RenumberStamps), which changes nothing.
+  uint32_t NextStamps(uint32_t n) {
+    if (tick_ > kMaxStamp - n) [[unlikely]] {
+      RenumberStamps();
+    }
+    const uint32_t first = tick_ + 1;
+    tick_ += n;
+    return first;
+  }
+  void RenumberStamps();
+
+  // The sweep kernel: `kStreams` (1 or 2) interleaved line streams, one chunk of distinct
+  // sets at a time (cache.cc).
   template <uint32_t kStreams>
-  Cycles SweepStreams(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines);
-  template <uint32_t kWays, uint32_t kStreams>
-  Cycles Sweep(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines);
+  Cycles SweepSets(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines,
+                   uint32_t repeat);
+
+  // Set `set`'s way-0 tag in rows_; way w's tag is kSetGroup * w words on, and its stamp
+  // and dirty bit are field_words_ and 2 * field_words_ words on from its tag.
+  uint32_t* SetWords(uint32_t set) {
+    return &rows_[set / kSetGroup * 3 * field_words_ + set % kSetGroup];
+  }
+  const uint32_t* SetWords(uint32_t set) const {
+    return &rows_[set / kSetGroup * 3 * field_words_ + set % kSetGroup];
+  }
 
   // Line size and set count are powers of two (checked at construction), so the index and
   // tag divisions reduce to shifts — precomputed once, they keep integer division out of
@@ -193,8 +220,16 @@ class Cache {
   uint32_t line_shift_ = 0;  // log2(line_bytes)
   uint32_t set_mask_ = 0;    // NumSets() - 1
   uint32_t tag_shift_ = 0;   // log2(line_bytes * NumSets())
-  std::vector<Line> lines_;  // sets * ways, row-major by set
-  uint64_t tick_ = 0;        // LRU clock
+  // Line state in way-major rows, kept in groups of kSetGroup consecutive sets. A group
+  // holds three fields of field_words_ words each: the tags (kNoTag when invalid), the LRU
+  // stamps (0 when invalid) and the dirty bits (0 or 1). Within a field, way w of the
+  // group's set i is word kSetGroup * w + i. So the group's four sets of one way are four
+  // adjacent words (one lane vector of the sweep kernel), and one set's ways of one field
+  // lie within 16 * associativity bytes, so a single access reads few host cache lines.
+  static constexpr size_t kSetGroup = 4;
+  std::vector<uint32_t> rows_;
+  size_t field_words_ = 0;  // kSetGroup * associativity
+  uint32_t tick_ = 0;       // LRU clock: the last stamp handed out
   CacheStats stats_;
 };
 

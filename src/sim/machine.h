@@ -206,8 +206,10 @@ class Machine {
   // TouchInstructionRun); touches the cache but leaves the clock to the caller. A
   // line-stride run without an L2 is one sweep. Otherwise, when the stride is a power of
   // two dividing the start address, every line group ends exactly at a line boundary, so
-  // its length is a shift rather than a division; with an L2 each L1 miss must reach it in
-  // order, one line group at a time.
+  // its length is a shift rather than a division, and without an L2 the whole-line groups
+  // of a sub-line run (PTEG scans) go to one sweep with a per-line repeat count once there
+  // are at least kMinSweepLines of them. With an L2 each L1 miss must reach it in order,
+  // one line group at a time.
   uint64_t CachedRunCycles(Cache& cache, uint32_t line, PhysAddr pa, uint32_t stride,
                            uint32_t count, bool is_write) {
     if (stride == line && l2_ == nullptr) {
@@ -215,6 +217,7 @@ class Machine {
     }
     const bool aligned = std::has_single_bit(stride) && (pa.value & (stride - 1)) == 0;
     const auto stride_shift = static_cast<uint32_t>(std::countr_zero(stride));
+    const bool sweep_groups = aligned && stride < line && l2_ == nullptr;
     uint64_t cycles = 0;
     uint32_t i = 0;
     while (i < count) {
@@ -222,6 +225,16 @@ class Machine {
       uint32_t reps = 1;
       if (stride < line) {
         const uint32_t line_left = line - (cur.value & (line - 1));
+        if (sweep_groups && line_left == line) {
+          const uint32_t group_shift = static_cast<uint32_t>(std::countr_zero(line)) - stride_shift;
+          const uint32_t per_line = 1u << group_shift;
+          const uint32_t lines = (count - i) >> group_shift;
+          if (lines >= kMinSweepLines) {
+            cycles += cache.SweepLines(cur, lines, is_write, per_line).value;
+            i += lines * per_line;
+            continue;
+          }
+        }
         reps = std::min(count - i,
                         aligned ? line_left >> stride_shift : (line_left - 1) / stride + 1);
       }
@@ -230,6 +243,10 @@ class Machine {
     }
     return cycles;
   }
+  // Below this many whole lines a sub-line run's groups stay inline, one AccessLineRun
+  // each: a PTEG probe reads at most two lines, and a sweep shorter than one four-set
+  // step of the kernel runs none of its vector steps.
+  static constexpr uint32_t kMinSweepLines = 4;
 
   MachineConfig config_;
   PhysicalMemory memory_;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "src/mmu/mmu.h"
 #include "src/sim/machine.h"
 #include "src/sim/rng.h"
+#include "src/verify/fuzz/reference_cache.h"
 
 namespace ppcmm {
 namespace {
@@ -28,9 +30,9 @@ struct ConfigCase {
   MachineConfig config;
 };
 
-// 603 (2-way L1s) and 604 (4-way) take the specialised sweeps; 604_l2 takes the per-line
-// path every L1 miss needs to reach the L2 in order; 3way (12 KB, 128 sets) takes the sweep
-// that reads the associativity at run time.
+// 603 (2-way L1s) and 604 (4-way) take the set-parallel sweep kernel; 604_l2 takes the
+// per-line path every L1 miss needs to reach the L2 in order; 3way (12 KB, 128 sets) has no
+// kernel of its own, so its sweeps go one line at a time.
 std::vector<ConfigCase> Configs() {
   const auto small = [](MachineConfig mc) {
     mc.ram_bytes = 4ull * 1024 * 1024;
@@ -288,6 +290,136 @@ TEST(RunChargeTest, PairSweepsMatchAlternatingTouchData) {
               return;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+// ---- runs against the reference cache ----
+
+// Reference-side bookkeeping: the counters and cycles an L1 with no L2 behind it must
+// report after the same accesses, one reference access per line group (its repeats hit).
+struct ReferenceDcache {
+  explicit ReferenceDcache(const MachineConfig& config)
+      : cache(config.dcache), timing(config.memory) {}
+
+  void Access(PhysAddr pa, bool is_write, uint64_t repeat = 1) {
+    const ReferenceCache::Outcome outcome = cache.Access(pa, is_write);
+    stats.accesses += repeat;
+    stats.hits += repeat - 1 + (outcome.hit ? 1 : 0);
+    stats.misses += outcome.hit ? 0 : 1;
+    stats.dirty_writebacks += outcome.evicted_dirty ? 1 : 0;
+    cycles += repeat - 1 + (outcome.hit ? 1
+                                        : timing.line_fill_cycles +
+                                              (outcome.evicted_dirty ? timing.writeback_cycles
+                                                                     : 0));
+  }
+
+  ReferenceCache cache;
+  MemoryTiming timing;
+  CacheStats stats;
+  uint64_t cycles = 0;
+};
+
+void ExpectCacheMatchesReference(Cache& cache, const ReferenceDcache& reference,
+                                 const std::vector<PhysAddr>& probes) {
+  EXPECT_EQ(cache.stats().accesses, reference.stats.accesses);
+  EXPECT_EQ(cache.stats().hits, reference.stats.hits);
+  EXPECT_EQ(cache.stats().misses, reference.stats.misses);
+  EXPECT_EQ(cache.stats().dirty_writebacks, reference.stats.dirty_writebacks);
+  for (const PhysAddr pa : probes) {
+    ASSERT_EQ(cache.Contains(pa), reference.cache.Contains(pa)) << "pa=0x" << std::hex
+                                                                << pa.value;
+  }
+}
+
+// Sub-line-stride runs long enough for their whole-line groups to go to the sweep kernel
+// with a per-line repeat count, starting and ending mid-line, between single accesses that
+// leave lines partly resident and dirty. Strides are powers of two; three starts in four
+// are stride-aligned (the kernel takes those runs' whole lines), the rest are not (they
+// stay one line group at a time).
+TEST(RunChargeTest, SubLineRunsMatchReferenceCache) {
+  for (const ConfigCase& c : Configs()) {
+    if (c.config.has_l2) {
+      continue;  // the reference models the L1 alone; L2 boards are checked against loops
+    }
+    Machine m(c.config);
+    ReferenceDcache reference(c.config);
+    Rng rng(8080);
+    const uint32_t line = c.config.dcache.line_bytes;
+    for (int i = 0; i < 400; ++i) {
+      const uint32_t stride = 1u << rng.NextBelow(5);  // 1 .. 16 bytes
+      uint32_t start = static_cast<uint32_t>(rng.NextBelow(64 * 1024));
+      if (rng.Chance(3, 4)) {
+        start &= ~(stride - 1);
+      }
+      const auto count = static_cast<uint32_t>(1 + rng.NextBelow(24 * line / stride));
+      const bool is_write = rng.Chance(1, 2);
+      SCOPED_TRACE(c.name + " run " + std::to_string(i) + " start=" + std::to_string(start) +
+                   " stride=" + std::to_string(stride) + " count=" + std::to_string(count));
+      const uint64_t now = m.Now().value;
+      const uint64_t cycles_before = reference.cycles;
+      m.TouchDataRun(PhysAddr(start), stride, count, is_write);
+      std::vector<PhysAddr> probes;
+      for (uint32_t k = 0; k < count;) {
+        const uint32_t pa = start + k * stride;
+        const uint32_t group = std::min(count - k, (line - pa % line + stride - 1) / stride);
+        reference.Access(PhysAddr(pa), is_write, group);
+        probes.push_back(PhysAddr(pa));
+        k += group;
+      }
+      ASSERT_EQ(m.Now().value - now, reference.cycles - cycles_before);
+      for (int t = 0; t < 6; ++t) {
+        const PhysAddr pa(static_cast<uint32_t>(rng.NextBelow(64 * 1024)));
+        const bool w = rng.Chance(1, 2);
+        m.TouchData(pa, w);
+        reference.Access(pa, w);
+        probes.push_back(pa);
+      }
+      ExpectCacheMatchesReference(m.dcache(), reference, probes);
+      if (testing::Test::HasFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// The idle fast-forward refetches one line up to UINT32_MAX times in one
+// TouchInstructionRepeat. Counts that large next to single fetches, with the I-cache's LRU
+// clock moved to just below the point where its stamps are renumbered, must still match
+// one reference access per repeat call, in outcome, counters, clock and residency.
+TEST(RunChargeTest, InstructionRepeatsNearUint32MaxCrossTheStampRenumbering) {
+  for (const ConfigCase& c : Configs()) {
+    if (c.config.has_l2) {
+      continue;
+    }
+    Machine m(c.config);
+    MachineConfig icache_config = c.config;
+    icache_config.dcache = c.config.icache;
+    ReferenceDcache reference(icache_config);
+    Rng rng(4242);
+    for (int round = 0; round < 6; ++round) {
+      m.icache().AdvanceLruClock(Cache::kMaxStamp - static_cast<uint32_t>(rng.NextBelow(40)));
+      for (int op = 0; op < 100; ++op) {
+        SCOPED_TRACE(c.name + " round " + std::to_string(round) + " op " + std::to_string(op));
+        const PhysAddr pa(static_cast<uint32_t>(rng.NextBelow(64 * 1024)));
+        const uint64_t now = m.Now().value;
+        const uint64_t cycles_before = reference.cycles;
+        if (rng.Chance(1, 3)) {
+          const uint32_t n = UINT32_MAX - static_cast<uint32_t>(rng.NextBelow(4));
+          m.TouchInstructionRepeat(pa, n);
+          reference.Access(pa, /*is_write=*/false, n);
+        } else {
+          m.TouchInstruction(pa);
+          reference.Access(pa, /*is_write=*/false);
+        }
+        ASSERT_EQ(m.Now().value - now, reference.cycles - cycles_before);
+        ExpectCacheMatchesReference(
+            m.icache(), reference,
+            {pa, PhysAddr(static_cast<uint32_t>(rng.NextBelow(64 * 1024)))});
+        if (testing::Test::HasFailure()) {
+          return;
         }
       }
     }

@@ -1,4 +1,5 @@
-// Clean fixture: sweep kernel bodies with nothing to flag.
-unsigned SweepLines(unsigned line, unsigned n) { return line + n; }
-unsigned SweepLinePairs(unsigned a, unsigned b, unsigned n) { return a + b + 2 * n; }
-unsigned Sweep(unsigned a, unsigned n) { return a * n; }
+// Clean fixture: the sweep kernel body with nothing to flag.
+#include "src/sim/cache.h"
+unsigned CleanCache::SweepSets(unsigned a, unsigned b, unsigned n) const {
+  return rows_[(a + b + n) & 7u];
+}

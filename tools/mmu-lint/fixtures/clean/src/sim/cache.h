@@ -1,9 +1,13 @@
 // Clean fixture: hot cache bodies index preallocated storage.
 #include "src/sim/types.h"
 struct CleanCache {
-  unsigned AccessLine(unsigned line) const { return lines_[line & 7u]; }
+  unsigned AccessLine(unsigned line) const { return TouchLine(line); }
   unsigned AccessUncached(unsigned line) const { return line; }
-  unsigned AccessLineRun(unsigned line, unsigned n) const { return lines_[(line + n) & 7u]; }
+  unsigned AccessLineRun(unsigned line, unsigned n) const { return TouchLine(line) + n; }
   unsigned AccessUncachedRun(unsigned line, unsigned n) const { return line * n; }
-  unsigned lines_[8] = {};
+  unsigned TouchLine(unsigned line) const { return rows_[line & 7u]; }
+  unsigned SweepLines(unsigned line, unsigned n) const { return SweepSets(line, line, n); }
+  unsigned SweepLinePairs(unsigned a, unsigned b, unsigned n) const { return SweepSets(a, b, n); }
+  unsigned SweepSets(unsigned a, unsigned b, unsigned n) const;
+  unsigned rows_[8] = {};
 };

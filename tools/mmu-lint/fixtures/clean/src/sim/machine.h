@@ -1,10 +1,13 @@
 // Clean fixture: hot bodies with nothing to flag.
 #include "src/sim/cache.h"
 struct CleanMachine {
-  unsigned TouchData(unsigned ea) const { return ea + 1; }
-  unsigned TouchDataRun(unsigned ea, unsigned n) const { return ea + n; }
+  unsigned TouchData(unsigned ea) const { return cache_.AccessLine(ea); }
+  unsigned TouchDataRun(unsigned ea, unsigned n) const { return cache_.SweepLines(ea, n); }
   unsigned TouchInstruction(unsigned ea) const { return ea + 2; }
   unsigned TouchInstructionRun(unsigned ea, unsigned n) const { return ea + 2 * n; }
   unsigned TouchInstructionRepeat(unsigned ea, unsigned n) const { return ea + n; }
-  unsigned TouchDataPairRun(unsigned a, unsigned b, unsigned n) const { return a + b + n; }
+  unsigned TouchDataPairRun(unsigned a, unsigned b, unsigned n) const {
+    return cache_.SweepLinePairs(a, b, n);
+  }
+  CleanCache cache_;
 };

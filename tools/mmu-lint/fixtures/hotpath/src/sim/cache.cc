@@ -1,4 +1,3 @@
-// Fixture: clean sweep kernel bodies — they must produce nothing.
-unsigned SweepLines(unsigned line, unsigned n) { return line + n; }
-unsigned SweepLinePairs(unsigned a, unsigned b, unsigned n) { return a + b + 2 * n; }
-unsigned Sweep(unsigned a, unsigned n) { return a * n; }
+// Fixture: a clean sweep kernel body — it must produce nothing.
+#include "src/sim/cache.h"
+unsigned FixtureCache::SweepSets(unsigned a, unsigned b, unsigned n) const { return a + b + n; }

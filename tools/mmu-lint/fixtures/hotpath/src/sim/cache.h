@@ -6,7 +6,11 @@ struct FixtureCache {
     return line;
   }
   unsigned AccessUncached(unsigned line) const { return line + history_.size(); }
-  unsigned AccessLineRun(unsigned line, unsigned n) const { return line + n; }
+  unsigned AccessLineRun(unsigned line, unsigned n) const { return TouchLine(line) + n; }
   unsigned AccessUncachedRun(unsigned line, unsigned n) const { return line * n; }
+  unsigned TouchLine(unsigned line) const { return line; }
+  unsigned SweepLines(unsigned line, unsigned n) const { return SweepSets(line, line, n); }
+  unsigned SweepLinePairs(unsigned a, unsigned b, unsigned n) const { return SweepSets(a, b, n); }
+  unsigned SweepSets(unsigned a, unsigned b, unsigned n) const;
   std::vector<unsigned> history_;
 };

@@ -1,9 +1,13 @@
 // Fixture: clean hot-path bodies — TouchData/TouchInstruction must produce nothing.
+#include "src/sim/cache.h"
 struct FixtureMachine {
   unsigned TouchData(unsigned ea) const { return ea + 1; }
-  unsigned TouchDataRun(unsigned ea, unsigned n) const { return ea + n; }
+  unsigned TouchDataRun(unsigned ea, unsigned n) const { return cache_.SweepLines(ea, n); }
   unsigned TouchInstruction(unsigned ea) const { return ea + 2; }
   unsigned TouchInstructionRun(unsigned ea, unsigned n) const { return ea + 2 * n; }
   unsigned TouchInstructionRepeat(unsigned ea, unsigned n) const { return ea + n; }
-  unsigned TouchDataPairRun(unsigned a, unsigned b, unsigned n) const { return a + b + n; }
+  unsigned TouchDataPairRun(unsigned a, unsigned b, unsigned n) const {
+    return cache_.SweepLinePairs(a, b, n);
+  }
+  FixtureCache cache_;
 };

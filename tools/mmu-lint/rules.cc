@@ -92,11 +92,12 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/sim/machine.h", "Machine", "TouchDataPairRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLine", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLineRun", {"WalkPte", "MarkPteDirty"}},
+      {"src/sim/cache.h", "Cache", "TouchLine", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessUncached", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessUncachedRun", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.cc", "Cache", "SweepLines", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.cc", "Cache", "SweepLinePairs", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.cc", "Cache", "Sweep", {"WalkPte", "MarkPteDirty"}},
+      {"src/sim/cache.h", "Cache", "SweepLines", {"WalkPte", "MarkPteDirty"}},
+      {"src/sim/cache.h", "Cache", "SweepLinePairs", {"WalkPte", "MarkPteDirty"}},
+      {"src/sim/cache.cc", "Cache", "SweepSets", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/tlb.h", "Tlb", "LookupPtr", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/tlb.h", "Tlb", "ProbePtr", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/tlb.h", "Tlb", "TouchLruRun", {"WalkPte", "MarkPteDirty"}},
