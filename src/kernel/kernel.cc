@@ -294,9 +294,6 @@ void Kernel::SwitchTo(TaskId id) {
     smp_.idle[smp_.current_cpu] = 0;
     machine_.attr().SetCurrentTask(id.value);
   }
-  if (tick_hook_) {
-    tick_hook_();
-  }
   if (switch_hook_) {
     // Must be the last action: a cooperative harness may park this call stack here.
     switch_hook_(previous, id);
@@ -998,9 +995,6 @@ void Kernel::RunIdle(Cycles budget) {
   CycleScope idle_scope(machine_, AttrCause::kIdleLoop);
   HwCounters& counters = machine_.counters();
   ++counters.idle_invocations;
-  if (tick_hook_) {
-    tick_hook_();
-  }
   const Cycles deadline = machine_.Now() + budget;
   DataMemCharger pt_charger = mmu_->PageTableCharger();
   const EffAddr idle_text(kKernelVirtualBase + kIdleTextPage * kPageSize);

@@ -202,11 +202,6 @@ class Kernel : public PteBackingSource {
     switch_hook_ = std::move(hook);
   }
 
-  // Installs a hook invoked on every scheduler activation (each context switch and each
-  // RunIdle entry) — the closest thing this cooperative kernel has to a periodic timer
-  // tick. The TimelineSampler uses it to take time-series snapshots; pass nullptr to clear.
-  void SetTickHook(std::function<void()> hook) { tick_hook_ = std::move(hook); }
-
   // Moves the CPU to the longest-runnable task (round-robin); stays put if none.
   void Yield();
   // Blocks the current task on `queue` and schedules whoever is ready; trips a check on
@@ -351,7 +346,6 @@ class Kernel : public PteBackingSource {
   uint32_t next_shm_ = 1;
   Scheduler scheduler_;
   std::function<void(TaskId, TaskId)> switch_hook_;
-  std::function<void()> tick_hook_;
   uint32_t next_task_ = 1;
   uint32_t next_pipe_ = 1;
   uint32_t framebuffer_first_frame_ = 0;

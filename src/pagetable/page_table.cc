@@ -4,13 +4,6 @@
 
 namespace ppcmm {
 
-namespace {
-
-// PGD entries: PTE-page frame in the high 20 bits, present in bit 0.
-constexpr uint32_t kPgdPresentBit = 1u << 0;
-
-}  // namespace
-
 PageTable::PageTable(PageAllocator& allocator, PhysicalMemory& memory)
     : allocator_(allocator), memory_(memory) {
   const std::optional<uint32_t> frame = allocator_.Alloc();
@@ -29,14 +22,6 @@ PageTable::~PageTable() {
     }
   }
   allocator_.DecRef(pgd_frame_);
-}
-
-std::optional<uint32_t> PageTable::PtePageFrame(uint32_t pgd_index) const {
-  const uint32_t word = memory_.Read32(PgdEntryAddr(pgd_index));
-  if ((word & kPgdPresentBit) == 0) {
-    return std::nullopt;
-  }
-  return word >> 12;
 }
 
 std::optional<LinuxPte> PageTable::Lookup(EffAddr ea, MemCharger& charger) const {
@@ -97,36 +82,6 @@ std::optional<LinuxPte> PageTable::Unmap(EffAddr ea, MemCharger* charger) {
   }
   --present_count_;
   return old;
-}
-
-void PageTable::Update(EffAddr ea, const std::function<void(LinuxPte&)>& update,
-                       MemCharger* charger) {
-  const std::optional<uint32_t> pte_frame = PtePageFrame(PgdIndex(ea));
-  PPCMM_CHECK_MSG(pte_frame.has_value(), "Update on unmapped region 0x" << std::hex << ea.value);
-  const PhysAddr slot = PteEntryAddr(*pte_frame, PteIndex(ea));
-  LinuxPte pte = LinuxPte::Decode(memory_.Read32(slot));
-  PPCMM_CHECK_MSG(pte.present, "Update on non-present PTE at 0x" << std::hex << ea.value);
-  update(pte);
-  PPCMM_CHECK_MSG(pte.present, "Update must not clear the present bit; use Unmap");
-  memory_.Write32(slot, pte.Encode());
-  if (charger != nullptr) {
-    charger->Charge(slot, /*is_write=*/true);
-  }
-}
-
-void PageTable::ForEachPresent(const std::function<void(EffAddr, const LinuxPte&)>& fn) const {
-  for (uint32_t g = 0; g < kPgdEntries; ++g) {
-    const std::optional<uint32_t> pte_frame = PtePageFrame(g);
-    if (!pte_frame.has_value()) {
-      continue;
-    }
-    for (uint32_t i = 0; i < kPteEntriesPerPage; ++i) {
-      const LinuxPte pte = LinuxPte::Decode(memory_.Read32(PteEntryAddr(*pte_frame, i)));
-      if (pte.present) {
-        fn(EffAddr((g << kPgdShift) | (i << kPageShift)), pte);
-      }
-    }
-  }
 }
 
 uint32_t PageTable::PresentCount() const { return present_count_; }

@@ -10,10 +10,10 @@
 #define PPCMM_SRC_PAGETABLE_PAGE_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "src/sim/addr.h"
+#include "src/sim/check.h"
 #include "src/sim/mem_charge.h"
 #include "src/pagetable/linux_pte.h"
 #include "src/pagetable/page_allocator.h"
@@ -50,12 +50,40 @@ class PageTable {
   // Clears the leaf entry; returns the previous entry if it was present.
   std::optional<LinuxPte> Unmap(EffAddr ea, MemCharger* charger = nullptr);
 
-  // Rewrites the leaf entry for `ea` through `update`; the entry must exist and be present.
-  void Update(EffAddr ea, const std::function<void(LinuxPte&)>& update,
-              MemCharger* charger = nullptr);
+  // Rewrites the leaf entry for `ea` through `update` (a callable taking LinuxPte&); the
+  // entry must exist and be present.
+  template <typename Fn>
+  void Update(EffAddr ea, Fn&& update, MemCharger* charger = nullptr) {
+    const std::optional<uint32_t> pte_frame = PtePageFrame(PgdIndex(ea));
+    PPCMM_CHECK_MSG(pte_frame.has_value(), "Update on unmapped region 0x" << std::hex << ea.value);
+    const PhysAddr slot = PteEntryAddr(*pte_frame, PteIndex(ea));
+    LinuxPte pte = LinuxPte::Decode(memory_.Read32(slot));
+    PPCMM_CHECK_MSG(pte.present, "Update on non-present PTE at 0x" << std::hex << ea.value);
+    update(pte);
+    PPCMM_CHECK_MSG(pte.present, "Update must not clear the present bit; use Unmap");
+    memory_.Write32(slot, pte.Encode());
+    if (charger != nullptr) {
+      charger->Charge(slot, /*is_write=*/true);
+    }
+  }
 
-  // Invokes `fn` for every present leaf entry (functional iteration; nothing is charged).
-  void ForEachPresent(const std::function<void(EffAddr, const LinuxPte&)>& fn) const;
+  // Invokes `fn(EffAddr, const LinuxPte&)` for every present leaf entry (functional
+  // iteration; nothing is charged).
+  template <typename Fn>
+  void ForEachPresent(Fn&& fn) const {
+    for (uint32_t g = 0; g < kPgdEntries; ++g) {
+      const std::optional<uint32_t> pte_frame = PtePageFrame(g);
+      if (!pte_frame.has_value()) {
+        continue;
+      }
+      for (uint32_t i = 0; i < kPteEntriesPerPage; ++i) {
+        const LinuxPte pte = LinuxPte::Decode(memory_.Read32(PteEntryAddr(*pte_frame, i)));
+        if (pte.present) {
+          fn(EffAddr((g << kPgdShift) | (i << kPageShift)), pte);
+        }
+      }
+    }
+  }
 
   // Number of present leaf entries.
   uint32_t PresentCount() const;
@@ -71,8 +99,18 @@ class PageTable {
   static PhysAddr PteEntryAddr(uint32_t pte_frame, uint32_t index) {
     return PhysAddr::FromFrame(pte_frame, index * 4);
   }
-  // Reads the PGD entry; returns the PTE-page frame or nullopt if absent.
-  std::optional<uint32_t> PtePageFrame(uint32_t pgd_index) const;
+  // Reads the PGD entry; returns the PTE-page frame or nullopt if absent. Inline: the
+  // ForEachPresent template calls it for every PGD entry.
+  std::optional<uint32_t> PtePageFrame(uint32_t pgd_index) const {
+    const uint32_t word = memory_.Read32(PgdEntryAddr(pgd_index));
+    if ((word & kPgdPresentBit) == 0) {
+      return std::nullopt;
+    }
+    return word >> 12;
+  }
+
+  // PGD entries: PTE-page frame in the high 20 bits, present in bit 0.
+  static constexpr uint32_t kPgdPresentBit = 1u << 0;
 
   PageAllocator& allocator_;
   PhysicalMemory& memory_;

@@ -72,10 +72,7 @@ template <uint32_t kWays>
   }
   Lanes victim[kWays];
   Lanes oldest;  // the victim's stamp, the set's smallest
-  if constexpr (kWays == 1) {
-    victim[0] = ~Lanes{};
-    oldest = s.stamp[0];
-  } else if constexpr (kWays == 2) {
+  if constexpr (kWays == 2) {
     victim[1] = s.stamp[1] < s.stamp[0];
     victim[0] = ~victim[1];
     oldest = Select(victim[1], s.stamp[1], s.stamp[0]);
@@ -190,18 +187,6 @@ Cache::Cache(std::string name, CacheGeometry geometry, MemoryTiming timing)
   InvalidateAll();
 }
 
-Cycles Cache::Access(PhysAddr pa, bool is_write) {
-  const CacheAccessOutcome outcome = AccessLine(pa, is_write);
-  if (outcome.hit) {
-    return Cycles(1);
-  }
-  Cycles cost(timing_.line_fill_cycles);
-  if (outcome.evicted_dirty) {
-    cost += Cycles(timing_.writeback_cycles);
-  }
-  return cost;
-}
-
 void Cache::RenumberStamps() {
   // Each set's valid stamps are distinct and positive; they become 1, 2, ... in the same
   // order, in place: the r-th smallest of distinct positive stamps is at least r, and the
@@ -236,62 +221,51 @@ Cycles Cache::SweepSets(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint
                         uint32_t repeat) {
   static_assert(kSetGroup == kLanes, "a set group is one lane vector");
   const uint32_t assoc = geometry_.associativity;
-  const bool kernel = (assoc == 1 || assoc == 2 || assoc == 4) &&
-                      (kStreams == 1 || SetIndex(a) == SetIndex(b));
-  const uint64_t accesses = uint64_t{lines} * kStreams * repeat;
-  ChunkCounts counts;
-  if (kernel) {
-    // A chunk is a run of lines from `set` up to the last set: each of its sets is
-    // visited once per stream, and every line of a stream has the same tag. Stamps only
-    // order the lines within a set, so a chunk takes one tick per stream.
-    Stream streams[2] = {{.tag = Tag(a), .write = a_write},
-                         {.tag = Tag(b), .write = b_write}};
-    const size_t sets = size_t{set_mask_} + 1;  // NumSets() without its two divisions
-    size_t set = SetIndex(a);
-    for (uint32_t left = lines; left > 0;) {
-      const size_t n = std::min<size_t>(left, sets - set);
-      const uint32_t stamp = NextStamps(kStreams);
-      switch (assoc) {
-        case 1:
-          SweepChunk<1, kStreams>(rows_.data(), set, set + n, streams, stamp, &counts);
-          break;
-        case 2:
-          SweepChunk<2, kStreams>(rows_.data(), set, set + n, streams, stamp, &counts);
-          break;
-        default:
-          SweepChunk<4, kStreams>(rows_.data(), set, set + n, streams, stamp, &counts);
-          break;
-      }
-      left -= static_cast<uint32_t>(n);
-      set += n;
-      if (set == sets) {
-        set = 0;
-        ++streams[0].tag;
-        ++streams[1].tag;
-      }
-    }
-    // Each line's repeats hit the line its first access left resident.
-    counts.hits += accesses - uint64_t{lines} * kStreams;
-    stats_.accesses += accesses;
-    stats_.hits += counts.hits;
-    stats_.misses += accesses - counts.hits;
-    stats_.evictions += counts.evictions;
-    stats_.dirty_writebacks += counts.writebacks;
-  } else {
+  if ((assoc != 2 && assoc != 4) || (kStreams == 2 && SetIndex(a) != SetIndex(b))) {
     // Other associativities, and pairs whose streams sit in different sets (one stream's
     // chunk would then revisit the other's sets), go one line at a time.
-    const CacheStats before = stats_;
     const uint32_t line = geometry_.line_bytes;
+    Cycles cycles;
     for (uint32_t i = 0; i < lines; ++i) {
-      AccessLineRun(a + i * line, a_write, repeat);
+      cycles += AccessLineRun(a + i * line, a_write, repeat);
       if constexpr (kStreams == 2) {
-        AccessLine(b + i * line, b_write);
+        cycles += Access(b + i * line, b_write);
       }
     }
-    counts.hits = stats_.hits - before.hits;
-    counts.writebacks = stats_.dirty_writebacks - before.dirty_writebacks;
+    return cycles;
   }
+  // A chunk is a run of lines from `set` up to the last set: each of its sets is visited
+  // once per stream, and every line of a stream has the same tag. Stamps only order the
+  // lines within a set, so a chunk takes one tick per stream.
+  Stream streams[2] = {{.tag = Tag(a), .write = a_write}, {.tag = Tag(b), .write = b_write}};
+  const size_t sets = size_t{set_mask_} + 1;  // NumSets() without its two divisions
+  size_t set = SetIndex(a);
+  ChunkCounts counts;
+  for (uint32_t left = lines; left > 0;) {
+    const size_t n = std::min<size_t>(left, sets - set);
+    const uint32_t stamp = NextStamps(kStreams);
+    if (assoc == 2) {
+      SweepChunk<2, kStreams>(rows_.data(), set, set + n, streams, stamp, &counts);
+    } else {
+      SweepChunk<4, kStreams>(rows_.data(), set, set + n, streams, stamp, &counts);
+    }
+    left -= static_cast<uint32_t>(n);
+    set += n;
+    if (set == sets) {
+      set = 0;
+      ++streams[0].tag;
+      ++streams[1].tag;
+    }
+  }
+  // Each line's repeats hit the line its first access left resident.
+  const uint64_t accesses = uint64_t{lines} * kStreams * repeat;
+  counts.hits += accesses - uint64_t{lines} * kStreams;
   const uint64_t misses = accesses - counts.hits;
+  stats_.accesses += accesses;
+  stats_.hits += counts.hits;
+  stats_.misses += misses;
+  stats_.evictions += counts.evictions;
+  stats_.dirty_writebacks += counts.writebacks;
   return Cycles(counts.hits + misses * timing_.line_fill_cycles +
                 counts.writebacks * timing_.writeback_cycles);
 }

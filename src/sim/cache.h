@@ -37,47 +37,50 @@ struct CacheStats {
   }
 };
 
-// Outcome of one line-level access, for callers that compute costs themselves (the machine
-// uses this to layer an optional L2 between the L1s and memory).
+// Outcome of one line-level access: what Access prices, and what the model tests check
+// against a reference cache.
 struct CacheAccessOutcome {
   bool hit = false;
   bool evicted_dirty = false;  // a dirty victim line was displaced (write-back traffic)
 };
 
-// One cache (L1 instruction, L1 data, or a unified L2).
+// One L1 cache (instruction or data).
 class Cache {
  public:
   Cache(std::string name, CacheGeometry geometry, MemoryTiming timing);
 
-  // Performs one cached access to the line containing `pa`. Returns the cycles charged
-  // assuming misses fill straight from memory (no L2).
-  Cycles Access(PhysAddr pa, bool is_write);
+  // Performs one cached access to the line containing `pa` and returns its cycles: 1 on a
+  // hit, else the line fill plus the write-back of a dirty victim. Defined inline: this is
+  // the hottest function in the whole simulator (it is the body of Machine::TouchData and
+  // TouchInstruction), and the call would otherwise cross a translation-unit boundary.
+  Cycles Access(PhysAddr pa, bool is_write) {
+    const CacheAccessOutcome outcome = TouchLine(pa, is_write);
+    return Cycles(outcome.hit ? 1
+                              : timing_.line_fill_cycles +
+                                    (outcome.evicted_dirty ? timing_.writeback_cycles : 0));
+  }
 
-  // Line-level access without timing: updates state, reports what happened. Defined inline:
-  // this is the hottest function in the whole simulator (every charged memory reference
-  // lands here), and the call would otherwise cross a translation-unit boundary.
+  // Line-level access without timing: updates state, reports what happened.
   CacheAccessOutcome AccessLine(PhysAddr pa, bool is_write) { return TouchLine(pa, is_write); }
 
-  // `n` accesses to the single line containing `pa`, collapsed: bit-identical to calling
-  // AccessLine `n` times with same-line addresses. Only the first access can miss (the
-  // returned outcome); the remaining n-1 are hits on the line the first one left most
-  // recently used in its set, so they reduce to counter adds (its stamp already orders it
-  // last and its dirty bit already carries `is_write`). Serves the run charges the sweep
-  // kernel below does not take: short sub-line runs (PTEG probes, word-stride spans) and
-  // every run on a board with an L2.
-  CacheAccessOutcome AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
-    const CacheAccessOutcome first = TouchLine(pa, is_write);
-    if (n > 1) {
-      stats_.accesses += n - 1;
-      stats_.hits += n - 1;
-    }
-    return first;
+  // `n` (> 0) accesses to the single line containing `pa`, collapsed: bit-identical to
+  // calling Access `n` times with same-line addresses, and returns their cycles. Only the
+  // first access can miss; the remaining n-1 are hits on the line the first one left most
+  // recently used in its set, so they reduce to counter adds and 1 cycle each (its stamp
+  // already orders it last and its dirty bit already carries `is_write`). Serves the run
+  // charges the sweep kernel below does not take: short sub-line runs (PTEG probes,
+  // word-stride spans) and the idle loop's refetches of one line.
+  Cycles AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
+    const Cycles first = Access(pa, is_write);
+    stats_.accesses += n - 1;
+    stats_.hits += n - 1;
+    return first + Cycles(n - 1);
   }
 
   // Sweeps: runs of consecutive lines charged in one out-of-line pass of the set-parallel
-  // kernel, bit-identical to one AccessLine per access (state and counters). They return
-  // the cycles of the run assuming misses fill straight from memory (no L2), computed once
-  // from the counts as hits + misses * fill + write-backs * write-back.
+  // kernel, bit-identical to one Access per access (state, counters and cycles). The
+  // cycles are computed once from the counts as hits + misses * fill + write-backs *
+  // write-back.
   //
   // SweepLines: `lines` lines from the line containing `pa` upwards, each accessed `repeat`
   // (> 0) times back to back (a sub-line-stride run's whole-line groups).
@@ -194,7 +197,8 @@ class Cache {
   void RenumberStamps();
 
   // The sweep kernel: `kStreams` (1 or 2) interleaved line streams, one chunk of distinct
-  // sets at a time (cache.cc).
+  // sets at a time (cache.cc). It has lane steps for 2 and 4 ways, the L1s of the 603 and
+  // 604; other associativities, and pairs in different sets, go one line at a time.
   template <uint32_t kStreams>
   Cycles SweepSets(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines,
                    uint32_t repeat);

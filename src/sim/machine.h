@@ -40,8 +40,6 @@ class Machine {
   // A specific CPU's L1 caches (per-CPU verification views).
   Cache& icache(uint32_t cpu) { return cpu == 0 ? icache_ : extra_cores_[cpu - 1]->icache; }
   Cache& dcache(uint32_t cpu) { return cpu == 0 ? dcache_ : extra_cores_[cpu - 1]->dcache; }
-  // The optional board L2 (null when the profile has none; shared by every CPU).
-  Cache* l2cache() { return l2_.get(); }
 
   // ---- SMP interleaving ----
   //
@@ -88,16 +86,14 @@ class Machine {
   Cycles Now() const { return Cycles(counters_.cycles); }
 
   // Charges one data reference at `pa` through (or around) the data cache and advances the
-  // clock. `cached=false` models a cache-inhibited (WIMG I-bit) access. Inline so the
-  // L1-hit case (the overwhelmingly common one) costs one AccessLine call and one add;
-  // only a miss on a board with an L2 falls out of line into L2MissCost.
+  // clock. `cached=false` models a cache-inhibited (WIMG I-bit) access. Inline, as is
+  // Cache::Access, so the L1 hit (the overwhelmingly common case) costs no call.
   void TouchData(PhysAddr pa, bool is_write, bool cached = true) {
     if (!cached) {
       AddCycles(dcache_cur_->AccessUncached(is_write));
       return;
     }
-    const CacheAccessOutcome l1 = dcache_cur_->AccessLine(pa, is_write);
-    AddCycles(l1.hit ? Cycles(1) : MissCost(pa, is_write, l1.evicted_dirty));
+    AddCycles(dcache_cur_->Access(pa, is_write));
   }
 
   // Charges one instruction fetch at `pa` through the instruction cache.
@@ -106,8 +102,7 @@ class Machine {
       AddCycles(icache_cur_->AccessUncached(false));
       return;
     }
-    const CacheAccessOutcome l1 = icache_cur_->AccessLine(pa, false);
-    AddCycles(l1.hit ? Cycles(1) : MissCost(pa, false, l1.evicted_dirty));
+    AddCycles(icache_cur_->Access(pa, false));
   }
 
   // Charges `count` data references starting at `pa`, each `stride` (> 0) bytes after the
@@ -115,18 +110,18 @@ class Machine {
   // strictly increasing, so each cache line is visited in one contiguous group: the first
   // access of a group is the only one that can miss, the rest collapse inside
   // AccessLineRun, and the cycles accumulate into a single AddCycles (the ledger charges
-  // the same total into the same open cell). A line-stride run on a board without an L2
-  // is one Cache::SweepLines pass; an uncached run is O(1). Used by translation spans
-  // (which never cross a page) and by the kernel's bulk memory work and PTEG scans (page
-  // zeroing, HTAB search and reclaim), whose runs may span many pages.
+  // the same total into the same open cell). A line-stride run is one Cache::SweepLines
+  // pass; an uncached run is O(1). Used by translation spans (which never cross a page)
+  // and by the kernel's bulk memory work and PTEG scans (page zeroing, HTAB search and
+  // reclaim), whose runs may span many pages.
   void TouchDataRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write,
                     bool cached = true) {
     if (!cached) {
       AddCycles(dcache_cur_->AccessUncachedRun(is_write, count));
       return;
     }
-    AddCycles(Cycles(CachedRunCycles(*dcache_cur_, config_.dcache.line_bytes, pa, stride,
-                                     count, is_write)));
+    AddCycles(
+        CachedRunCycles(*dcache_cur_, config_.dcache.line_bytes, pa, stride, count, is_write));
   }
 
   // Instruction-fetch variant of TouchDataRun, same contract against TouchInstruction.
@@ -135,15 +130,15 @@ class Machine {
       AddCycles(icache_cur_->AccessUncachedRun(false, count));
       return;
     }
-    AddCycles(Cycles(CachedRunCycles(*icache_cur_, config_.icache.line_bytes, pa, stride,
-                                     count, /*is_write=*/false)));
+    AddCycles(CachedRunCycles(*icache_cur_, config_.icache.line_bytes, pa, stride, count,
+                              /*is_write=*/false));
   }
 
   // Charges `count` line pairs — line i of `a` (uncached when `a_cached` is false), then
   // line i of `b` — bit-identical to alternating TouchData(a + i * line, a_write, a_cached)
   // and TouchData(b + i * line, b_write). The interleaving matters because both streams
-  // compete for the same sets; it is one Cache::SweepLinePairs pass without an L2. Used by
-  // page copies (COW, private file pages) and the user/kernel copies of pipes and files.
+  // compete for the same sets; it is one Cache::SweepLinePairs pass. Used by page copies
+  // (COW, private file pages) and the user/kernel copies of pipes and files.
   void TouchDataPairRun(PhysAddr a, bool a_write, bool a_cached, PhysAddr b, bool b_write,
                         uint32_t count) {
     const uint32_t line = config_.dcache.line_bytes;
@@ -153,15 +148,7 @@ class Machine {
       TouchDataRun(b, line, count, b_write);
       return;
     }
-    if (l2_ == nullptr) {
-      AddCycles(dcache_cur_->SweepLinePairs(a, a_write, b, b_write, count));
-      return;
-    }
-    // With an L2 each L1 miss must reach it in order, so the pairs go one access at a time.
-    for (uint32_t i = 0; i < count; ++i) {
-      TouchData(a + i * line, a_write);
-      TouchData(b + i * line, b_write);
-    }
+    AddCycles(dcache_cur_->SweepLinePairs(a, a_write, b, b_write, count));
   }
 
   // Charges `count` (> 0) back-to-back instruction fetches of the same address `pa` —
@@ -173,7 +160,7 @@ class Machine {
       AddCycles(icache_cur_->AccessUncachedRun(false, count));
       return;
     }
-    AddCycles(Cycles(LineRepeatCycles(*icache_cur_, pa, /*is_write=*/false, count)));
+    AddCycles(icache_cur_->AccessLineRun(pa, /*is_write=*/false, count));
   }
 
   // Issues a software data prefetch (dcbt) for the line containing `pa`.
@@ -184,41 +171,22 @@ class Machine {
   double ElapsedSeconds() const { return CyclesToSeconds(Now(), config_.clock_mhz); }
 
  private:
-  // Charges an L1 miss through the L2 (if present) or memory; returns the cycles. Without
-  // an L2 the cost is two config reads, so only the L2 case leaves the inline path.
-  Cycles MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty) {
-    if (l2_ == nullptr) {
-      return Cycles(config_.memory.line_fill_cycles +
-                    (l1_evicted_dirty ? config_.memory.writeback_cycles : 0));
-    }
-    return L2MissCost(pa, is_write, l1_evicted_dirty);
-  }
-  Cycles L2MissCost(PhysAddr pa, bool is_write, bool l1_evicted_dirty);
-
-  // The cycles of `reps` (> 0) back-to-back accesses to the line of `pa` in `cache`: only
-  // the first can miss, the repeats hit the line it left resident, 1 cycle each.
-  uint64_t LineRepeatCycles(Cache& cache, PhysAddr pa, bool is_write, uint32_t reps) {
-    const CacheAccessOutcome l1 = cache.AccessLineRun(pa, is_write, reps);
-    return (l1.hit ? 1 : MissCost(pa, is_write, l1.evicted_dirty).value) + reps - 1;
-  }
-
   // The cycles of a cached run through `cache` (the body shared by TouchDataRun and
   // TouchInstructionRun); touches the cache but leaves the clock to the caller. A
-  // line-stride run without an L2 is one sweep. Otherwise, when the stride is a power of
-  // two dividing the start address, every line group ends exactly at a line boundary, so
-  // its length is a shift rather than a division, and without an L2 the whole-line groups
-  // of a sub-line run (PTEG scans) go to one sweep with a per-line repeat count once there
-  // are at least kMinSweepLines of them. With an L2 each L1 miss must reach it in order,
-  // one line group at a time.
-  uint64_t CachedRunCycles(Cache& cache, uint32_t line, PhysAddr pa, uint32_t stride,
-                           uint32_t count, bool is_write) {
-    if (stride == line && l2_ == nullptr) {
-      return cache.SweepLines(pa, count, is_write).value;
+  // line-stride run is one sweep. Otherwise, when the stride is a power of two dividing
+  // the start address, every line group ends exactly at a line boundary, so its length is
+  // a shift rather than a division, and the whole-line groups of a sub-line run (PTEG
+  // scans) go to one sweep with a per-line repeat count once there are at least
+  // kMinSweepLines of them. The other groups go one AccessLineRun each.
+  Cycles CachedRunCycles(Cache& cache, uint32_t line, PhysAddr pa, uint32_t stride,
+                         uint32_t count, bool is_write) {
+    if (stride == line) {
+      return cache.SweepLines(pa, count, is_write);
     }
     const bool aligned = std::has_single_bit(stride) && (pa.value & (stride - 1)) == 0;
     const auto stride_shift = static_cast<uint32_t>(std::countr_zero(stride));
-    const bool sweep_groups = aligned && stride < line && l2_ == nullptr;
-    uint64_t cycles = 0;
+    const bool sweep_groups = aligned && stride < line;
+    Cycles cycles;
     uint32_t i = 0;
     while (i < count) {
       const PhysAddr cur(pa.value + i * stride);
@@ -230,7 +198,7 @@ class Machine {
           const uint32_t per_line = 1u << group_shift;
           const uint32_t lines = (count - i) >> group_shift;
           if (lines >= kMinSweepLines) {
-            cycles += cache.SweepLines(cur, lines, is_write, per_line).value;
+            cycles += cache.SweepLines(cur, lines, is_write, per_line);
             i += lines * per_line;
             continue;
           }
@@ -238,7 +206,7 @@ class Machine {
         reps = std::min(count - i,
                         aligned ? line_left >> stride_shift : (line_left - 1) / stride + 1);
       }
-      cycles += LineRepeatCycles(cache, cur, is_write, reps);
+      cycles += cache.AccessLineRun(cur, is_write, reps);
       i += reps;
     }
     return cycles;
@@ -263,7 +231,6 @@ class Machine {
           dcache("dcache", config.dcache, config.memory) {}
   };
   std::vector<std::unique_ptr<ExtraCore>> extra_cores_;
-  std::unique_ptr<Cache> l2_;
   HwCounters counters_;
   CycleLedger attr_;
   // SMP spotlight: which CPU the hot paths currently model. The pointers are the only

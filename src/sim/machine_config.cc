@@ -44,16 +44,6 @@ MachineConfig MachineConfig::Ppc604(uint32_t mhz) {
   return mc;
 }
 
-MachineConfig MachineConfig::Ppc604WithL2(uint32_t mhz, uint32_t l2_kb) {
-  MachineConfig mc = Ppc604(mhz);
-  mc.name = "PPC604 " + std::to_string(mhz) + "MHz +" + std::to_string(l2_kb) + "K L2";
-  mc.has_l2 = true;
-  // Board-level lookaside caches of the era were direct-mapped or 2-way with wide lines.
-  mc.l2 = CacheGeometry{.size_bytes = l2_kb * 1024, .line_bytes = 32, .associativity = 1};
-  mc.l2_hit_cycles = 12;
-  return mc;
-}
-
 MachineConfig MachineConfig::Ppc604FastBoard(uint32_t mhz) {
   MachineConfig mc = Ppc604(mhz);
   mc.name = "PPC604 " + std::to_string(mhz) + "MHz (fast board)";

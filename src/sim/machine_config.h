@@ -57,20 +57,13 @@ struct MachineConfig {
   CacheGeometry icache;
   CacheGeometry dcache;
 
-  // Optional board-level unified L2 (PowerMac-class boards shipped 256K-1M lookaside
-  // caches). Disabled in the calibrated standard profiles; Ppc604WithL2() enables it for
-  // the board-quality exploration.
-  bool has_l2 = false;
-  CacheGeometry l2;
-  uint32_t l2_hit_cycles = 12;
-
   uint32_t itlb_entries = 128;
   uint32_t dtlb_entries = 128;
   uint32_t tlb_associativity = 2;  // both 603 and 604 TLBs are 2-way set associative
 
   // SMP: number of simulated CPUs. Each CPU gets its own split I/D TLBs, segment
-  // registers, and L1 caches; physical memory, the HTAB, the BATs, and the optional L2
-  // are shared. 1 (the default) is bit-identical to the original uniprocessor model.
+  // registers, and L1 caches; physical memory, the HTAB and the BATs are shared. 1 (the
+  // default) is bit-identical to the original uniprocessor model.
   uint32_t ncpus = 1;
 
   // Inter-processor-interrupt costs for TLB shootdown (the smp_call_function idiom):
@@ -95,8 +88,6 @@ struct MachineConfig {
   static MachineConfig Ppc604(uint32_t mhz);
   // The 200 MHz 604 box from Table 1: faster main memory and better board design.
   static MachineConfig Ppc604FastBoard(uint32_t mhz);
-  // A 604 board with a 512 KB unified lookaside L2.
-  static MachineConfig Ppc604WithL2(uint32_t mhz, uint32_t l2_kb = 512);
 
   uint32_t PageSizeBytes() const { return 4096; }
   uint64_t NumPageFrames() const { return ram_bytes / PageSizeBytes(); }

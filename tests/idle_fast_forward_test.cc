@@ -148,12 +148,10 @@ std::vector<MachineCase> Machines() {
   for (const uint32_t ncpus : {1u, 2u}) {
     MachineConfig m603 = MachineConfig::Ppc603(133);
     MachineConfig m604 = MachineConfig::Ppc604(185);
-    MachineConfig l2 = MachineConfig::Ppc604WithL2(185);
-    m603.ncpus = m604.ncpus = l2.ncpus = ncpus;
+    m603.ncpus = m604.ncpus = ncpus;
     const bool smp = ncpus > 1;
     out.push_back({smp ? "603x2" : "603", m603});
     out.push_back({smp ? "604x2" : "604", m604});
-    out.push_back({smp ? "604l2x2" : "604l2", l2});
   }
   return out;
 }

@@ -27,7 +27,6 @@ std::vector<MachineCase> Machines() {
       {"604_133", MachineConfig::Ppc604(133)},
       {"604_185", MachineConfig::Ppc604(185)},
       {"604_200_fast", MachineConfig::Ppc604FastBoard(200)},
-      {"604_185_l2", MachineConfig::Ppc604WithL2(185)},
   };
 }
 
@@ -66,7 +65,7 @@ TEST_P(MachineSweep, KernelBootAndLifecycle) {
   EXPECT_EQ(kernel.TaskCount(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMachines, MachineSweep, ::testing::Range(0, 6),
+INSTANTIATE_TEST_SUITE_P(AllMachines, MachineSweep, ::testing::Range(0, 5),
                          [](const ::testing::TestParamInfo<int>& param_info) {
                            return Machines()[param_info.param].name;
                          });

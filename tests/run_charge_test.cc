@@ -30,9 +30,8 @@ struct ConfigCase {
   MachineConfig config;
 };
 
-// 603 (2-way L1s) and 604 (4-way) take the set-parallel sweep kernel; 604_l2 takes the
-// per-line path every L1 miss needs to reach the L2 in order; 3way (12 KB, 128 sets) has no
-// kernel of its own, so its sweeps go one line at a time.
+// 603 (2-way L1s) and 604 (4-way) take the set-parallel sweep kernel; 3way (12 KB, 128
+// sets) has no kernel of its own, so its sweeps go one line at a time.
 std::vector<ConfigCase> Configs() {
   const auto small = [](MachineConfig mc) {
     mc.ram_bytes = 4ull * 1024 * 1024;
@@ -43,7 +42,6 @@ std::vector<ConfigCase> Configs() {
   three_way.dcache = three_way.icache;
   return {{"603", small(MachineConfig::Ppc603(80))},
           {"604", small(MachineConfig::Ppc604(185))},
-          {"604_l2", small(MachineConfig::Ppc604WithL2(185))},
           {"3way", small(three_way)}};
 }
 
@@ -58,15 +56,11 @@ void ExpectStatsEqual(const CacheStats& a, const CacheStats& b, const char* whic
   EXPECT_EQ(a.prefetches, b.prefetches);
 }
 
-// Clock, every cache's counters and every attribution cell of two machines.
+// Clock, both caches' counters and every attribution cell of two machines.
 void ExpectMachinesEqual(Machine& a, Machine& b) {
   EXPECT_EQ(a.Now().value, b.Now().value);
   ExpectStatsEqual(a.dcache().stats(), b.dcache().stats(), "dcache");
   ExpectStatsEqual(a.icache().stats(), b.icache().stats(), "icache");
-  ASSERT_EQ(a.l2cache() == nullptr, b.l2cache() == nullptr);
-  if (a.l2cache() != nullptr) {
-    ExpectStatsEqual(a.l2cache()->stats(), b.l2cache()->stats(), "l2");
-  }
   const std::vector<CycleLedger::Cell> cells_a = a.attr().Cells();
   const std::vector<CycleLedger::Cell> cells_b = b.attr().Cells();
   ASSERT_EQ(cells_a.size(), cells_b.size());
@@ -298,8 +292,8 @@ TEST(RunChargeTest, PairSweepsMatchAlternatingTouchData) {
 
 // ---- runs against the reference cache ----
 
-// Reference-side bookkeeping: the counters and cycles an L1 with no L2 behind it must
-// report after the same accesses, one reference access per line group (its repeats hit).
+// Reference-side bookkeeping: the counters and cycles an L1 must report after the same
+// accesses, one reference access per line group (its repeats hit).
 struct ReferenceDcache {
   explicit ReferenceDcache(const MachineConfig& config)
       : cache(config.dcache), timing(config.memory) {}
@@ -341,9 +335,6 @@ void ExpectCacheMatchesReference(Cache& cache, const ReferenceDcache& reference,
 // stay one line group at a time).
 TEST(RunChargeTest, SubLineRunsMatchReferenceCache) {
   for (const ConfigCase& c : Configs()) {
-    if (c.config.has_l2) {
-      continue;  // the reference models the L1 alone; L2 boards are checked against loops
-    }
     Machine m(c.config);
     ReferenceDcache reference(c.config);
     Rng rng(8080);
@@ -391,9 +382,6 @@ TEST(RunChargeTest, SubLineRunsMatchReferenceCache) {
 // one reference access per repeat call, in outcome, counters, clock and residency.
 TEST(RunChargeTest, InstructionRepeatsNearUint32MaxCrossTheStampRenumbering) {
   for (const ConfigCase& c : Configs()) {
-    if (c.config.has_l2) {
-      continue;
-    }
     Machine m(c.config);
     MachineConfig icache_config = c.config;
     icache_config.dcache = c.config.icache;

@@ -118,7 +118,7 @@ std::vector<CopyCase> Cases() {
       {"604_deferred_c_bit", MachineConfig::Ppc604(185), deferred_c},
       {"603_sw_htab", MachineConfig::Ppc603(133), OptimizationConfig::Baseline()},
       {"603_direct", MachineConfig::Ppc603(133), OptimizationConfig::OnlyDirectReload()},
-      {"604_l2_uncached_pt", MachineConfig::Ppc604WithL2(185),
+      {"604_uncached_pt", MachineConfig::Ppc604(185),
        OptimizationConfig::AllPlusUncachedPageTables()},
   };
 }

@@ -5,6 +5,7 @@ struct FixtureCache {
     history_.push_back(line);  // line 5: HOT-ALLOC-020
     return line;
   }
+  unsigned Access(unsigned line) const { return TouchLine(line) + 1; }
   unsigned AccessUncached(unsigned line) const { return line + history_.size(); }
   unsigned AccessLineRun(unsigned line, unsigned n) const { return TouchLine(line) + n; }
   unsigned AccessUncachedRun(unsigned line, unsigned n) const { return line * n; }

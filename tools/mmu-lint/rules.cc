@@ -90,6 +90,7 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/sim/machine.h", "Machine", "TouchInstructionRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchInstructionRepeat", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchDataPairRun", {"WalkPte", "MarkPteDirty"}},
+      {"src/sim/cache.h", "Cache", "Access", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLine", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLineRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "TouchLine", {"WalkPte", "MarkPteDirty"}},
