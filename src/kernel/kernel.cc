@@ -980,16 +980,46 @@ void Kernel::UserExecute(uint32_t instructions) {
   const uint32_t line = machine_.config().icache.line_bytes;
   const uint32_t lines_per_page = kPageSize / line;
   // One instruction fetch per 8 instructions (32-byte lines hold 8 four-byte instructions),
-  // walking sequentially through the task's code page.
-  for (uint32_t i = 0; i < instructions; i += 8) {
-    const uint32_t line_index = static_cast<uint32_t>(idle_rr_cursor_++) % lines_per_page;
-    UserTouch(EffAddr::FromPage(current.text_page, line_index * line),
-              AccessKind::kInstructionFetch);
+  // walking sequentially through the task's code page: one line-stride run up to where the
+  // line cursor wraps at the page end, then the next from the page start.
+  uint32_t fetches = instructions / 8 + (instructions % 8 != 0 ? 1 : 0);
+  while (fetches > 0) {
+    const uint32_t line_index = static_cast<uint32_t>(idle_rr_cursor_) % lines_per_page;
+    const uint32_t n = std::min(fetches, lines_per_page - line_index);
+    UserTouchRun(EffAddr::FromPage(current.text_page, line_index * line), line, n,
+                 AccessKind::kInstructionFetch);
+    idle_rr_cursor_ += n;
+    fetches -= n;
   }
   machine_.AddCycles(Cycles(instructions));
 }
 
 // ---- idle ----
+
+uint64_t Kernel::ReclaimIterationBound() const {
+  const MachineConfig& machine = machine_.config();
+  const MemoryTiming& timing = machine.memory;
+  // The fetch as a miss (instruction lines are never dirty) or an uncached fetch.
+  uint64_t bound = std::max(timing.line_fill_cycles, timing.single_beat_cycles) + kIdleLoopCycles;
+  const uint64_t ptegs = std::min(config_.idle_reclaim_ptegs_per_pass, mmu_->htab().num_ptegs());
+  const uint64_t slots = ptegs * kPtesPerPteg;
+  if (mmu_->policy().cache_page_tables) {
+    // Every line of the pass missing onto a dirty victim (a pass that wraps covers two
+    // ranges, so up to two partial lines more), then 1 cycle per slot read and per clearing
+    // store: a store follows the read of its own slot, so it hits.
+    const uint64_t line = machine.dcache.line_bytes;
+    const uint64_t lines = (slots * kPteBytes + line - 1) / line + 2;
+    bound += lines * (timing.line_fill_cycles + timing.writeback_cycles) + 2 * slots;
+  } else {
+    bound += 2 * slots * timing.single_beat_cycles;
+  }
+  // A zeroer that declines now declines for the whole chunk: only allocations and frees
+  // change its answer, and an idle iteration's zero is its only allocation.
+  if (!mem_.IdleZeroDeclines()) {
+    bound += mem_.UncachedZeroCycles();
+  }
+  return bound;
+}
 
 void Kernel::RunIdle(Cycles budget) {
   CycleScope idle_scope(machine_, AttrCause::kIdleLoop);
@@ -998,16 +1028,55 @@ void Kernel::RunIdle(Cycles budget) {
   const Cycles deadline = machine_.Now() + budget;
   DataMemCharger pt_charger = mmu_->PageTableCharger();
   const EffAddr idle_text(kKernelVirtualBase + kIdleTextPage * kPageSize);
+  const bool reclaim = config_.idle_zombie_reclaim && mmu_->policy().UsesHtab();
   // The spin fast-forward below replays the fetch's translation, so the uncached (§10.1)
   // fetch, which translates nothing, keeps the loop. So does a live ledger with idle
   // zeroing: it records every iteration's (zero-cycle) idle_zero scope in its trace ring.
   const bool may_fast_forward =
       !config_.uncached_idle_task &&
       !(machine_.attr().enabled() && config_.idle_zero != IdleZeroPolicy::kOff);
+  // Reclaiming iterations run in chunks under the same fetch replay, with the ledger off
+  // (it would record every iteration's scopes) and with idle zeroing off or uncached (a
+  // cached zero would interleave with the sweep in the D-cache).
+  const bool may_chunk = reclaim && !config_.uncached_idle_task && !machine_.attr().enabled() &&
+                         config_.idle_zero != IdleZeroPolicy::kCached;
+  const uint32_t ptegs_per_pass = config_.idle_reclaim_ptegs_per_pass;
   uint32_t spins = 0;        // consecutive iterations that found no work
   uint64_t spin_cycles = 0;  // what the last of them cost
 
   while (machine_.Now() < deadline) {
+    if (may_chunk) {
+      // A chunk of n reclaiming iterations in closed form. The fetches go to the I-cache
+      // and the ITLB or a BAT, the sweep to the D-cache and the HTAB, and an uncached zero
+      // to neither cache, so grouping each kind in iteration order changes no state: n
+      // fetches, n loop bodies, one sweep over the n passes' PTEGs (at most one table, so
+      // the cursor wraps at most once, as the passes would), then the zeroes until the
+      // zeroer declines, as it then would for every later iteration. n iterations of at
+      // most `iteration_bound` cycles each all start before the deadline.
+      const uint64_t iteration_bound = ReclaimIterationBound();
+      uint64_t n = (deadline - machine_.Now()).value / iteration_bound;
+      if (ptegs_per_pass > 0) {
+        n = std::min<uint64_t>(n, mmu_->htab().num_ptegs() / ptegs_per_pass);
+      }
+      n = std::min<uint64_t>(n, UINT32_MAX);
+      const std::optional<Mmu::SpanTarget> span =
+          n >= 2 ? mmu_->ReplaySpan(idle_text, AccessKind::kInstructionFetch,
+                                    static_cast<uint32_t>(n))
+                 : std::nullopt;
+      if (span.has_value()) {
+        const Cycles start = machine_.Now();
+        machine_.TouchInstructionRepeat(PhysAddr::FromFrame(span->frame),
+                                        static_cast<uint32_t>(n), span->cached);
+        machine_.AddCycles(Cycles(n * kIdleLoopCycles));
+        counters.zombies_reclaimed += mmu_->htab().ReclaimZombies(
+            static_cast<uint32_t>(n) * ptegs_per_pass, vsids_, pt_charger);
+        for (uint64_t zeroed = 0; zeroed < n && mem_.IdleZeroOnePage(); ++zeroed) {
+        }
+        PPCMM_CHECK_MSG(machine_.Now() - start <= Cycles(iteration_bound * n),
+                        "idle reclaim chunk exceeded its per-iteration bound");
+        continue;
+      }
+    }
     if (spins >= 2 && may_fast_forward) {
       // Two back-to-back iterations found no work: no reclaim pass is configured and the
       // zeroer declined (list full or allocator low), which no spin can change. The second
@@ -1039,10 +1108,10 @@ void Kernel::RunIdle(Cycles budget) {
     machine_.AddCycles(Cycles(kIdleLoopCycles));
 
     bool worked = false;
-    if (config_.idle_zombie_reclaim && mmu_->policy().UsesHtab()) {
+    if (reclaim) {
       CycleScope reclaim_scope(machine_, AttrCause::kIdleReclaim);
       counters.zombies_reclaimed +=
-          mmu_->htab().ReclaimZombies(config_.idle_reclaim_ptegs_per_pass, vsids_, pt_charger);
+          mmu_->htab().ReclaimZombies(ptegs_per_pass, vsids_, pt_charger);
       worked = true;  // the scan itself consumed cycles
     }
     if (config_.idle_zero != IdleZeroPolicy::kOff) {

@@ -292,6 +292,10 @@ class Kernel : public PteBackingSource {
   void ChargeKernelWork(KernelOp op);
   // One kernel memory reference at a kernel virtual address, through the MMU.
   void KernelTouch(EffAddr ea, AccessKind kind);
+  // An upper bound on the cycles of each of the next idle iterations that reclaim
+  // (RunIdle's chunks): every cache access of the fetch, the PTEG sweep and, unless the
+  // zeroer declines, an uncached page zero priced at its worst from the MemoryTiming.
+  uint64_t ReclaimIterationBound() const;
 
   void SetupKernelTranslation();
   // VSID epoch rollover: purges every user translation and reassigns all live contexts so

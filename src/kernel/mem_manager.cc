@@ -4,6 +4,13 @@
 
 namespace ppcmm {
 
+namespace {
+
+// A page zero's store loop beyond the cache accesses: ~2 cycles per 4-byte store.
+uint32_t ZeroLoopCyclesPerLine(uint32_t line) { return line / 4 * 2; }
+
+}  // namespace
+
 uint32_t MemManager::GetFreePage() {
   const std::optional<uint32_t> frame = TryGetFreePage();
   if (!frame.has_value()) {
@@ -59,21 +66,22 @@ void MemManager::FreePage(uint32_t frame) {
   allocator_.DecRef(frame);
 }
 
+bool MemManager::IdleZeroDeclines() const {
+  const bool keep_on_list = config_.idle_zero == IdleZeroPolicy::kCached ||
+                            config_.idle_zero == IdleZeroPolicy::kUncachedWithList;
+  // Leave headroom: don't starve the allocator by hoarding pages on the zeroed list.
+  return config_.idle_zero == IdleZeroPolicy::kOff ||
+         (keep_on_list && PrezeroedCount() >= config_.prezero_list_cap) ||
+         allocator_.FreeCount() < 32;
+}
+
 bool MemManager::IdleZeroOnePage() {
-  if (config_.idle_zero == IdleZeroPolicy::kOff) {
+  if (IdleZeroDeclines()) {
     return false;
   }
   HwCounters& counters = machine_.counters();
-
   const bool keep_on_list = config_.idle_zero == IdleZeroPolicy::kCached ||
                             config_.idle_zero == IdleZeroPolicy::kUncachedWithList;
-  if (keep_on_list && PrezeroedCount() >= config_.prezero_list_cap) {
-    return false;
-  }
-  // Leave headroom: don't starve the allocator by hoarding pages on the zeroed list.
-  if (allocator_.FreeCount() < 32) {
-    return false;
-  }
 
   const std::optional<uint32_t> frame = allocator_.Alloc();
   if (!frame.has_value()) {
@@ -97,9 +105,14 @@ void MemManager::ZeroFrameCharged(uint32_t frame, bool cached) {
   const uint32_t line = machine_.config().dcache.line_bytes;
   const uint32_t lines = kPageSize / line;
   machine_.TouchDataRun(PhysAddr::FromFrame(frame), line, lines, /*is_write=*/true, cached);
-  // The store loop itself: ~2 cycles per 4-byte store beyond the cache access.
-  machine_.AddCycles(Cycles(uint64_t{lines} * (line / 4 * 2)));
+  machine_.AddCycles(Cycles(uint64_t{lines} * ZeroLoopCyclesPerLine(line)));
   machine_.memory().ZeroFrame(frame);
+}
+
+uint64_t MemManager::UncachedZeroCycles() const {
+  const uint32_t line = machine_.config().dcache.line_bytes;
+  return uint64_t{kPageSize / line} *
+         (machine_.config().memory.single_beat_cycles + ZeroLoopCyclesPerLine(line));
 }
 
 }  // namespace ppcmm

@@ -50,6 +50,13 @@ class MemManager {
   // One idle-task zeroing step: zero one free frame per the configured policy. Returns true
   // if a page was zeroed (false when the policy is off, the list is full, or RAM is tight).
   bool IdleZeroOnePage();
+  // Whether IdleZeroOnePage would decline now: the policy is off, the list is full, or RAM
+  // is tight. Only allocations and frees change the answer.
+  bool IdleZeroDeclines() const;
+
+  // The cycles one page zero costs under an uncached policy. Fixed: uncached stores
+  // neither read nor leave any cache state.
+  uint64_t UncachedZeroCycles() const;
 
   uint32_t PrezeroedCount() const { return static_cast<uint32_t>(prezeroed_.size()); }
   PageAllocator& allocator() { return allocator_; }

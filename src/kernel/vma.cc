@@ -9,7 +9,8 @@ namespace ppcmm {
 void VmaList::Insert(const Vma& vma) {
   PPCMM_CHECK_MSG(vma.start_page < vma.end_page, "empty or inverted VMA");
   PPCMM_CHECK_MSG(RangeIsFree(vma.start_page, vma.PageCount()),
-                  "VMA [" << vma.start_page << ", " << vma.end_page << ") overlaps an existing one");
+                  "VMA [" << vma.start_page << ", " << vma.end_page
+                          << ") overlaps an existing one");
   vmas_.emplace(vma.start_page, vma);
 }
 

@@ -22,7 +22,7 @@ auto MatchesPage(VirtPage vp) {
 }  // namespace
 
 HashTable::HashTable(uint32_t num_ptegs, PhysAddr base)
-    : ptegs_(num_ptegs), base_(base), hash_mask_(num_ptegs - 1) {
+    : ptegs_(num_ptegs), valid_mask_(num_ptegs, 0), base_(base), hash_mask_(num_ptegs - 1) {
   PPCMM_CHECK_MSG(IsPowerOfTwo(num_ptegs), "HTAB PTEG count must be a power of two");
 }
 
@@ -67,30 +67,6 @@ HashTable::PtegProbe HashTable::ProbePair(VirtPage vp, Pred pred, MemCharger& ch
   return probe;
 }
 
-template <typename Pred>
-uint32_t HashTable::SweepSlots(uint32_t first, uint32_t end, Pred pred, MemCharger* charger) {
-  // `run_start` is the first slot whose read is not yet charged: a run ends at a clearing
-  // store, which must land after the reads before it.
-  uint32_t cleared = 0;
-  uint32_t run_start = first;
-  for (uint32_t slot = first; slot < end; ++slot) {
-    HashedPte& pte = ptegs_[slot / kPtesPerPteg][slot % kPtesPerPteg];
-    if (pte.valid && pred(pte)) {
-      pte.valid = false;
-      ++cleared;
-      if (charger != nullptr) {
-        ChargeSlotReads(*charger, run_start, slot + 1);
-        charger->Charge(base_ + slot * kPteBytes, /*is_write=*/true);
-      }
-      run_start = slot + 1;
-    }
-  }
-  if (charger != nullptr) {
-    ChargeSlotReads(*charger, run_start, end);
-  }
-  return cleared;
-}
-
 HtabSearchResult HashTable::Search(VirtPage vp, MemCharger& charger) const {
   const PtegProbe probe = ProbePair(vp, MatchesPage(vp), charger);
   if (!probe.found()) {
@@ -120,6 +96,7 @@ HtabInsertOutcome HashTable::Insert(const HashedPte& pte, const VsidOracle& orac
                   : HtabInsertOutcome::kReplacedZombie;
   }
   ptegs_[target.pteg][target.slot] = pte;
+  valid_mask_[target.pteg] |= static_cast<uint8_t>(1u << target.slot);
   charger.Charge(SlotAddr(target.pteg, target.slot), /*is_write=*/true);
   return outcome;
 }
@@ -129,9 +106,9 @@ HtabSearchResult HashTable::InvalidatePage(VirtPage vp, MemCharger& charger) {
   if (!probe.found()) {
     return HtabSearchResult{.memory_refs = probe.refs};
   }
-  HashedPte& slot = ptegs_[probe.pteg][probe.slot];
-  const HtabSearchResult cleared{.found = true, .pte = slot, .memory_refs = probe.refs + 1};
-  slot.valid = false;
+  const HtabSearchResult cleared{
+      .found = true, .pte = ptegs_[probe.pteg][probe.slot], .memory_refs = probe.refs + 1};
+  Invalidate(probe.pteg, probe.slot);
   charger.Charge(SlotAddr(probe.pteg, probe.slot), /*is_write=*/true);
   return cleared;
 }
@@ -145,22 +122,14 @@ bool HashTable::MarkChanged(VirtPage vp, MemCharger& charger) {
   return probe.found();
 }
 
-uint32_t HashTable::InvalidateMatching(const std::function<bool(const HashedPte&)>& pred,
-                                       MemCharger* charger) {
-  return SweepSlots(0, capacity(), pred, charger);
-}
-
 uint32_t HashTable::InvalidatePteg(uint32_t pteg, MemCharger* charger) {
   PPCMM_CHECK(pteg < num_ptegs());
-  uint32_t cleared = 0;
-  for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
-    HashedPte& pte = ptegs_[pteg][s];
-    if (pte.valid) {
-      pte.valid = false;
-      ++cleared;
-      if (charger != nullptr) {
-        charger->Charge(SlotAddr(pteg, s), /*is_write=*/true);
-      }
+  const uint32_t cleared = static_cast<uint32_t>(std::popcount(valid_mask_[pteg]));
+  for (uint32_t mask = valid_mask_[pteg]; mask != 0; mask &= mask - 1) {
+    const auto s = static_cast<uint32_t>(std::countr_zero(mask));
+    Invalidate(pteg, s);
+    if (charger != nullptr) {
+      charger->Charge(SlotAddr(pteg, s), /*is_write=*/true);
     }
   }
   return cleared;
@@ -183,21 +152,17 @@ uint32_t HashTable::ReclaimZombies(uint32_t max_ptegs, const VsidOracle& oracle,
 
 uint32_t HashTable::ValidCount() const {
   uint32_t count = 0;
-  for (const Pteg& pteg : ptegs_) {
-    for (const HashedPte& pte : pteg) {
-      if (pte.valid) {
-        ++count;
-      }
-    }
+  for (const uint8_t mask : valid_mask_) {
+    count += static_cast<uint32_t>(std::popcount(mask));
   }
   return count;
 }
 
 uint32_t HashTable::LiveCount(const VsidOracle& oracle) const {
   uint32_t count = 0;
-  for (const Pteg& pteg : ptegs_) {
-    for (const HashedPte& pte : pteg) {
-      if (pte.valid && oracle.IsLive(pte.vsid)) {
+  for (uint32_t g = 0; g < num_ptegs(); ++g) {
+    for (uint32_t mask = valid_mask_[g]; mask != 0; mask &= mask - 1) {
+      if (oracle.IsLive(ptegs_[g][std::countr_zero(mask)].vsid)) {
         ++count;
       }
     }
@@ -207,14 +172,8 @@ uint32_t HashTable::LiveCount(const VsidOracle& oracle) const {
 
 std::array<uint32_t, kPtesPerPteg + 1> HashTable::OccupancyHistogram() const {
   std::array<uint32_t, kPtesPerPteg + 1> histogram{};
-  for (const Pteg& pteg : ptegs_) {
-    uint32_t occupied = 0;
-    for (const HashedPte& pte : pteg) {
-      if (pte.valid) {
-        ++occupied;
-      }
-    }
-    ++histogram[occupied];
+  for (const uint8_t mask : valid_mask_) {
+    ++histogram[std::popcount(mask)];
   }
   return histogram;
 }
@@ -232,6 +191,7 @@ void HashTable::Clear() {
   for (Pteg& pteg : ptegs_) {
     pteg.fill(HashedPte{});
   }
+  std::fill(valid_mask_.begin(), valid_mask_.end(), uint8_t{0});
   replace_cursor_ = 0;
   reclaim_cursor_ = 0;
 }

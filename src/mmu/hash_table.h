@@ -10,13 +10,18 @@
 // HTAB traffic shows up in the data cache exactly as it did on the real 604 (§8). Reads of
 // consecutive slots go out as one MemCharger::ChargeRun, in the same order as one Charge
 // per slot would.
+//
+// Alongside the slots the table keeps one byte per PTEG mirroring their valid bits, so
+// whole-table sweeps (zombie reclaim, rollover) look only at valid slots. The mask is host
+// bookkeeping: sweeps charge every slot read exactly as a slot-by-slot scan would.
 
 #ifndef PPCMM_SRC_MMU_HASH_TABLE_H_
 #define PPCMM_SRC_MMU_HASH_TABLE_H_
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/sim/addr.h"
@@ -79,10 +84,13 @@ class HashTable {
   // Returns true if the entry was found. Charges the search plus one store.
   bool MarkChanged(VirtPage vp, MemCharger& charger);
 
-  // Scans the whole table invalidating entries selected by `pred`; charges one read per slot
-  // (plus one write per invalidation) when `charger` is non-null. Returns entries cleared.
-  uint32_t InvalidateMatching(const std::function<bool(const HashedPte&)>& pred,
-                              MemCharger* charger);
+  // Scans the whole table invalidating entries selected by `pred` (a callable taking
+  // const HashedPte&); charges one read per slot (plus one write per invalidation) when
+  // `charger` is non-null. Returns entries cleared.
+  template <typename Pred>
+  uint32_t InvalidateMatching(Pred pred, MemCharger* charger) {
+    return SweepSlots(0, capacity(), pred, charger);
+  }
 
   // Invalidates every valid entry of one PTEG (fault injection: a forced eviction storm).
   // Charges one write per cleared slot when `charger` is non-null. Returns entries cleared.
@@ -104,6 +112,8 @@ class HashTable {
 
   // Direct slot access for tests and the reclaim experiments.
   const HashedPte& At(uint32_t pteg, uint32_t slot) const;
+  // Bit s is set exactly when slot s of `pteg` is valid.
+  uint8_t ValidMask(uint32_t pteg) const { return valid_mask_[pteg]; }
 
   void Clear();
 
@@ -129,13 +139,51 @@ class HashTable {
   // Charges the reads of slots [first, end) in table order (slot i of PTEG g is flat slot
   // g * 8 + i, and flat slots are contiguous in memory).
   void ChargeSlotReads(MemCharger& charger, uint32_t first, uint32_t end) const;
+  // Clears one slot's valid bit, keeping the mask in step (uncharged).
+  void Invalidate(uint32_t pteg, uint32_t slot) {
+    ptegs_[pteg][slot].valid = false;
+    valid_mask_[pteg] &= static_cast<uint8_t>(~(1u << slot));
+  }
 
   std::vector<Pteg> ptegs_;
+  std::vector<uint8_t> valid_mask_;  // per PTEG: bit s mirrors ptegs_[g][s].valid
   PhysAddr base_;
   uint32_t hash_mask_;
   uint32_t replace_cursor_ = 0;
   uint32_t reclaim_cursor_ = 0;
 };
+
+template <typename Pred>
+uint32_t HashTable::SweepSlots(uint32_t first, uint32_t end, Pred pred, MemCharger* charger) {
+  // Only a valid slot can be cleared, so `pred` runs on the set bits of each PTEG's valid
+  // mask. `run_start` is the first slot whose read is not yet charged: a run ends at a
+  // clearing store, which must land after the reads before it.
+  uint32_t cleared = 0;
+  uint32_t run_start = first;
+  for (uint32_t g = first / kPtesPerPteg; g * kPtesPerPteg < end; ++g) {
+    const uint32_t base = g * kPtesPerPteg;
+    const uint32_t lo = first > base ? first - base : 0;
+    const uint32_t hi = std::min(end - base, kPtesPerPteg);
+    uint32_t mask = valid_mask_[g] & ((1u << hi) - 1) & ~((1u << lo) - 1);
+    for (; mask != 0; mask &= mask - 1) {
+      const auto s = static_cast<uint32_t>(std::countr_zero(mask));
+      if (!pred(ptegs_[g][s])) {
+        continue;
+      }
+      Invalidate(g, s);
+      ++cleared;
+      if (charger != nullptr) {
+        ChargeSlotReads(*charger, run_start, base + s + 1);
+        charger->Charge(base_ + (base + s) * kPteBytes, /*is_write=*/true);
+      }
+      run_start = base + s + 1;
+    }
+  }
+  if (charger != nullptr) {
+    ChargeSlotReads(*charger, run_start, end);
+  }
+  return cleared;
+}
 
 }  // namespace ppcmm
 

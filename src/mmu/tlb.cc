@@ -81,20 +81,6 @@ void Tlb::InvalidateAll() {
   kernel_entries_ = 0;
 }
 
-uint32_t Tlb::InvalidateMatching(const std::function<bool(const TlbEntry&)>& pred) {
-  uint32_t cleared = 0;
-  for (TlbEntry& entry : ways_) {
-    if (entry.valid && pred(entry)) {
-      if (entry.is_kernel) {
-        --kernel_entries_;
-      }
-      entry.valid = false;
-      ++cleared;
-    }
-  }
-  return cleared;
-}
-
 uint32_t Tlb::ValidCount() const {
   uint32_t count = 0;
   for (const TlbEntry& entry : ways_) {

@@ -12,9 +12,9 @@
 #define PPCMM_SRC_MMU_TLB_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/addr.h"
@@ -90,11 +90,26 @@ class Tlb {
   // Invalidates every entry (tlbia / full flush).
   void InvalidateAll();
 
-  // Invalidates entries selected by `pred`; returns the count (simulation convenience).
-  uint32_t InvalidateMatching(const std::function<bool(const TlbEntry&)>& pred);
+  // Invalidates entries selected by `pred` (a callable taking const TlbEntry&); returns the
+  // count (simulation convenience).
+  template <typename Pred>
+  uint32_t InvalidateMatching(Pred pred) {
+    uint32_t cleared = 0;
+    for (TlbEntry& entry : ways_) {
+      if (entry.valid && pred(std::as_const(entry))) {
+        if (entry.is_kernel) {
+          --kernel_entries_;
+        }
+        entry.valid = false;
+        ++cleared;
+      }
+    }
+    return cleared;
+  }
 
   // Read-only visit of every valid entry (auditing convenience; no LRU side effects).
-  void ForEachValid(const std::function<void(const TlbEntry&)>& fn) const {
+  template <typename Fn>
+  void ForEachValid(Fn&& fn) const {
     for (const TlbEntry& entry : ways_) {
       if (entry.valid) {
         fn(entry);

@@ -15,12 +15,7 @@ PageTable::PageTable(PageAllocator& allocator, PhysicalMemory& memory)
 }
 
 PageTable::~PageTable() {
-  for (uint32_t i = 0; i < kPgdEntries; ++i) {
-    const std::optional<uint32_t> pte_frame = PtePageFrame(i);
-    if (pte_frame.has_value()) {
-      allocator_.DecRef(*pte_frame);
-    }
-  }
+  ForEachPtePage([this](uint32_t, uint32_t pte_frame) { allocator_.DecRef(pte_frame); });
   allocator_.DecRef(pgd_frame_);
 }
 
@@ -50,6 +45,7 @@ void PageTable::Map(EffAddr ea, const LinuxPte& pte, MemCharger* charger) {
     }
     memory_.ZeroFrame(*fresh);
     memory_.Write32(PgdEntryAddr(PgdIndex(ea)), (*fresh << 12) | kPgdPresentBit);
+    pgd_present_[PgdIndex(ea) / 64] |= uint64_t{1} << (PgdIndex(ea) % 64);
     if (charger != nullptr) {
       charger->Charge(PgdEntryAddr(PgdIndex(ea)), /*is_write=*/true);
     }

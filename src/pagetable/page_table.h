@@ -9,6 +9,8 @@
 #ifndef PPCMM_SRC_PAGETABLE_PAGE_TABLE_H_
 #define PPCMM_SRC_PAGETABLE_PAGE_TABLE_H_
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -71,18 +73,14 @@ class PageTable {
   // iteration; nothing is charged).
   template <typename Fn>
   void ForEachPresent(Fn&& fn) const {
-    for (uint32_t g = 0; g < kPgdEntries; ++g) {
-      const std::optional<uint32_t> pte_frame = PtePageFrame(g);
-      if (!pte_frame.has_value()) {
-        continue;
-      }
+    ForEachPtePage([&](uint32_t g, uint32_t pte_frame) {
       for (uint32_t i = 0; i < kPteEntriesPerPage; ++i) {
-        const LinuxPte pte = LinuxPte::Decode(memory_.Read32(PteEntryAddr(*pte_frame, i)));
+        const LinuxPte pte = LinuxPte::Decode(memory_.Read32(PteEntryAddr(pte_frame, i)));
         if (pte.present) {
           fn(EffAddr((g << kPgdShift) | (i << kPageShift)), pte);
         }
       }
-    }
+    });
   }
 
   // Number of present leaf entries.
@@ -92,15 +90,27 @@ class PageTable {
 
  private:
   static uint32_t PgdIndex(EffAddr ea) { return ea.value >> kPgdShift; }
-  static uint32_t PteIndex(EffAddr ea) { return (ea.value >> kPageShift) & (kPteEntriesPerPage - 1); }
+  static uint32_t PteIndex(EffAddr ea) {
+    return (ea.value >> kPageShift) & (kPteEntriesPerPage - 1);
+  }
   PhysAddr PgdEntryAddr(uint32_t index) const {
     return PhysAddr::FromFrame(pgd_frame_, index * 4);
   }
   static PhysAddr PteEntryAddr(uint32_t pte_frame, uint32_t index) {
     return PhysAddr::FromFrame(pte_frame, index * 4);
   }
-  // Reads the PGD entry; returns the PTE-page frame or nullopt if absent. Inline: the
-  // ForEachPresent template calls it for every PGD entry.
+  // Invokes `fn(pgd_index, pte_frame)` for every present PGD entry in index order. The
+  // present bitmap lets the walk skip empty entries without reading them.
+  template <typename Fn>
+  void ForEachPtePage(Fn&& fn) const {
+    for (uint32_t word = 0; word < pgd_present_.size(); ++word) {
+      for (uint64_t bits = pgd_present_[word]; bits != 0; bits &= bits - 1) {
+        const uint32_t g = word * 64 + static_cast<uint32_t>(std::countr_zero(bits));
+        fn(g, *PtePageFrame(g));
+      }
+    }
+  }
+  // Reads the PGD entry; returns the PTE-page frame or nullopt if absent.
   std::optional<uint32_t> PtePageFrame(uint32_t pgd_index) const {
     const uint32_t word = memory_.Read32(PgdEntryAddr(pgd_index));
     if ((word & kPgdPresentBit) == 0) {
@@ -116,6 +126,9 @@ class PageTable {
   PhysicalMemory& memory_;
   uint32_t pgd_frame_ = 0;
   uint32_t present_count_ = 0;
+  // Bit g mirrors the present bit of PGD entry g (PTE pages are never freed before the
+  // table itself, so bits are only ever set).
+  std::array<uint64_t, kPgdEntries / 64> pgd_present_{};
 };
 
 }  // namespace ppcmm

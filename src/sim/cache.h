@@ -37,8 +37,7 @@ struct CacheStats {
   }
 };
 
-// Outcome of one line-level access: what Access prices, and what the model tests check
-// against a reference cache.
+// Outcome of one line-level access: what Access prices.
 struct CacheAccessOutcome {
   bool hit = false;
   bool evicted_dirty = false;  // a dirty victim line was displaced (write-back traffic)
@@ -59,9 +58,6 @@ class Cache {
                               : timing_.line_fill_cycles +
                                     (outcome.evicted_dirty ? timing_.writeback_cycles : 0));
   }
-
-  // Line-level access without timing: updates state, reports what happened.
-  CacheAccessOutcome AccessLine(PhysAddr pa, bool is_write) { return TouchLine(pa, is_write); }
 
   // `n` (> 0) accesses to the single line containing `pa`, collapsed: bit-identical to
   // calling Access `n` times with same-line addresses, and returns their cycles. Only the

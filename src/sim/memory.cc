@@ -39,8 +39,8 @@ void PhysicalMemory::FailRange(PhysAddr pa, uint32_t len) const {
 void PhysicalMemory::Copy(PhysAddr dst, PhysAddr src, uint32_t len) {
   CheckRange(dst, len);
   CheckRange(src, len);
-  const bool overlap =
-      dst.value < src.value + len && src.value < dst.value + len && len > 0 && dst.value != src.value;
+  const bool overlap = dst.value < src.value + len && src.value < dst.value + len && len > 0 &&
+                       dst.value != src.value;
   PPCMM_CHECK_MSG(!overlap || dst.value == src.value, "PhysicalMemory::Copy ranges overlap");
   std::memmove(&data_[dst.value], &data_[src.value], len);
 }

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "src/mmu/hash_table.h"
 #include "src/sim/check.h"
@@ -268,6 +272,165 @@ TEST(HashTableProperty, InsertedEntriesRemainFindableUntilDisplaced) {
   // never exceed capacity.
   EXPECT_LE(htab.ValidCount(), htab.capacity());
   EXPECT_EQ(htab.ValidCount() + displaced, 1500u);
+}
+
+// One charge a sweep made: a run of slot reads (count > 0) or a single store (count == 0).
+struct ChargeEvent {
+  uint32_t addr = 0;
+  uint32_t count = 0;
+  bool is_write = false;
+  bool operator==(const ChargeEvent&) const = default;
+};
+
+// Records every run and single charge in order, without expanding runs, so the split of
+// reads into runs is compared too.
+class RecordingCharger : public MemCharger {
+ public:
+  void Charge(PhysAddr pa, bool is_write) override {
+    events.push_back(ChargeEvent{.addr = pa.value, .count = 0, .is_write = is_write});
+  }
+  void ChargeRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write) override {
+    EXPECT_EQ(stride, kPteBytes);
+    EXPECT_FALSE(is_write);
+    events.push_back(ChargeEvent{.addr = pa.value, .count = count, .is_write = is_write});
+  }
+  std::vector<ChargeEvent> events;
+};
+
+// The slot-by-slot reference sweep over a snapshot of the table: every slot of [first, end)
+// is read, and a valid slot `pred` selects is cleared by a store after the reads before it.
+template <typename Pred>
+uint32_t ReferenceSweep(std::vector<HashedPte>& slots, PhysAddr base, uint32_t first,
+                        uint32_t end, Pred pred, std::vector<ChargeEvent>& events) {
+  uint32_t cleared = 0;
+  uint32_t run_start = first;
+  const auto reads = [&](uint32_t from, uint32_t to) {
+    if (to > from) {
+      events.push_back(ChargeEvent{.addr = base.value + from * kPteBytes, .count = to - from});
+    }
+  };
+  for (uint32_t slot = first; slot < end; ++slot) {
+    if (slots[slot].valid && pred(slots[slot])) {
+      slots[slot].valid = false;
+      ++cleared;
+      reads(run_start, slot + 1);
+      events.push_back(ChargeEvent{.addr = base.value + slot * kPteBytes, .is_write = true});
+      run_start = slot + 1;
+    }
+  }
+  reads(run_start, end);
+  return cleared;
+}
+
+std::vector<HashedPte> SnapshotSlots(const HashTable& htab) {
+  std::vector<HashedPte> slots;
+  for (uint32_t g = 0; g < htab.num_ptegs(); ++g) {
+    for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
+      slots.push_back(htab.At(g, s));
+    }
+  }
+  return slots;
+}
+
+// Property: under random Insert / InvalidatePage / InvalidatePteg / ReclaimZombies /
+// InvalidateMatching / Clear sequences the per-PTEG valid mask mirrors every slot's valid
+// bit, and each sweep clears and charges exactly what a slot-by-slot sweep would.
+TEST(HashTableProperty, ValidMaskMirrorsSlotsAndSweepsMatchTheSlotBySlotReference) {
+  for (const uint32_t num_ptegs : {16u, 64u}) {
+    SCOPED_TRACE(std::to_string(num_ptegs) + " PTEGs");
+    const PhysAddr base(0x180000);
+    HashTable htab(num_ptegs, base);
+    SetVsidOracle oracle;
+    NullMemCharger null_charger;
+    Rng rng(num_ptegs);
+    constexpr uint32_t kVsids = 24;
+    for (uint32_t v = 0; v < kVsids; ++v) {
+      oracle.MarkLive(Vsid(v));
+    }
+    const auto random_page = [&]() {
+      return VirtPage{.vsid = Vsid(static_cast<uint32_t>(rng.NextBelow(kVsids))),
+                      .page_index = static_cast<uint32_t>(rng.NextBelow(64))};
+    };
+    uint32_t cursor = 0;  // the reference's copy of the reclaim cursor
+    uint32_t swept = 0;   // entries the sweeps cleared, to show they did work
+    for (int op = 0; op < 4000; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const uint64_t kind = rng.NextBelow(100);
+      if (kind < 50) {
+        const VirtPage vp = random_page();
+        htab.Insert(MakePte(vp.vsid.value, vp.page_index), oracle, null_charger);
+      } else if (kind < 60) {
+        htab.InvalidatePage(random_page(), null_charger);
+      } else if (kind < 66) {
+        const uint32_t g = static_cast<uint32_t>(rng.NextBelow(num_ptegs));
+        std::vector<ChargeEvent> expected;
+        uint32_t valid = 0;
+        for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
+          if (htab.At(g, s).valid) {
+            ++valid;
+            expected.push_back(ChargeEvent{.addr = htab.SlotAddr(g, s).value, .is_write = true});
+          }
+        }
+        RecordingCharger charger;
+        EXPECT_EQ(htab.InvalidatePteg(g, &charger), valid);
+        EXPECT_EQ(charger.events, expected);
+      } else if (kind < 80) {
+        // Flip a few VSIDs' liveness, then reclaim from the cursor: up to a little more
+        // than the whole table, so the scan wraps and clamps.
+        for (int flips = 0; flips < 3; ++flips) {
+          const Vsid v(static_cast<uint32_t>(rng.NextBelow(kVsids)));
+          if (oracle.IsLive(v)) {
+            oracle.Retire(v);
+          } else {
+            oracle.MarkLive(v);
+          }
+        }
+        const uint32_t max_ptegs = static_cast<uint32_t>(rng.NextBelow(num_ptegs + 4));
+        const auto zombie = [&oracle](const HashedPte& pte) { return !oracle.IsLive(pte.vsid); };
+        std::vector<HashedPte> slots = SnapshotSlots(htab);
+        std::vector<ChargeEvent> expected;
+        const uint32_t stop = cursor + std::min(max_ptegs, num_ptegs);
+        uint32_t cleared = ReferenceSweep(slots, base, cursor * kPtesPerPteg,
+                                          std::min(stop, num_ptegs) * kPtesPerPteg, zombie,
+                                          expected);
+        if (stop > num_ptegs) {
+          cleared += ReferenceSweep(slots, base, 0, (stop - num_ptegs) * kPtesPerPteg, zombie,
+                                    expected);
+        }
+        cursor = stop % num_ptegs;
+        RecordingCharger charger;
+        EXPECT_EQ(htab.ReclaimZombies(max_ptegs, oracle, charger), cleared);
+        EXPECT_EQ(charger.events, expected);
+        swept += cleared;
+      } else if (kind < 97) {
+        const uint32_t residue = static_cast<uint32_t>(rng.NextBelow(5));
+        const auto pred = [residue](const HashedPte& pte) {
+          return (pte.vsid.value + pte.page_index) % 5 == residue;
+        };
+        std::vector<HashedPte> slots = SnapshotSlots(htab);
+        std::vector<ChargeEvent> expected;
+        const uint32_t cleared =
+            ReferenceSweep(slots, base, 0, htab.capacity(), pred, expected);
+        RecordingCharger charger;
+        EXPECT_EQ(htab.InvalidateMatching(pred, &charger), cleared);
+        EXPECT_EQ(charger.events, expected);
+        swept += cleared;
+      } else {
+        htab.Clear();
+        cursor = 0;
+      }
+      uint32_t valid = 0;
+      for (uint32_t g = 0; g < num_ptegs; ++g) {
+        for (uint32_t s = 0; s < kPtesPerPteg; ++s) {
+          ASSERT_EQ((htab.ValidMask(g) >> s) & 1u, htab.At(g, s).valid ? 1u : 0u)
+              << "PTEG " << g << " slot " << s;
+          valid += htab.At(g, s).valid ? 1 : 0;
+        }
+      }
+      ASSERT_EQ(htab.ValidCount(), valid);
+    }
+    EXPECT_GT(swept, 100u);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
-// The idle spin fast-forward contract: once two back-to-back idle iterations find no work,
+// The idle fast-forward contracts: once two back-to-back idle iterations find no work,
 // Kernel::RunIdle charges the rest of the budget at once through Mmu::ReplaySpan and
-// Machine::TouchInstructionRepeat, and that must be bit-identical to iterating. Every case
-// runs one idle schedule with translation spans off (the per-iteration reference) and on,
-// then compares everything the simulation exposes: HwCounters, the I and D cache stats and
-// per-CPU clocks, a follow-up workload's hits and misses (which see the LRU state the idle
-// spin left), and with the ledger on its cells, event count and trace ring.
+// Machine::TouchInstructionRepeat; and iterations that reclaim zombies run in chunks, each
+// one fetch replay, one PTEG sweep and the page zeroes. Both must be bit-identical to
+// iterating. Every case runs one idle schedule with translation spans off (the
+// per-iteration reference) and on, then compares everything the simulation exposes:
+// HwCounters, the I and D cache stats and per-CPU clocks, a follow-up workload's hits and
+// misses (which see the LRU state the idle loop left), and with the ledger on its cells,
+// event count and trace ring.
 
 #include <gtest/gtest.h>
 
@@ -80,6 +82,8 @@ std::unique_ptr<System> BuildSystem(const MachineConfig& machine, const Optimiza
   return std::make_unique<System>(machine, opts);
 }
 
+Snapshot TakeSnapshot(System& sys, uint64_t idle_spans, FaultInjector* injector = nullptr);
+
 // The idle schedule: a cold slice (zeroing fills the list, reclaim sweeps), then slices
 // shorter than one iteration, ending exactly on an iteration boundary and ending
 // mid-iteration, an idle slice on the second CPU, and a follow-up workload that runs into
@@ -120,7 +124,11 @@ Snapshot DriveIdle(System& sys, bool ledger, FaultInjector* injector = nullptr) 
   kernel.UserTouchRun(EffAddr(kUserDataBase + 8 * kPageSize), kPageSize, 16,
                       AccessKind::kStore);
   kernel.RunIdle(Cycles(5'000));
+  return TakeSnapshot(sys, idle_spans, injector);
+}
 
+// The state a run leaves, plus the idle spans it counted.
+Snapshot TakeSnapshot(System& sys, uint64_t idle_spans, FaultInjector* injector) {
   Snapshot snap;
   snap.counters = sys.counters();
   for (uint32_t cpu = 0; cpu < sys.machine().ncpus(); ++cpu) {
@@ -191,15 +199,20 @@ TEST(IdleFastForwardTest, BitIdenticalToTheSpinLoopAcrossTheMatrix) {
                   DriveIdle(*BuildSystem(machine.config, opts, /*spans=*/true), ledger);
               ExpectSnapshotsEqual(off, on);
 
-              // Spans form only when switched on, only for the translated (cached-variant)
-              // fetch, only when iterations find no work, and never when a live ledger
-              // must record each iteration's idle_zero scope.
+              // Spans form only when switched on and only for the translated
+              // (cached-variant) fetch. Without reclaim they form once iterations find no
+              // work, and never when a live ledger must record each iteration's idle_zero
+              // scope. With reclaim they form as chunks, with the ledger off and the
+              // zeroer off or uncached.
               EXPECT_EQ(off.idle_spans, 0u);
-              const bool engages = !reclaim && zero != IdleZeroPolicy::kUncachedNoList &&
-                                   !uncached_idle &&
-                                   !(ledger && zero != IdleZeroPolicy::kOff);
-              if (engages) {
+              const bool spins = !reclaim && zero != IdleZeroPolicy::kUncachedNoList &&
+                                 !uncached_idle && !(ledger && zero != IdleZeroPolicy::kOff);
+              const bool chunks = reclaim && !uncached_idle && !ledger &&
+                                  zero != IdleZeroPolicy::kCached;
+              if (spins) {
                 EXPECT_GE(on.idle_spans, 990u) << "fast-forward never engaged";
+              } else if (chunks) {
+                EXPECT_GE(on.idle_spans, 900u) << "reclaim chunks never engaged";
               } else {
                 EXPECT_EQ(on.idle_spans, 0u);
               }
@@ -231,6 +244,92 @@ TEST(IdleFastForwardTest, NeverEngagesWithAFaultInjectorAttached) {
     ExpectSnapshotsEqual(off, on);
     EXPECT_EQ(polls_off, polls_on);
     EXPECT_EQ(on.idle_spans, 0u);
+  }
+}
+
+// The reclaim schedule: lazy flushes leave zombies all over the HTAB (an exited child, a
+// re-exec), then idle slices as in DriveIdle reclaim them in chunks, with more zombies made
+// between the slices, and a follow-up runs into the D-cache and HTAB state they left.
+Snapshot DriveReclaim(System& sys) {
+  Kernel& kernel = sys.kernel();
+  const TaskId t = kernel.CreateTask("t");
+  kernel.Exec(t, ExecImage{.text_pages = 4, .data_pages = 96, .stack_pages = 2});
+  kernel.SwitchTo(t);
+  kernel.UserTouchRun(EffAddr(kUserDataBase), kPageSize, 64, AccessKind::kStore);
+  const TaskId child = kernel.Fork(t);
+  kernel.SwitchTo(child);
+  kernel.UserTouchRun(EffAddr(kUserDataBase), kPageSize, 96, AccessKind::kLoad);
+  kernel.Exit(child);
+  kernel.SwitchTo(t);
+
+  kernel.RunIdle(Cycles(200'000));
+  const Cycles before = sys.machine().Now();
+  kernel.RunIdle(Cycles(1));  // exactly one iteration
+  const uint64_t per = (sys.machine().Now() - before).value;
+  const uint64_t spans_before = sys.mmu().span_accesses();
+  kernel.RunIdle(Cycles(300 * per));
+  const uint64_t idle_spans = sys.mmu().span_accesses() - spans_before;
+  kernel.Exec(t, ExecImage{.text_pages = 4, .data_pages = 96, .stack_pages = 2});
+  kernel.UserTouchRun(EffAddr(kUserDataBase), kPageSize, 80, AccessKind::kStore);
+  kernel.Exec(t, ExecImage{.text_pages = 4, .data_pages = 96, .stack_pages = 2});
+  kernel.RunIdle(Cycles(500 * per + per / 2));
+  kernel.RunIdle(Cycles(40 * per + 1));
+  if (sys.machine().ncpus() > 1) {
+    kernel.SwitchCpu(1);
+    kernel.RunIdle(Cycles(100 * per));
+    kernel.SwitchCpu(0);
+  }
+
+  kernel.UserExecute(4'000);
+  kernel.UserTouchRun(EffAddr(kUserDataBase), kPageSize, 48, AccessKind::kStore);
+  kernel.RunIdle(Cycles(20 * per));
+  return TakeSnapshot(sys, idle_spans);
+}
+
+TEST(IdleFastForwardTest, ReclaimChunksBitIdenticalAcrossTheReclaimMatrix) {
+  std::vector<MachineCase> machines = {{"604", MachineConfig::Ppc604(185)},
+                                       {"603", MachineConfig::Ppc603(133)},
+                                       {"604x2", MachineConfig::Ppc604(185)},
+                                       {"604_16pteg", MachineConfig::Ppc604(185)}};
+  machines[2].config.ncpus = 2;
+  machines[3].config.htab_ptegs = 16;
+  for (const MachineCase& machine : machines) {
+    const uint32_t num_ptegs = machine.config.htab_ptegs;
+    // 3 PTEGs a pass leave a chunk short of the whole table, so the cursor wraps inside
+    // chunks at a point that moves; more than the table never chunks.
+    for (const uint32_t per_pass : {0u, 3u, 16u, num_ptegs + 5}) {
+      for (const IdleZeroPolicy zero : {IdleZeroPolicy::kOff, IdleZeroPolicy::kUncachedWithList,
+                                        IdleZeroPolicy::kUncachedNoList}) {
+        for (const bool uncached_pt : {false, true}) {
+          for (const bool kernel_bat : {false, true}) {
+            SCOPED_TRACE(std::string(machine.name) + "/per_pass_" + std::to_string(per_pass) +
+                         "/" + ZeroName(zero) + (uncached_pt ? "/uncached_pt" : "") +
+                         (kernel_bat ? "/kbat" : ""));
+            OptimizationConfig opts = OptimizationConfig::Baseline();
+            opts.lazy_context_flush = true;
+            opts.idle_zombie_reclaim = true;
+            opts.idle_reclaim_ptegs_per_pass = per_pass;
+            opts.idle_zero = zero;
+            opts.prezero_list_cap = 8;
+            opts.uncached_page_tables = uncached_pt;
+            opts.kernel_bat_mapping = kernel_bat;
+
+            const Snapshot off = DriveReclaim(*BuildSystem(machine.config, opts, false));
+            const Snapshot on = DriveReclaim(*BuildSystem(machine.config, opts, true));
+            ExpectSnapshotsEqual(off, on);
+            if (per_pass > 0) {
+              EXPECT_GT(on.counters.zombies_reclaimed, 0u);
+            }
+            EXPECT_EQ(off.idle_spans, 0u);
+            if (per_pass <= num_ptegs / 2) {
+              EXPECT_GE(on.idle_spans, 250u) << "reclaim chunks never engaged";
+            } else {
+              EXPECT_EQ(on.idle_spans, 0u);
+            }
+          }
+        }
+      }
+    }
   }
 }
 

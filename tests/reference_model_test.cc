@@ -35,6 +35,21 @@ class CacheModelSweep : public ::testing::TestWithParam<CacheGeometry> {};
 constexpr MemoryTiming kModelTiming{.line_fill_cycles = 30, .single_beat_cycles = 12,
                                     .writeback_cycles = 10};
 
+// What one Cache::Access did, read off its cycles: 1 is a hit, a line fill a clean miss,
+// and a fill plus a write-back a miss that displaced a dirty line.
+struct ModelOutcome {
+  bool hit = false;
+  bool evicted_dirty = false;
+};
+
+ModelOutcome Classify(Cycles cycles) {
+  const uint64_t fill = kModelTiming.line_fill_cycles;
+  const uint64_t writeback = kModelTiming.writeback_cycles;
+  EXPECT_TRUE(cycles.value == 1 || cycles.value == fill || cycles.value == fill + writeback)
+      << cycles.value << " cycles";
+  return ModelOutcome{.hit = cycles.value == 1, .evicted_dirty = cycles.value == fill + writeback};
+}
+
 TEST_P(CacheModelSweep, MatchesReferenceLruModel) {
   const CacheGeometry geometry = GetParam();
   Cache cache("model", geometry, kModelTiming);
@@ -49,7 +64,7 @@ TEST_P(CacheModelSweep, MatchesReferenceLruModel) {
                          : static_cast<uint32_t>(rng.NextBelow(1 << 22));
     const PhysAddr pa(addr);
     const bool is_write = rng.Chance(1, 2);
-    const CacheAccessOutcome model = cache.AccessLine(pa, is_write);
+    const ModelOutcome model = Classify(cache.Access(pa, is_write));
     const ReferenceCache::Outcome expected = reference.Access(pa, is_write);
     ASSERT_EQ(model.hit, expected.hit) << "divergence at access " << i << ", pa=0x" << std::hex
                                        << addr;
@@ -238,7 +253,7 @@ TEST_P(CacheModelSweep, RenumberingTwiceKeepsUntouchedSetsInOrder) {
   const uint32_t line = geometry.line_bytes;
   const uint32_t way_bytes = geometry.NumSets() * line;
   const auto touch = [&](PhysAddr pa) {
-    const CacheAccessOutcome model = cache.AccessLine(pa, /*is_write=*/true);
+    const ModelOutcome model = Classify(cache.Access(pa, /*is_write=*/true));
     const ReferenceCache::Outcome expected = reference.Access(pa, /*is_write=*/true);
     ASSERT_EQ(model.hit, expected.hit) << "pa=0x" << std::hex << pa.value;
     ASSERT_EQ(model.evicted_dirty, expected.evicted_dirty) << "pa=0x" << std::hex << pa.value;

@@ -2,7 +2,6 @@
 #include "src/sim/types.h"
 struct CleanCache {
   unsigned Access(unsigned line) const { return TouchLine(line) + 1; }
-  unsigned AccessLine(unsigned line) const { return TouchLine(line); }
   unsigned AccessUncached(unsigned line) const { return line; }
   unsigned AccessLineRun(unsigned line, unsigned n) const { return TouchLine(line) + n; }
   unsigned AccessUncachedRun(unsigned line, unsigned n) const { return line * n; }

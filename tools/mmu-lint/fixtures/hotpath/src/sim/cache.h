@@ -1,7 +1,7 @@
 // Fixture: a hot body that grows a vector.
 #include <vector>
 struct FixtureCache {
-  unsigned AccessLine(unsigned line) {
+  unsigned TouchLine(unsigned line) {
     history_.push_back(line);  // line 5: HOT-ALLOC-020
     return line;
   }
@@ -9,7 +9,6 @@ struct FixtureCache {
   unsigned AccessUncached(unsigned line) const { return line + history_.size(); }
   unsigned AccessLineRun(unsigned line, unsigned n) const { return TouchLine(line) + n; }
   unsigned AccessUncachedRun(unsigned line, unsigned n) const { return line * n; }
-  unsigned TouchLine(unsigned line) const { return line; }
   unsigned SweepLines(unsigned line, unsigned n) const { return SweepSets(line, line, n); }
   unsigned SweepLinePairs(unsigned a, unsigned b, unsigned n) const { return SweepSets(a, b, n); }
   unsigned SweepSets(unsigned a, unsigned b, unsigned n) const;

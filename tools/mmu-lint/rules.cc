@@ -91,7 +91,6 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/sim/machine.h", "Machine", "TouchInstructionRepeat", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchDataPairRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "Access", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "AccessLine", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLineRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "TouchLine", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessUncached", {"WalkPte", "MarkPteDirty"}},
@@ -169,13 +168,17 @@ const std::vector<BannedIdent>& HotPathBans() {
        "size the container up front and index into it"},
       {"HOT-THROW-021", "throw", "exceptions on the fast path defeat the three-load budget",
        "report failure through the return value (std::optional / AccessResult)"},
-      {"HOT-LOCK-022", "mutex", "the simulator is single-threaded per Machine; locks here are a design error",
+      {"HOT-LOCK-022", "mutex",
+       "the simulator is single-threaded per Machine; locks here are a design error",
        "keep Machine state thread-confined (SweepRunner gives each task its own System)"},
-      {"HOT-LOCK-022", "lock_guard", "the simulator is single-threaded per Machine; locks here are a design error",
+      {"HOT-LOCK-022", "lock_guard",
+       "the simulator is single-threaded per Machine; locks here are a design error",
        "keep Machine state thread-confined"},
-      {"HOT-LOCK-022", "unique_lock", "the simulator is single-threaded per Machine; locks here are a design error",
+      {"HOT-LOCK-022", "unique_lock",
+       "the simulator is single-threaded per Machine; locks here are a design error",
        "keep Machine state thread-confined"},
-      {"HOT-LOCK-022", "scoped_lock", "the simulator is single-threaded per Machine; locks here are a design error",
+      {"HOT-LOCK-022", "scoped_lock",
+       "the simulator is single-threaded per Machine; locks here are a design error",
        "keep Machine state thread-confined"},
       {"HOT-IO-023", "cout", "stream I/O on the fast path",
        "record into HwCounters/CycleLedger and export after the run"},
