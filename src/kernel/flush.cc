@@ -10,19 +10,16 @@ void FlushEngine::FlushPage(Mm& mm, EffAddr ea) {
 
 void FlushEngine::FlushRange(Mm& mm, uint32_t start_page, uint32_t page_count,
                              bool mm_is_current) {
-  Machine& machine = mmu_.machine();
-  if (config_.lazy_context_flush && config_.range_flush_cutoff > 0 &&
-      page_count > config_.range_flush_cutoff) {
+  if (OverCutoff(page_count)) {
     // §7: "invalidating the whole memory management context of any process needing to
     // invalidate more than a small set of pages" — the 80× mmap() win.
-    CycleScope flush_scope(machine, AttrCause::kContextFlushLazy);
-    LazyFlushContext(mm, mm_is_current);
+    FlushContext(mm, mm_is_current);
     return;
   }
   // Eager path: "the kernel was clearing the range of addresses by searching the hash table
   // for each PTE in turn" (§7) — every page in the range pays the two-PTEG search, whether
   // or not a translation is actually cached.
-  CycleScope flush_scope(machine, AttrCause::kRangeFlushEager);
+  CycleScope flush_scope(mmu_.machine(), AttrCause::kRangeFlushEager);
   for (uint32_t i = 0; i < page_count; ++i) {
     EagerFlushPage(mm, EffAddr::FromPage(start_page + i));
   }
@@ -32,6 +29,16 @@ void FlushEngine::FlushRange(Mm& mm, uint32_t start_page, uint32_t page_count,
     ShootdownRound(EffAddr::FromPage(start_page));
   } else {
     ShootdownRound(std::nullopt);
+  }
+}
+
+void FlushEngine::FlushPages(Mm& mm, const std::vector<EffAddr>& eas, bool mm_is_current) {
+  if (OverCutoff(static_cast<uint32_t>(eas.size()))) {
+    FlushContext(mm, mm_is_current);  // lazy: the cutoff needs lazy_context_flush
+    return;
+  }
+  for (const EffAddr ea : eas) {
+    FlushPage(mm, ea);
   }
 }
 
@@ -45,6 +52,17 @@ void FlushEngine::FlushContext(Mm& mm, bool mm_is_current) {
   CycleScope flush_scope(mmu_.machine(), AttrCause::kRangeFlushEager);
   mm.page_table->ForEachPresent([&](EffAddr ea, const LinuxPte&) { EagerFlushPage(mm, ea); });
   ShootdownRound(std::nullopt);
+}
+
+void FlushEngine::RetireContext(Mm& mm, bool mm_is_current) {
+  if (config_.lazy_context_flush) {
+    // Just count the flush: retiring the VSIDs below leaves the translations as zombies.
+    ++mmu_.machine().counters().tlb_context_flushes;
+    mmu_.machine().AddCycles(Cycles(12));
+  } else {
+    FlushContext(mm, mm_is_current);
+  }
+  vsids_.Retire(mm.context);
 }
 
 void FlushEngine::EagerFlushPage(Mm& mm, EffAddr ea) {
@@ -104,8 +122,8 @@ void FlushEngine::ShootdownRound(const std::optional<EffAddr>& page) {
       continue;
     }
     ++counters.tlb_shootdown_ipis;
-    // The requester raises the IPI and spins for the acknowledgement; the remote CPU takes
-    // the interrupt and runs the invalidation (tlbie or tlbia plus sync, 32 cycles).
+    // The requester raises the IPI and busy-waits for the acknowledgement; the remote CPU
+    // takes the interrupt and runs the invalidation (tlbie or tlbia plus sync, 32 cycles).
     machine.AddCycles(Cycles(config.ipi_send_cycles));
     machine.AddCyclesOn(cpu, Cycles(config.ipi_receive_cycles + 32));
     if (broken_shootdown_) {

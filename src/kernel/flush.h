@@ -53,8 +53,18 @@ class FlushEngine {
   // whether the segment registers must be reloaded after a context reassignment.
   void FlushRange(Mm& mm, uint32_t start_page, uint32_t page_count, bool mm_is_current);
 
-  // Flushes every translation of `mm` (exec, exit).
+  // Flushes the pages `eas` of `mm` (fork's write-protected pages). Over the cutoff a lazy
+  // kernel flushes the whole context instead, as FlushRange does; under it each page takes
+  // its own FlushPage, and so its own shootdown round.
+  void FlushPages(Mm& mm, const std::vector<EffAddr>& eas, bool mm_is_current);
+
+  // Flushes every translation of `mm` (exec, and the parent of a fork that ran out of memory).
   void FlushContext(Mm& mm, bool mm_is_current);
+
+  // Retires `mm`'s context for good (exit): an eager kernel first flushes every translation
+  // (FlushContext); a lazy one only counts the context flush, and its translations become
+  // zombies. Opens no scope of its own on the lazy path. Draws no new context.
+  void RetireContext(Mm& mm, bool mm_is_current);
 
   // Runs the deferred whole-TLB flush CPU `cpu` owes, if any. Called by the kernel right
   // after the execution spotlight moves to `cpu`, so the tlbia cost lands on that CPU.
@@ -78,6 +88,11 @@ class FlushEngine {
   void TestOnlyBreakShootdown(bool broken) { broken_shootdown_ = broken; }
 
  private:
+  // Whether a flush of `page_count` pages becomes a lazy context flush (§7's cutoff).
+  bool OverCutoff(uint32_t page_count) const {
+    return config_.lazy_context_flush && config_.range_flush_cutoff > 0 &&
+           page_count > config_.range_flush_cutoff;
+  }
   // The eager per-page path: HTAB search-and-invalidate plus tlbie.
   void EagerFlushPage(Mm& mm, EffAddr ea);
   // The lazy path: retire the VSIDs, draw a fresh context.

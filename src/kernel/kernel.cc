@@ -335,7 +335,7 @@ TaskId Kernel::Fork(TaskId parent_id) {
       [&](EffAddr ea, const LinuxPte& pte) { pages.emplace_back(ea, pte); });
 
   DataMemCharger charger = mmu_->PageTableCharger();
-  uint32_t write_protected = 0;
+  std::vector<EffAddr> write_protected;
   try {
   for (const auto& [ea, pte] : pages) {
     LinuxPte child_pte = pte;
@@ -363,7 +363,7 @@ TaskId Kernel::Fork(TaskId parent_id) {
           &charger);
       child_pte.writable = false;
       child_pte.cow = true;
-      ++write_protected;
+      write_protected.push_back(ea);
     }
     allocator_.AddRef(pte.frame);
     child.mm->page_table->Map(ea, child_pte, &charger);
@@ -380,18 +380,7 @@ TaskId Kernel::Fork(TaskId parent_id) {
   }
 
   // The parent's cached translations for the write-protected pages are now stale.
-  if (write_protected > 0) {
-    if (config_.lazy_context_flush && config_.range_flush_cutoff > 0 &&
-        write_protected > config_.range_flush_cutoff) {
-      flusher_.FlushContext(*parent.mm, current_ == parent_id);
-    } else {
-      for (const auto& [ea, pte] : pages) {
-        if (pte.writable) {
-          flusher_.FlushPage(*parent.mm, ea);
-        }
-      }
-    }
-  }
+  flusher_.FlushPages(*parent.mm, write_protected, current_ == parent_id);
   return child_id;
 }
 
@@ -404,13 +393,7 @@ void Kernel::Exec(TaskId id, const ExecImage& image) {
   Mm& mm = *target.mm;
   // Drop every cached translation of the old image, then its pages and VMAs.
   flusher_.FlushContext(mm, current_ == id);
-  std::vector<std::pair<EffAddr, LinuxPte>> pages;
-  mm.page_table->ForEachPresent(
-      [&](EffAddr ea, const LinuxPte& pte) { pages.emplace_back(ea, pte); });
-  for (const auto& [ea, pte] : pages) {
-    mm.page_table->Unmap(ea, nullptr);
-    ReleaseFrame(pte.frame);
-  }
+  ReleaseAllPages(mm);
   mm.vmas.Clear();
 
   // New image: text, heap, stack.
@@ -443,23 +426,8 @@ void Kernel::Exit(TaskId id) {
   CycleScope exit_scope(machine_, AttrCause::kExit);
 
   machine_.AddCycles(Cycles(300));
-  // Eager kernels must scrub the HTAB/TLB entry by entry; lazy kernels just retire the
-  // context — its translations become zombies.
-  if (!config_.lazy_context_flush) {
-    flusher_.FlushContext(mm, current_ == id);
-  } else {
-    ++machine_.counters().tlb_context_flushes;
-    machine_.AddCycles(Cycles(12));
-  }
-  vsids_.Retire(mm.context);
-
-  std::vector<std::pair<EffAddr, LinuxPte>> pages;
-  mm.page_table->ForEachPresent(
-      [&](EffAddr ea, const LinuxPte& pte) { pages.emplace_back(ea, pte); });
-  for (const auto& [ea, pte] : pages) {
-    mm.page_table->Unmap(ea, nullptr);
-    ReleaseFrame(pte.frame);
-  }
+  flusher_.RetireContext(mm, current_ == id);
+  ReleaseAllPages(mm);
 
   for (uint32_t cpu = 0; cpu < smp_.ncpus; ++cpu) {
     if (cpu_current_[cpu] == id) {
@@ -661,8 +629,8 @@ void Kernel::ReleaseFrame(uint32_t frame) {
 }
 
 void Kernel::ReleaseRange(Mm& mm, uint32_t start_page, uint32_t page_count) {
-  // mmu-lint-deferred-flush(FLUSH-CONTRACT-029): every caller runs FlushRange/FlushContext
-  // over the same range before zapping the PTEs (Munmap, Exit), so the TLBs are already clean
+  // mmu-lint-deferred-flush(FLUSH-CONTRACT-029): every caller runs FlushRange over the same
+  // range before zapping the PTEs (Munmap, MAP_FIXED Mmap), so the TLBs are already clean
   for (uint32_t i = 0; i < page_count; ++i) {
     machine_.AddCycles(Cycles(2));  // the zap loop itself
     const EffAddr ea = EffAddr::FromPage(start_page + i);
@@ -672,6 +640,18 @@ void Kernel::ReleaseRange(Mm& mm, uint32_t start_page, uint32_t page_count) {
       ReleaseFrame(pte->frame);
       machine_.AddCycles(Cycles(8));
     }
+  }
+}
+
+void Kernel::ReleaseAllPages(Mm& mm) {
+  // mmu-lint-deferred-flush(FLUSH-CONTRACT-029): every caller flushes or retires the whole
+  // context before zapping the PTEs (Exec, Exit), so the TLBs are already clean
+  std::vector<std::pair<EffAddr, LinuxPte>> pages;
+  mm.page_table->ForEachPresent(
+      [&](EffAddr ea, const LinuxPte& pte) { pages.emplace_back(ea, pte); });
+  for (const auto& [ea, pte] : pages) {
+    mm.page_table->Unmap(ea, nullptr);
+    ReleaseFrame(pte.frame);
   }
 }
 
@@ -984,11 +964,11 @@ void Kernel::UserExecute(uint32_t instructions) {
   // line cursor wraps at the page end, then the next from the page start.
   uint32_t fetches = instructions / 8 + (instructions % 8 != 0 ? 1 : 0);
   while (fetches > 0) {
-    const uint32_t line_index = static_cast<uint32_t>(idle_rr_cursor_) % lines_per_page;
+    const uint32_t line_index = static_cast<uint32_t>(user_fetch_cursor_) % lines_per_page;
     const uint32_t n = std::min(fetches, lines_per_page - line_index);
     UserTouchRun(EffAddr::FromPage(current.text_page, line_index * line), line, n,
                  AccessKind::kInstructionFetch);
-    idle_rr_cursor_ += n;
+    user_fetch_cursor_ += n;
     fetches -= n;
   }
   machine_.AddCycles(Cycles(instructions));
@@ -996,27 +976,33 @@ void Kernel::UserExecute(uint32_t instructions) {
 
 // ---- idle ----
 
-uint64_t Kernel::ReclaimIterationBound() const {
+uint64_t Kernel::IdleIterationBound(bool reclaim) const {
   const MachineConfig& machine = machine_.config();
   const MemoryTiming& timing = machine.memory;
-  // The fetch as a miss (instruction lines are never dirty) or an uncached fetch.
-  uint64_t bound = std::max(timing.line_fill_cycles, timing.single_beat_cycles) + kIdleLoopCycles;
-  const uint64_t ptegs = std::min(config_.idle_reclaim_ptegs_per_pass, mmu_->htab().num_ptegs());
-  const uint64_t slots = ptegs * kPtesPerPteg;
-  if (mmu_->policy().cache_page_tables) {
-    // Every line of the pass missing onto a dirty victim (a pass that wraps covers two
-    // ranges, so up to two partial lines more), then 1 cycle per slot read and per clearing
-    // store: a store follows the read of its own slot, so it hits.
-    const uint64_t line = machine.dcache.line_bytes;
-    const uint64_t lines = (slots * kPteBytes + line - 1) / line + 2;
-    bound += lines * (timing.line_fill_cycles + timing.writeback_cycles) + 2 * slots;
+  // The fetch as a hit (the chunk prices its first fetch as a miss on its own), the loop,
+  // and the spin, which an iteration without reclaim pays when the zeroer declines.
+  uint64_t bound = 1 + kIdleLoopCycles;
+  if (!reclaim) {
+    bound += kIdleSpinCycles;
   } else {
-    bound += 2 * slots * timing.single_beat_cycles;
+    const uint64_t ptegs =
+        std::min(config_.idle_reclaim_ptegs_per_pass, mmu_->htab().num_ptegs());
+    const uint64_t slots = ptegs * kPtesPerPteg;
+    if (mmu_->policy().cache_page_tables) {
+      // Every line of the pass missing onto a dirty victim (a pass that wraps covers two
+      // ranges, so up to two partial lines more), then 1 cycle per slot read and per
+      // clearing store: a store follows the read of its own slot, so it hits.
+      const uint64_t line = machine.dcache.line_bytes;
+      const uint64_t lines = (slots * kPteBytes + line - 1) / line + 2;
+      bound += lines * (timing.line_fill_cycles + timing.writeback_cycles) + 2 * slots;
+    } else {
+      bound += 2 * slots * timing.single_beat_cycles;
+    }
   }
   // A zeroer that declines now declines for the whole chunk: only allocations and frees
   // change its answer, and an idle iteration's zero is its only allocation.
   if (!mem_.IdleZeroDeclines()) {
-    bound += mem_.UncachedZeroCycles();
+    bound += mem_.IdleZeroCyclesBound();
   }
   return bound;
 }
@@ -1029,100 +1015,76 @@ void Kernel::RunIdle(Cycles budget) {
   DataMemCharger pt_charger = mmu_->PageTableCharger();
   const EffAddr idle_text(kKernelVirtualBase + kIdleTextPage * kPageSize);
   const bool reclaim = config_.idle_zombie_reclaim && mmu_->policy().UsesHtab();
-  // The spin fast-forward below replays the fetch's translation, so the uncached (§10.1)
-  // fetch, which translates nothing, keeps the loop. So does a live ledger with idle
-  // zeroing: it records every iteration's (zero-cycle) idle_zero scope in its trace ring.
-  const bool may_fast_forward =
-      !config_.uncached_idle_task &&
-      !(machine_.attr().enabled() && config_.idle_zero != IdleZeroPolicy::kOff);
-  // Reclaiming iterations run in chunks under the same fetch replay, with the ledger off
-  // (it would record every iteration's scopes) and with idle zeroing off or uncached (a
-  // cached zero would interleave with the sweep in the D-cache).
-  const bool may_chunk = reclaim && !config_.uncached_idle_task && !machine_.attr().enabled() &&
-                         config_.idle_zero != IdleZeroPolicy::kCached;
+  const bool zeroing = config_.idle_zero != IdleZeroPolicy::kOff;
   const uint32_t ptegs_per_pass = config_.idle_reclaim_ptegs_per_pass;
-  uint32_t spins = 0;        // consecutive iterations that found no work
-  uint64_t spin_cycles = 0;  // what the last of them cost
+  // Iterations may run in chunks of n, each kind of work grouped in iteration order: the
+  // fetches go to the I-cache and the ITLB or a BAT, the sweep to the D-cache and the
+  // HTAB, a zero to the D-cache (or to neither cache when uncached), and nothing in the
+  // loop changes the VSID oracle or the zeroer's answer. Not for the uncached (§10.1) idle
+  // task, whose physical fetch has no translation to replay; not with the ledger on and an
+  // iteration opening a reclaim or zero scope (it records each one); and not when a cached
+  // zero would interleave with a cached sweep in the D-cache.
+  const bool may_chunk =
+      !config_.uncached_idle_task && !(machine_.attr().enabled() && (reclaim || zeroing)) &&
+      !(reclaim && config_.idle_zero == IdleZeroPolicy::kCached &&
+        mmu_->policy().cache_page_tables);
+  // What a chunk's first fetch may cost beyond a hit: the idle text is mapped cacheable,
+  // and the later fetches hit the line the first one leaves.
+  const uint64_t first_miss = machine_.config().memory.line_fill_cycles - 1;
 
   while (machine_.Now() < deadline) {
-    if (may_chunk) {
-      // A chunk of n reclaiming iterations in closed form. The fetches go to the I-cache
-      // and the ITLB or a BAT, the sweep to the D-cache and the HTAB, and an uncached zero
-      // to neither cache, so grouping each kind in iteration order changes no state: n
-      // fetches, n loop bodies, one sweep over the n passes' PTEGs (at most one table, so
-      // the cursor wraps at most once, as the passes would), then the zeroes until the
-      // zeroer declines, as it then would for every later iteration. n iterations of at
-      // most `iteration_bound` cycles each all start before the deadline.
-      const uint64_t iteration_bound = ReclaimIterationBound();
-      uint64_t n = (deadline - machine_.Now()).value / iteration_bound;
-      if (ptegs_per_pass > 0) {
-        n = std::min<uint64_t>(n, mmu_->htab().num_ptegs() / ptegs_per_pass);
-      }
-      n = std::min<uint64_t>(n, UINT32_MAX);
-      const std::optional<Mmu::SpanTarget> span =
-          n >= 2 ? mmu_->ReplaySpan(idle_text, AccessKind::kInstructionFetch,
-                                    static_cast<uint32_t>(n))
-                 : std::nullopt;
-      if (span.has_value()) {
-        const Cycles start = machine_.Now();
-        machine_.TouchInstructionRepeat(PhysAddr::FromFrame(span->frame),
-                                        static_cast<uint32_t>(n), span->cached);
-        machine_.AddCycles(Cycles(n * kIdleLoopCycles));
-        counters.zombies_reclaimed += mmu_->htab().ReclaimZombies(
-            static_cast<uint32_t>(n) * ptegs_per_pass, vsids_, pt_charger);
-        for (uint64_t zeroed = 0; zeroed < n && mem_.IdleZeroOnePage(); ++zeroed) {
-        }
-        PPCMM_CHECK_MSG(machine_.Now() - start <= Cycles(iteration_bound * n),
-                        "idle reclaim chunk exceeded its per-iteration bound");
-        continue;
-      }
-    }
-    if (spins >= 2 && may_fast_forward) {
-      // Two back-to-back iterations found no work: no reclaim pass is configured and the
-      // zeroer declined (list full or allocator low), which no spin can change. The second
-      // one's fetch hit the line and translation the first one left, so every remaining
-      // iteration repeats it exactly: only the clock, the fetch counters and the LRU ticks
-      // move. Charge them together, under the same span gate a translation run uses.
-      const uint64_t left = (deadline - machine_.Now()).value;
-      const uint64_t iterations = (left + spin_cycles - 1) / spin_cycles;
-      const uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(iterations, UINT32_MAX));
-      const std::optional<Mmu::SpanTarget> span =
-          mmu_->ReplaySpan(idle_text, AccessKind::kInstructionFetch, n);
-      if (span.has_value()) {
-        const Cycles start = machine_.Now();
-        machine_.TouchInstructionRepeat(PhysAddr::FromFrame(span->frame), n, span->cached);
-        machine_.AddCycles(Cycles(uint64_t{n} * (kIdleLoopCycles + kIdleSpinCycles)));
-        PPCMM_CHECK_MSG(machine_.Now() - start == Cycles(spin_cycles) * n,
-                        "idle fast-forward diverged from the spin it replays");
-        continue;  // a count past 32 bits takes another chunk
-      }
-    }
     const Cycles start = machine_.Now();
+    uint32_t n = 1;
+    uint64_t bound = 0;
+    std::optional<Mmu::SpanTarget> span;
+    if (may_chunk) {
+      // Iteration k of a chunk starts at most first_miss + k × bound cycles in, so all n
+      // start before the deadline, as the loop would start them.
+      bound = IdleIterationBound(reclaim);
+      const uint64_t left = (deadline - start).value;
+      uint64_t chunk = left > first_miss ? (left - first_miss + bound - 1) / bound : 1;
+      if (reclaim && ptegs_per_pass > 0) {
+        // One contiguous sweep covers the n passes: at most the whole table, so its cursor
+        // wraps at most once, as the passes' would.
+        chunk = std::min<uint64_t>(chunk, mmu_->htab().num_ptegs() / ptegs_per_pass);
+      }
+      n = static_cast<uint32_t>(std::min<uint64_t>(chunk, UINT32_MAX));
+      if (n >= 2) {
+        span = mmu_->ReplaySpan(idle_text, AccessKind::kInstructionFetch, n);
+      }
+    }
     // The idle loop's own instruction fetches — through the caches normally, around them
     // when the §10.1 extension is enabled.
-    if (config_.uncached_idle_task) {
-      machine_.TouchInstruction(PhysAddr::FromFrame(kIdleTextPage), /*cached=*/false);
+    if (span.has_value()) {
+      machine_.TouchInstructionRepeat(PhysAddr::FromFrame(span->frame), n, span->cached);
     } else {
-      KernelTouch(idle_text, AccessKind::kInstructionFetch);
+      n = 1;
+      if (config_.uncached_idle_task) {
+        machine_.TouchInstruction(PhysAddr::FromFrame(kIdleTextPage), /*cached=*/false);
+      } else {
+        KernelTouch(idle_text, AccessKind::kInstructionFetch);
+      }
     }
-    machine_.AddCycles(Cycles(kIdleLoopCycles));
+    machine_.AddCycles(Cycles(n * kIdleLoopCycles));
 
-    bool worked = false;
     if (reclaim) {
       CycleScope reclaim_scope(machine_, AttrCause::kIdleReclaim);
       counters.zombies_reclaimed +=
-          mmu_->htab().ReclaimZombies(ptegs_per_pass, vsids_, pt_charger);
-      worked = true;  // the scan itself consumed cycles
+          mmu_->htab().ReclaimZombies(n * ptegs_per_pass, vsids_, pt_charger);
     }
-    if (config_.idle_zero != IdleZeroPolicy::kOff) {
+    uint32_t zeroed = 0;
+    if (zeroing) {
       CycleScope zero_scope(machine_, AttrCause::kIdleZero);
-      worked = mem_.IdleZeroOnePage() || worked;
+      while (zeroed < n && mem_.IdleZeroOnePage()) {
+        ++zeroed;
+      }
     }
-    if (!worked) {
-      machine_.AddCycles(Cycles(kIdleSpinCycles));
+    // An iteration that found no work pays the spin; one with a reclaim pass always works.
+    if (!reclaim && zeroed < n) {
+      machine_.AddCycles(Cycles((n - zeroed) * kIdleSpinCycles));
     }
-    spins = worked ? 0 : spins + 1;
-    spin_cycles = (machine_.Now() - start).value;
+    PPCMM_CHECK_MSG(n == 1 || machine_.Now() - start <= Cycles(first_miss + n * bound),
+                    "idle chunk exceeded its per-iteration bound");
   }
 }
 

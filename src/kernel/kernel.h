@@ -230,7 +230,9 @@ class Kernel : public PteBackingSource {
   // ---- idle task ----
 
   // Runs the idle task for (at least) `budget` cycles: zombie reclaim and page zeroing per
-  // policy, plain spinning otherwise (§7, §9, §10.1).
+  // policy, plain spinning otherwise (§7, §9, §10.1). One loop body charges n ≥ 1
+  // iterations at a time, bit-identical to running them one by one: n = 1 is the plain
+  // iteration, and n ≥ 2 takes a validated fetch span and fits IdleIterationBound.
   void RunIdle(Cycles budget);
   // Models a disk wait: the CPU sits in the idle task for the duration.
   void SimulateIoWait(Cycles wait) { RunIdle(wait); }
@@ -292,10 +294,11 @@ class Kernel : public PteBackingSource {
   void ChargeKernelWork(KernelOp op);
   // One kernel memory reference at a kernel virtual address, through the MMU.
   void KernelTouch(EffAddr ea, AccessKind kind);
-  // An upper bound on the cycles of each of the next idle iterations that reclaim
-  // (RunIdle's chunks): every cache access of the fetch, the PTEG sweep and, unless the
-  // zeroer declines, an uncached page zero priced at its worst from the MemoryTiming.
-  uint64_t ReclaimIterationBound() const;
+  // An upper bound on the cycles of each of the next idle iterations but a chunk's first
+  // fetch, priced from the MemoryTiming: the fetch as a hit, the loop, the spin without
+  // `reclaim` or the PTEG sweep at its worst with it, and, unless the zeroer declines, one
+  // page zero at its worst.
+  uint64_t IdleIterationBound(bool reclaim) const;
 
   void SetupKernelTranslation();
   // VSID epoch rollover: purges every user translation and reassigns all live contexts so
@@ -317,6 +320,9 @@ class Kernel : public PteBackingSource {
   void CopyUserKernel(EffAddr user, PhysAddr kernel, uint32_t length, bool to_user);
   // Unmaps PTEs and releases frames in a page range (no flushing; callers flush first).
   void ReleaseRange(Mm& mm, uint32_t start_page, uint32_t page_count);
+  // Unmaps every present PTE of `mm` and releases its frames (no flushing; callers flush
+  // or retire the whole context first).
+  void ReleaseAllPages(Mm& mm);
   // Drops one reference to a frame unless it belongs to an I/O aperture.
   void ReleaseFrame(uint32_t frame);
   Task& CurrentTask();
@@ -358,7 +364,7 @@ class Kernel : public PteBackingSource {
   // per-CPU current tasks. Invariant: cpu_current_[smp_.current_cpu] == current_.
   SmpState smp_;
   std::vector<TaskId> cpu_current_;
-  uint64_t idle_rr_cursor_ = 0;
+  uint64_t user_fetch_cursor_ = 0;
   FaultInjector* injector_ = nullptr;
 };
 

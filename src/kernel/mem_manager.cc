@@ -109,10 +109,13 @@ void MemManager::ZeroFrameCharged(uint32_t frame, bool cached) {
   machine_.memory().ZeroFrame(frame);
 }
 
-uint64_t MemManager::UncachedZeroCycles() const {
+uint64_t MemManager::IdleZeroCyclesBound() const {
   const uint32_t line = machine_.config().dcache.line_bytes;
-  return uint64_t{kPageSize / line} *
-         (machine_.config().memory.single_beat_cycles + ZeroLoopCyclesPerLine(line));
+  const MemoryTiming& timing = machine_.config().memory;
+  const uint64_t store = config_.idle_zero == IdleZeroPolicy::kCached
+                             ? timing.line_fill_cycles + timing.writeback_cycles
+                             : timing.single_beat_cycles;
+  return uint64_t{kPageSize / line} * (store + ZeroLoopCyclesPerLine(line));
 }
 
 }  // namespace ppcmm

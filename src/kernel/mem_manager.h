@@ -54,9 +54,10 @@ class MemManager {
   // is tight. Only allocations and frees change the answer.
   bool IdleZeroDeclines() const;
 
-  // The cycles one page zero costs under an uncached policy. Fixed: uncached stores
-  // neither read nor leave any cache state.
-  uint64_t UncachedZeroCycles() const;
+  // An upper bound on the cycles one IdleZeroOnePage zero costs under the configured
+  // policy: every cached store missing onto a dirty victim, or each uncached store's single
+  // beat (exact: uncached stores neither read nor leave any cache state), plus the loop.
+  uint64_t IdleZeroCyclesBound() const;
 
   uint32_t PrezeroedCount() const { return static_cast<uint32_t>(prezeroed_.size()); }
   PageAllocator& allocator() { return allocator_; }

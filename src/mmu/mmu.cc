@@ -382,9 +382,4 @@ void Mmu::TlbInvalidateAll() {
   bank_->dtlb.InvalidateAll();
 }
 
-uint32_t Mmu::TlbInvalidateVsid(Vsid vsid) {
-  const auto pred = [vsid](const TlbEntry& e) { return e.vsid == vsid; };
-  return bank_->itlb.InvalidateMatching(pred) + bank_->dtlb.InvalidateMatching(pred);
-}
-
 }  // namespace ppcmm

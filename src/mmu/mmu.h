@@ -148,7 +148,7 @@ class Mmu {
   };
 
   // The translation span gate shared by every batched caller (AccessRun, the idle loop's
-  // fetch fast-forward, page-batched user copies). Looks the page of `ea` up exactly as
+  // fetch chunks, page-batched user copies). Looks the page of `ea` up exactly as
   // Access() would — BAT, then segment register, then the TLB — but through a probe that
   // leaves LRU state alone. On a BAT hit, or a TLB hit that passes the write gate
   // (writable and changed for stores), replays the translation side of `n` (> 0) hits on
@@ -166,7 +166,6 @@ class Mmu {
   // CPU's TLBs; cross-CPU invalidation goes through the shootdown primitives below.
   void TlbInvalidatePage(EffAddr ea);            // tlbie: by page index in both TLBs
   void TlbInvalidateAll();                       // tlbia
-  uint32_t TlbInvalidateVsid(Vsid vsid);         // simulation convenience (eager full flush)
 
   // ---- SMP ----
   //
@@ -224,7 +223,7 @@ class Mmu {
   // accesses and full Access() walks, so hits / (hits + misses) is the share spans carried.
   uint64_t fast_path_hits() const { return span_accesses_; }
   uint64_t fast_path_misses() const { return access_walks_; }
-  // Spans replayed by ReplaySpan (for AccessRun, the idle fast-forward and user copies)
+  // Spans replayed by ReplaySpan (for AccessRun, the idle chunks and user copies)
   // and the accesses they covered.
   uint64_t span_runs() const { return span_runs_; }
   uint64_t span_accesses() const { return span_accesses_; }

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/sim/addr.h"
@@ -89,23 +88,6 @@ class Tlb {
 
   // Invalidates every entry (tlbia / full flush).
   void InvalidateAll();
-
-  // Invalidates entries selected by `pred` (a callable taking const TlbEntry&); returns the
-  // count (simulation convenience).
-  template <typename Pred>
-  uint32_t InvalidateMatching(Pred pred) {
-    uint32_t cleared = 0;
-    for (TlbEntry& entry : ways_) {
-      if (entry.valid && pred(std::as_const(entry))) {
-        if (entry.is_kernel) {
-          --kernel_entries_;
-        }
-        entry.valid = false;
-        ++cleared;
-      }
-    }
-    return cleared;
-  }
 
   // Read-only visit of every valid entry (auditing convenience; no LRU side effects).
   template <typename Fn>

@@ -154,7 +154,7 @@ class Machine {
   // Charges `count` (> 0) back-to-back instruction fetches of the same address `pa` —
   // bit-identical to `count` TouchInstruction calls: only the first can miss, the rest hit
   // the line it left resident (or each pay the same single-beat latency when uncached).
-  // Used by the idle loop's fast-forward, which refetches one line over and over.
+  // Used by the idle loop's chunks, whose n fetches refetch one line over and over.
   void TouchInstructionRepeat(PhysAddr pa, uint32_t count, bool cached = true) {
     if (!cached) {
       AddCycles(icache_cur_->AccessUncachedRun(false, count));

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/system.h"
 #include "src/kernel/layout.h"
 
@@ -169,6 +171,46 @@ TEST(FlushTest, RangeFlushBlindlySearchesUnmappedPages) {
   kernel.Munmap(start, 50);
   const HwCounters delta = sys.counters().Diff(before);
   EXPECT_EQ(delta.htab_flush_memory_refs, 50u * 2 * kPtesPerPteg);
+}
+
+TEST(FlushTest, ForkAndExitFlushPerPolicy) {
+  // Fork write-protects the parent's writable pages: under the cutoff each takes its own
+  // page flush and shootdown round, over it the lazy kernel flushes the whole context.
+  // Exit retires the context: the lazy kernel opens no flush scope (its cycles stay in
+  // the exit cell), the eager kernel flushes every page.
+  MachineConfig machine = MachineConfig::Ppc604(185);
+  machine.ncpus = 2;
+  for (const bool lazy : {true, false}) {
+    for (const uint32_t pages : {8u, 32u}) {
+      SCOPED_TRACE(std::string(lazy ? "lazy/" : "eager/") + std::to_string(pages));
+      System sys(machine, lazy ? OptimizationConfig::OnlyLazyFlush(20)
+                               : OptimizationConfig::Baseline());
+      const CycleLedger& ledger = sys.machine().attr();
+      sys.machine().attr().SetEnabled(true);
+      Kernel& kernel = sys.kernel();
+      const TaskId parent = kernel.CreateTask("p");
+      kernel.Exec(parent, ExecImage{.text_pages = 1, .data_pages = pages, .stack_pages = 1});
+      kernel.SwitchTo(parent);
+      kernel.UserTouchRun(EffAddr(kUserDataBase), kPageSize, pages, AccessKind::kStore);
+      const auto scopes = [&](AttrCause cause) { return ledger.Latency(cause).TotalCount(); };
+
+      const uint64_t eager = scopes(AttrCause::kRangeFlushEager);
+      const uint64_t ctx = scopes(AttrCause::kContextFlushLazy);
+      HwCounters before = sys.counters();
+      const TaskId child = kernel.Fork(parent);
+      const bool context_flush = lazy && pages > 20;
+      EXPECT_EQ(scopes(AttrCause::kRangeFlushEager) - eager, context_flush ? 0u : pages);
+      EXPECT_EQ(scopes(AttrCause::kContextFlushLazy) - ctx, context_flush ? 1u : 0u);
+      EXPECT_EQ(sys.counters().Diff(before).tlb_shootdown_requests, context_flush ? 0u : pages);
+
+      before = sys.counters();
+      kernel.Exit(child);
+      EXPECT_EQ(sys.counters().Diff(before).tlb_context_flushes, lazy ? 1u : 0u);
+      EXPECT_EQ(scopes(AttrCause::kRangeFlushEager) - eager,
+                (context_flush ? 0u : pages) + (lazy ? 0u : 1u));
+      EXPECT_EQ(scopes(AttrCause::kContextFlushLazy) - ctx, context_flush ? 1u : 0u);
+    }
+  }
 }
 
 }  // namespace

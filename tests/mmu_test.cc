@@ -219,16 +219,6 @@ TEST(MmuTest, KernelHighwaterTracksKernelTlbEntries) {
   EXPECT_EQ(f.mmu.dtlb().KernelEntryCount(), 2u);
 }
 
-TEST(MmuTest, TlbInvalidateVsidRemovesOnlyThatAddressSpace) {
-  MmuFixture f(ReloadStrategy::kHardwareHtabWalk);
-  f.backing.MapPage(0x00010, 0x500);
-  f.backing.MapPage(0x10010, 0x501);  // segment 1, different VSID
-  f.mmu.Access(EffAddr(0x00010000), AccessKind::kLoad);
-  f.mmu.Access(EffAddr(0x10010000), AccessKind::kLoad);
-  EXPECT_EQ(f.mmu.TlbInvalidateVsid(Vsid(0x1234)), 1u);
-  EXPECT_EQ(f.mmu.dtlb().ValidCount(), 1u);
-}
-
 TEST(MmuTest, ProbeDoesNotChargeOrMutate) {
   MmuFixture f(ReloadStrategy::kHardwareHtabWalk);
   f.backing.MapPage(0x00010, 0x500);

@@ -319,11 +319,12 @@ const std::vector<std::string>& FlushPrimitives() {
   // unreachable) actually restores coherence.
   static const std::vector<std::string> kPrimitives = {
       "Mmu::TlbInvalidatePage",       "Mmu::TlbInvalidateAll",
-      "Mmu::TlbInvalidateVsid",       "Mmu::ShootdownInvalidatePage",
-      "Mmu::ShootdownInvalidateAll",  "FlushEngine::FlushPage",
-      "FlushEngine::FlushRange",      "FlushEngine::FlushContext",
-      "FlushEngine::ShootdownRound",  "FlushEngine::RunDeferredFlush",
-      "FlushEngine::RolloverInvalidateAll", "VsidSpace::Retire",
+      "Mmu::ShootdownInvalidatePage", "Mmu::ShootdownInvalidateAll",
+      "FlushEngine::FlushPage",       "FlushEngine::FlushRange",
+      "FlushEngine::FlushPages",      "FlushEngine::FlushContext",
+      "FlushEngine::RetireContext",   "FlushEngine::ShootdownRound",
+      "FlushEngine::RunDeferredFlush", "FlushEngine::RolloverInvalidateAll",
+      "VsidSpace::Retire",
   };
   return kPrimitives;
 }
