@@ -1,18 +1,18 @@
-// Pipeline: a shell-style `producer | filter | consumer` run with real blocking pipes and
-// the cooperative scheduler — the CoopHarness lets each process body block in read()/write()
-// exactly like a real program.
+// Pipeline: a shell-style `producer | filter | consumer` run through two one-page pipes, one
+// 4 KB chunk at a time: each stage runs in turn, reads its input chunk and writes its output.
 //
 //   $ ./pipeline [chunks=<n>] [baseline]
 //
 // Prints per-stage progress, then the kernel's view of what the pipeline cost: context
-// switches (every pipe stall is one), pipe wakeups, and where the simulated time went.
+// switches (three per chunk), syscalls (four pipe calls per chunk), and where the simulated
+// time went.
 
 #include <cstdio>
 #include <string>
 
 #include "src/core/system.h"
 #include "src/kernel/layout.h"
-#include "src/workloads/coop.h"
+#include "src/sim/check.h"
 
 int main(int argc, char** argv) {
   using namespace ppcmm;
@@ -46,42 +46,42 @@ int main(int argc, char** argv) {
   const uint32_t p1 = kernel.CreatePipe();
   const uint32_t p2 = kernel.CreatePipe();
 
-  CoopHarness harness(kernel);
-  harness.AddTask(generate, [&] {
-    kernel.UserTouchRange(EffAddr(kUserDataBase), kPageSize, 32, AccessKind::kStore);
-    for (uint32_t i = 0; i < chunks; ++i) {
-      kernel.UserExecute(512);  // produce the chunk
-      kernel.PipeWriteBlocking(p1, EffAddr(kUserDataBase), kPageSize);
+  // Each pipe holds one page, so every call moves a whole chunk: write into an empty pipe,
+  // read from a full one. The stages run in turn by explicit switches, as in LmBench's pipe
+  // benchmarks.
+  const auto move_chunk = [](uint32_t moved, const char* what) {
+    PPCMM_CHECK_MSG(moved == kPageSize, what << " moved " << moved << " of " << kPageSize);
+  };
+  uint64_t bytes = 0;
+  for (uint32_t i = 0; i < chunks; ++i) {
+    kernel.SwitchTo(generate);
+    if (i == 0) {
+      kernel.UserTouchRange(EffAddr(kUserDataBase), kPageSize, 32, AccessKind::kStore);
     }
-    std::printf("  generate: done (%u chunks)\n", chunks);
-  });
-  harness.AddTask(transform, [&] {
-    for (uint32_t i = 0; i < chunks; ++i) {
-      kernel.PipeReadBlocking(p1, EffAddr(kUserDataBase), kPageSize);
-      kernel.UserExecute(1024);  // transform in place
-      kernel.UserTouchRange(EffAddr(kUserDataBase), kPageSize, 64, AccessKind::kStore);
-      kernel.PipeWriteBlocking(p2, EffAddr(kUserDataBase), kPageSize);
-    }
-    std::printf("  transform: done\n");
-  });
-  harness.AddTask(sink, [&] {
-    uint64_t bytes = 0;
-    for (uint32_t i = 0; i < chunks; ++i) {
-      kernel.PipeReadBlocking(p2, EffAddr(kUserDataBase + 0x4000), kPageSize);
-      kernel.UserExecute(256);  // consume
-      bytes += kPageSize;
-    }
-    std::printf("  sink: received %llu bytes\n", static_cast<unsigned long long>(bytes));
-  });
+    kernel.UserExecute(512);  // produce the chunk
+    move_chunk(kernel.PipeWrite(p1, EffAddr(kUserDataBase), kPageSize), "generate write");
 
-  harness.Run();
+    kernel.SwitchTo(transform);
+    move_chunk(kernel.PipeRead(p1, EffAddr(kUserDataBase), kPageSize), "transform read");
+    kernel.UserExecute(1024);  // transform in place
+    kernel.UserTouchRange(EffAddr(kUserDataBase), kPageSize, 64, AccessKind::kStore);
+    move_chunk(kernel.PipeWrite(p2, EffAddr(kUserDataBase), kPageSize), "transform write");
+
+    kernel.SwitchTo(sink);
+    move_chunk(kernel.PipeRead(p2, EffAddr(kUserDataBase + 0x4000), kPageSize), "sink read");
+    kernel.UserExecute(256);  // consume
+    bytes += kPageSize;
+  }
+  std::printf("  generate: done (%u chunks)\n", chunks);
+  std::printf("  transform: done\n");
+  std::printf("  sink: received %llu bytes\n", static_cast<unsigned long long>(bytes));
 
   const HwCounters& counters = system.counters();
   const double total_us = system.ElapsedMicros();
   const double mb = static_cast<double>(chunks) * kPageSize / (1024.0 * 1024.0);
   std::printf("\npipeline moved %.2f MB in %.0f us (%.1f MB/s end to end)\n", mb, total_us,
               mb * 1e6 / total_us / 1.048576 * 1.048576);
-  std::printf("context switches: %llu (one per pipe stall)\n",
+  std::printf("context switches: %llu (three per chunk)\n",
               static_cast<unsigned long long>(counters.context_switches));
   std::printf("syscalls: %llu, page faults: %llu, dTLB misses: %llu\n",
               static_cast<unsigned long long>(counters.syscalls),

@@ -114,7 +114,7 @@ void FlushEngine::ShootdownRound(const std::optional<EffAddr>& page) {
     if (cpu == smp_->current_cpu) {
       continue;  // the local TLB was already invalidated by the eager flush itself
     }
-    if (smp_->idle[cpu] != 0) {
+    if (smp_->running[cpu].value == 0) {
       // The cpu_idle_wait idiom: an idle CPU runs no user code, so instead of an IPI it is
       // marked flush-pending and runs one whole-TLB flush when it next schedules a task.
       smp_->flush_pending[cpu] = 1;

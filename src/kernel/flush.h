@@ -17,6 +17,7 @@
 
 #include "src/kernel/mm.h"
 #include "src/kernel/opt_config.h"
+#include "src/kernel/task.h"
 #include "src/kernel/vsid_space.h"
 #include "src/mmu/mmu.h"
 
@@ -27,9 +28,9 @@ namespace ppcmm {
 struct SmpState {
   uint32_t ncpus = 1;
   uint32_t current_cpu = 0;
-  // 1 = the CPU runs no user context (nothing scheduled): shootdowns skip it, deferring
-  // the invalidation to its next switch-in (the cpu_idle_wait idiom).
-  std::vector<uint8_t> idle;
+  // The task each CPU runs. {0} = none: the CPU sits in its idle loop, so shootdowns skip
+  // it and defer the invalidation to its next switch-in (the cpu_idle_wait idiom).
+  std::vector<TaskId> running;
   // 1 = the CPU owes a deferred whole-TLB flush. Its TLB content is logically invalid —
   // the tlbia runs when the execution spotlight next moves there.
   std::vector<uint8_t> flush_pending;

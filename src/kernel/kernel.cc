@@ -69,9 +69,8 @@ Kernel::Kernel(Machine& machine, const OptimizationConfig& config, const KernelC
   framebuffer_first_frame_ =
       static_cast<uint32_t>(machine.memory().num_frames()) - kFramebufferBytes / kPageSize;
   smp_.ncpus = machine.ncpus();
-  smp_.idle.assign(smp_.ncpus, 1);  // nothing is scheduled anywhere at boot
+  smp_.running.assign(smp_.ncpus, TaskId{0});  // every CPU boots in its idle loop
   smp_.flush_pending.assign(smp_.ncpus, 0);
-  cpu_current_.assign(smp_.ncpus, TaskId{0});
   flusher_.SetSmp(&smp_);
   mmu_->SetBacking(this);
   mmu_->SetVsidOracle(&vsids_);
@@ -123,7 +122,7 @@ void Kernel::HandleVsidRollover() {
   }
   // Every CPU whose current task just moved to a new context must see the fresh VSIDs.
   for (uint32_t cpu = 0; cpu < smp_.ncpus; ++cpu) {
-    const TaskId cur = cpu_current_[cpu];
+    const TaskId cur = smp_.running[cpu];
     if (cur.value != 0 && tasks_.contains(cur.value)) {
       mmu_->segments(cpu).LoadUserSegments(vsids_.SegmentImage(task(cur).mm->context));
     }
@@ -219,7 +218,6 @@ TaskId Kernel::CreateTask(std::string name) {
   task->text_page = kUserTextBase >> kPageShift;
   task->stack_page = (kUserStackTop >> kPageShift) - 1;
   tasks_.emplace(id.value, std::move(task));
-  scheduler_.MakeRunnable(id);
   return id;
 }
 
@@ -230,74 +228,57 @@ Task& Kernel::task(TaskId id) {
 }
 
 Task& Kernel::CurrentTask() {
-  PPCMM_CHECK_MSG(current_.value != 0, "no current task");
-  return task(current_);
+  const TaskId id = current();
+  PPCMM_CHECK_MSG(id.value != 0, "no current task");
+  return task(id);
 }
 
 void Kernel::SwitchTo(TaskId id) {
   Task& next = task(id);
-  PPCMM_CHECK_MSG(next.state != TaskState::kZombie, "switching to a zombie task");
   for (uint32_t cpu = 0; cpu < smp_.ncpus; ++cpu) {
-    PPCMM_CHECK_MSG(cpu == smp_.current_cpu || cpu_current_[cpu] != id,
+    PPCMM_CHECK_MSG(cpu == smp_.current_cpu || smp_.running[cpu] != id,
                     "task " << id.value << " is already running on CPU " << cpu);
   }
-  TaskId previous{};
-  {
-    // The attribution scope must close before switch_hook_ runs: a cooperative harness may
-    // park this call stack there, and the ledger's scope stack is shared across fibers.
-    CycleScope switch_scope(machine_, AttrCause::kContextSwitch);
-    HwCounters& counters = machine_.counters();
-    ++counters.context_switches;
+  CycleScope switch_scope(machine_, AttrCause::kContextSwitch);
+  HwCounters& counters = machine_.counters();
+  ++counters.context_switches;
 
-    ChargeKernelWork(KernelOp::kContextSwitch);
-    machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.ctxsw_body_opt
-                                                         : costs_.ctxsw_body_unopt));
+  ChargeKernelWork(KernelOp::kContextSwitch);
+  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.ctxsw_body_opt
+                                                       : costs_.ctxsw_body_unopt));
 
-    if (injector_ != nullptr && injector_->ShouldFire(FaultClass::kZombieFlood)) {
-      InjectZombieFlood();
+  if (injector_ != nullptr && injector_->ShouldFire(FaultClass::kZombieFlood)) {
+    InjectZombieFlood();
+  }
+
+  // §10.2 extension: prefetch the incoming task's state so the restore loads below hit.
+  if (config_.cache_preload_hints) {
+    for (uint32_t line = 0; line < 8; ++line) {
+      machine_.PrefetchData(next.task_struct_pa + line * 64);
     }
+  }
 
-    // §10.2 extension: prefetch the incoming task's state so the restore loads below hit.
-    if (config_.cache_preload_hints) {
-      for (uint32_t line = 0; line < 8; ++line) {
-        machine_.PrefetchData(next.task_struct_pa + line * 64);
-      }
-    }
-
-    // Save the outgoing register state, restore the incoming — real stores/loads against the
-    // task structures. The unoptimized path saves everything; the optimized path is lean.
-    const uint32_t regs = config_.optimized_handlers ? 12 : 32;
-    if (current_.value != 0 && tasks_.contains(current_.value)) {
-      Task& prev = task(current_);
-      for (uint32_t r = 0; r < regs; ++r) {
-        KernelTouch(KernelVirtFromPhys(prev.task_struct_pa + (r % 8) * 64), AccessKind::kStore);
-      }
-      if (prev.state == TaskState::kRunning) {
-        prev.state = TaskState::kRunnable;
-        scheduler_.MakeRunnable(prev.id);
-      }
-    }
+  // Save the outgoing register state, restore the incoming — real stores/loads against the
+  // task structures. The unoptimized path saves everything; the optimized path is lean.
+  const uint32_t regs = config_.optimized_handlers ? 12 : 32;
+  const TaskId previous = current();
+  if (previous.value != 0) {
+    const Task& prev = task(previous);
     for (uint32_t r = 0; r < regs; ++r) {
-      KernelTouch(KernelVirtFromPhys(next.task_struct_pa + (r % 8) * 64), AccessKind::kLoad);
+      KernelTouch(KernelVirtFromPhys(prev.task_struct_pa + (r % 8) * 64), AccessKind::kStore);
     }
-
-    // Reload the user segment registers from the incoming task's VSIDs.
-    machine_.AddCycles(Cycles(kFirstKernelSegment * 2));
-    mmu_->segments().LoadUserSegments(vsids_.SegmentImage(next.mm->context));
-
-    scheduler_.Remove(id);  // the running task is not queued
-    next.state = TaskState::kRunning;
-    ++next.obs.switches_in;
-    previous = current_;
-    current_ = id;
-    cpu_current_[smp_.current_cpu] = id;
-    smp_.idle[smp_.current_cpu] = 0;
-    machine_.attr().SetCurrentTask(id.value);
   }
-  if (switch_hook_) {
-    // Must be the last action: a cooperative harness may park this call stack here.
-    switch_hook_(previous, id);
+  for (uint32_t r = 0; r < regs; ++r) {
+    KernelTouch(KernelVirtFromPhys(next.task_struct_pa + (r % 8) * 64), AccessKind::kLoad);
   }
+
+  // Reload the user segment registers from the incoming task's VSIDs.
+  machine_.AddCycles(Cycles(kFirstKernelSegment * 2));
+  mmu_->segments().LoadUserSegments(vsids_.SegmentImage(next.mm->context));
+
+  ++next.obs.switches_in;
+  smp_.running[smp_.current_cpu] = id;
+  machine_.attr().SetCurrentTask(id.value);
 }
 
 void Kernel::SwitchCpu(uint32_t cpu) {
@@ -311,8 +292,7 @@ void Kernel::SwitchCpu(uint32_t cpu) {
   smp_.current_cpu = cpu;
   machine_.SetCurrentCpu(cpu);
   mmu_->SetCurrentCpu(cpu);
-  current_ = cpu_current_[cpu];
-  machine_.attr().SetCurrentTask(current_.value);
+  machine_.attr().SetCurrentTask(current().value);
   // Any whole-TLB flush this CPU skipped while idle runs now, before it touches anything.
   flusher_.RunDeferredFlush(cpu);
 }
@@ -374,13 +354,13 @@ TaskId Kernel::Fork(TaskId parent_id) {
     // (now write-protected) translations before reporting. The parent keeps running — its
     // COW-marked pages simply take a sole-owner fault on the next write.
     machine_.attr().RecordInstant(AttrEventKind::kOomRollback, machine_.Now().value);
-    flusher_.FlushContext(*parent.mm, current_ == parent_id);
+    flusher_.FlushContext(*parent.mm, current() == parent_id);
     Exit(child_id);
     throw;
   }
 
   // The parent's cached translations for the write-protected pages are now stale.
-  flusher_.FlushPages(*parent.mm, write_protected, current_ == parent_id);
+  flusher_.FlushPages(*parent.mm, write_protected, current() == parent_id);
   return child_id;
 }
 
@@ -392,7 +372,7 @@ void Kernel::Exec(TaskId id, const ExecImage& image) {
 
   Mm& mm = *target.mm;
   // Drop every cached translation of the old image, then its pages and VMAs.
-  flusher_.FlushContext(mm, current_ == id);
+  flusher_.FlushContext(mm, current() == id);
   ReleaseAllPages(mm);
   mm.vmas.Clear();
 
@@ -426,36 +406,32 @@ void Kernel::Exit(TaskId id) {
   CycleScope exit_scope(machine_, AttrCause::kExit);
 
   machine_.AddCycles(Cycles(300));
-  flusher_.RetireContext(mm, current_ == id);
+  flusher_.RetireContext(mm, current() == id);
   ReleaseAllPages(mm);
 
   for (uint32_t cpu = 0; cpu < smp_.ncpus; ++cpu) {
-    if (cpu_current_[cpu] == id) {
-      cpu_current_[cpu] = TaskId{0};
-      smp_.idle[cpu] = 1;
+    if (smp_.running[cpu] == id) {
+      smp_.running[cpu] = TaskId{0};
       if (cpu == smp_.current_cpu) {
-        current_ = TaskId{0};
         machine_.attr().SetCurrentTask(0);
       }
     }
-  }
-  scheduler_.ClearAffinity(id);
-  scheduler_.Remove(id);
-  for (auto& [pipe_id, pipe] : pipes_) {
-    pipe.readers.Remove(id);
-    pipe.writers.Remove(id);
   }
   tasks_.erase(id.value);
 }
 
 // ---- syscalls ----
 
-void Kernel::NullSyscall() {
-  CycleScope syscall_scope(machine_, AttrCause::kSyscall);
+void Kernel::EnterSyscall(KernelOp op) {
   ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kSyscallEntry);
+  ChargeKernelWork(op);
   machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
                                                        : costs_.syscall_body_unopt));
+}
+
+void Kernel::NullSyscall() {
+  CycleScope syscall_scope(machine_, AttrCause::kSyscall);
+  EnterSyscall(KernelOp::kSyscallEntry);
 }
 
 uint32_t Kernel::Mmap(uint32_t page_count, const MmapOptions& options) {
@@ -463,10 +439,7 @@ uint32_t Kernel::Mmap(uint32_t page_count, const MmapOptions& options) {
   Task& current = CurrentTask();
   Mm& mm = *current.mm;
   CycleScope syscall_scope(machine_, AttrCause::kSyscall);
-  ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kMmapCall);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
-                                                       : costs_.syscall_body_unopt));
+  EnterSyscall(KernelOp::kMmapCall);
 
   uint32_t start;
   if (options.fixed_page.has_value()) {
@@ -474,7 +447,7 @@ uint32_t Kernel::Mmap(uint32_t page_count, const MmapOptions& options) {
     if (!mm.vmas.RangeIsFree(start, page_count)) {
       // MAP_FIXED over an existing mapping: unmap — and therefore flush — what's there.
       // This is the operation whose latency §7 chases from 3240 µs down to 41 µs.
-      flusher_.FlushRange(mm, start, page_count, current_ == current.id);
+      flusher_.FlushRange(mm, start, page_count, /*mm_is_current=*/true);
       ReleaseRange(mm, start, page_count);
       mm.vmas.Remove(start, page_count);
     }
@@ -496,12 +469,9 @@ void Kernel::Munmap(uint32_t start_page, uint32_t page_count) {
   Task& current = CurrentTask();
   Mm& mm = *current.mm;
   CycleScope syscall_scope(machine_, AttrCause::kSyscall);
-  ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kMmapCall);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
-                                                       : costs_.syscall_body_unopt));
+  EnterSyscall(KernelOp::kMmapCall);
 
-  flusher_.FlushRange(mm, start_page, page_count, current_ == current.id);
+  flusher_.FlushRange(mm, start_page, page_count, /*mm_is_current=*/true);
   ReleaseRange(mm, start_page, page_count);
   mm.vmas.Remove(start_page, page_count);
 }
@@ -510,10 +480,7 @@ uint32_t Kernel::MapFramebuffer() {
   Task& current = CurrentTask();
   Mm& mm = *current.mm;
   CycleScope syscall_scope(machine_, AttrCause::kSyscall);
-  ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kMmapCall);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
-                                                       : costs_.syscall_body_unopt));
+  EnterSyscall(KernelOp::kMmapCall);
 
   const uint32_t start = kUserFramebufferBase >> kPageShift;
   const uint32_t pages = kFramebufferBytes / kPageSize;
@@ -666,10 +633,7 @@ void Kernel::FileWrite(FileId file, uint32_t offset_bytes, uint32_t length, EffA
 void Kernel::FileIo(FileId file, uint32_t offset_bytes, uint32_t length, EffAddr user,
                     bool to_user) {
   CycleScope io_scope(machine_, AttrCause::kFileIo);
-  ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kFileIo);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
-                                                       : costs_.syscall_body_unopt));
+  EnterSyscall(KernelOp::kFileIo);
   uint32_t done = 0;
   while (done < length) {
     const uint32_t file_page = (offset_bytes + done) >> kPageShift;
@@ -688,10 +652,7 @@ void Kernel::FileIo(FileId file, uint32_t offset_bytes, uint32_t length, EffAddr
 uint32_t Kernel::ShmCreate(uint32_t pages) {
   PPCMM_CHECK(pages > 0);
   CycleScope syscall_scope(machine_, AttrCause::kSyscall);
-  ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kMmapCall);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
-                                                       : costs_.syscall_body_unopt));
+  EnterSyscall(KernelOp::kMmapCall);
   ShmSegment segment;
   segment.frames.reserve(pages);
   try {
@@ -717,10 +678,7 @@ uint32_t Kernel::ShmAttach(uint32_t shm_id) {
   Task& current = CurrentTask();
   Mm& mm = *current.mm;
   CycleScope syscall_scope(machine_, AttrCause::kSyscall);
-  ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kMmapCall);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
-                                                       : costs_.syscall_body_unopt));
+  EnterSyscall(KernelOp::kMmapCall);
 
   const uint32_t pages = static_cast<uint32_t>(it->second.frames.size());
   const uint32_t start = mm.vmas.FindFreeRange(kUserMmapBase >> kPageShift, pages);
@@ -770,10 +728,7 @@ uint32_t Kernel::PipeWrite(uint32_t pipe_id, EffAddr user_src, uint32_t length) 
   PPCMM_CHECK_MSG(it != pipes_.end(), "write to unknown pipe " << pipe_id);
   PipeState& pipe = it->second;
   CycleScope pipe_scope(machine_, AttrCause::kPipe);
-  ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kPipe);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
-                                                       : costs_.syscall_body_unopt));
+  EnterSyscall(KernelOp::kPipe);
   machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.pipe_wakeup_opt
                                                        : costs_.pipe_wakeup_unopt));
 
@@ -795,10 +750,7 @@ uint32_t Kernel::PipeRead(uint32_t pipe_id, EffAddr user_dst, uint32_t length) {
   PPCMM_CHECK_MSG(it != pipes_.end(), "read from unknown pipe " << pipe_id);
   PipeState& pipe = it->second;
   CycleScope pipe_scope(machine_, AttrCause::kPipe);
-  ++machine_.counters().syscalls;
-  ChargeKernelWork(KernelOp::kPipe);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.syscall_body_opt
-                                                       : costs_.syscall_body_unopt));
+  EnterSyscall(KernelOp::kPipe);
   machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.pipe_wakeup_opt
                                                        : costs_.pipe_wakeup_unopt));
 
@@ -813,79 +765,6 @@ uint32_t Kernel::PipeRead(uint32_t pipe_id, EffAddr user_dst, uint32_t length) {
   }
   pipe.used -= n;
   return n;
-}
-
-// ---- cooperative scheduling ----
-
-void Kernel::Yield() {
-  const std::optional<TaskId> next = scheduler_.PickNextFor(smp_.current_cpu);
-  if (!next.has_value() || *next == current_) {
-    return;
-  }
-  SwitchTo(*next);
-}
-
-void Kernel::BlockCurrentOn(WaitQueue& queue) {
-  Task& current = CurrentTask();
-  current.state = TaskState::kBlocked;
-  scheduler_.Remove(current.id);
-  queue.Add(current.id);
-  const std::optional<TaskId> next = scheduler_.PickNextFor(smp_.current_cpu);
-  PPCMM_CHECK_MSG(next.has_value(),
-                  "deadlock: task " << current.id.value
-                                    << " blocked with nothing runnable to wake it");
-  SwitchTo(*next);
-}
-
-bool Kernel::WakeOne(WaitQueue& queue) {
-  const std::optional<TaskId> woken = queue.PopOne();
-  if (!woken.has_value()) {
-    return false;
-  }
-  // wake_up() runs in whatever syscall woke the sleeper; the scheduler bookkeeping below is
-  // kernel time and must not leak into the caller's ambient bucket.
-  CycleScope wake_scope(machine_, AttrCause::kSyscall);
-  // wake_up(): runqueue insertion plus a touch of the woken task's struct.
-  machine_.AddCycles(Cycles(40));
-  KernelTouch(KernelVirtFromPhys(task(*woken).task_struct_pa), AccessKind::kStore);
-  task(*woken).state = TaskState::kRunnable;
-  scheduler_.MakeRunnable(*woken);
-  return true;
-}
-
-void Kernel::WakeAll(WaitQueue& queue) {
-  while (WakeOne(queue)) {
-  }
-}
-
-void Kernel::PipeWriteBlocking(uint32_t pipe_id, EffAddr user_src, uint32_t length) {
-  uint32_t done = 0;
-  while (done < length) {
-    const uint32_t n = PipeWrite(pipe_id, user_src + done, length - done);
-    done += n;
-    PipeState& pipe = pipes_.at(pipe_id);
-    if (!pipe.readers.Empty()) {
-      WakeOne(pipe.readers);
-    }
-    if (done < length) {
-      BlockCurrentOn(pipe.writers);
-    }
-  }
-}
-
-void Kernel::PipeReadBlocking(uint32_t pipe_id, EffAddr user_dst, uint32_t length) {
-  uint32_t done = 0;
-  while (done < length) {
-    const uint32_t n = PipeRead(pipe_id, user_dst + done, length - done);
-    done += n;
-    PipeState& pipe = pipes_.at(pipe_id);
-    if (!pipe.writers.Empty()) {
-      WakeOne(pipe.writers);
-    }
-    if (done < length) {
-      BlockCurrentOn(pipe.readers);
-    }
-  }
 }
 
 // ---- user-mode execution ----
@@ -1356,7 +1235,7 @@ std::optional<Kernel::PteRoot> Kernel::RootFor(EffAddr ea) {
     return PteRoot{.table = kernel_page_table_.get(),
                    .pgd_pointer = PhysAddr(kKernelMiscPhysBase)};
   }
-  if (current_.value == 0) {
+  if (current().value == 0) {
     return std::nullopt;
   }
   Task& current = CurrentTask();

@@ -7,6 +7,10 @@
 // entries (§7) and pre-zero pages (§9). Every kernel operation charges realistic instruction
 // and data traffic against the machine, through the MMU, so kernel code competes with user
 // code for TLB slots and cache lines (the §5.1 footprint effect).
+//
+// There is no scheduler: callers pick the next task themselves with SwitchTo (and the next
+// CPU with SwitchCpu), as the LmBench benchmarks alternate a pipe's two ends. Every kernel
+// call runs to completion on the caller's stack; nothing blocks or parks.
 
 #ifndef PPCMM_SRC_KERNEL_KERNEL_H_
 #define PPCMM_SRC_KERNEL_KERNEL_H_
@@ -25,7 +29,6 @@
 #include "src/kernel/mm.h"
 #include "src/kernel/opt_config.h"
 #include "src/kernel/page_cache.h"
-#include "src/kernel/scheduler.h"
 #include "src/kernel/task.h"
 #include "src/kernel/vsid_space.h"
 #include "src/mmu/mmu.h"
@@ -48,8 +51,9 @@ struct KernelCostModel {
   uint32_t fork_body = 1200;
   uint32_t exec_body = 2500;
   uint32_t copy_cycles_per_line = 24;  // word loop per 32-byte line, beyond cache accesses
-  // sleep_on()/wake_up() pair charged on every pipe operation: blocking handoff through the
-  // wait queue and run queue, the reason lat_pipe far exceeds 2*syscall + ctxsw.
+  // sleep_on()/wake_up() pair charged on every pipe operation: the blocking handoff a real
+  // kernel pays through its wait queue and run queue, the reason lat_pipe far exceeds
+  // 2*syscall + ctxsw.
   uint32_t pipe_wakeup_unopt = 1300;
   uint32_t pipe_wakeup_opt = 600;
   uint32_t disk_latency_cycles = 60000;  // rotational+transfer wait per page-cache miss
@@ -85,14 +89,11 @@ struct ExecImage {
   std::optional<FileId> text_file;  // shared text via the page cache when set
 };
 
-// One pipe: a single kernel buffer page with circular head/tail, plus the wait queues the
-// blocking variants sleep on.
+// One pipe: a single kernel buffer page with circular head/tail.
 struct PipeState {
   uint32_t buffer_frame = 0;
   uint32_t used = 0;
   uint32_t read_pos = 0;
-  WaitQueue readers;  // blocked until data arrives
-  WaitQueue writers;  // blocked until space frees
   static constexpr uint32_t kCapacity = kPageSize;
 };
 
@@ -108,7 +109,7 @@ class Kernel : public PteBackingSource {
 
   // ---- process management ----
 
-  // Creates a runnable task with an empty address space and switches nothing.
+  // Creates a task with an empty address space and switches nothing.
   TaskId CreateTask(std::string name);
   // Installs a fresh image into `task` (flushing its old context) and makes its initial
   // VMAs: text, data (heap) and stack.
@@ -117,7 +118,7 @@ class Kernel : public PteBackingSource {
   TaskId Fork(TaskId parent);
   // Tears the task down, freeing its pages and flushing its context.
   void Exit(TaskId task);
-  // Context switch to `task` (which must exist and not be a zombie).
+  // Context switch to `task` (which must exist and not run on another CPU).
   void SwitchTo(TaskId task);
 
   // ---- SMP ----
@@ -130,13 +131,13 @@ class Kernel : public PteBackingSource {
   uint32_t current_cpu() const { return smp_.current_cpu; }
   uint32_t ncpus() const { return smp_.ncpus; }
   // The task running on `cpu` ({0} = none: the CPU sits in its idle loop).
-  TaskId CurrentOn(uint32_t cpu) const { return cpu_current_[cpu]; }
+  TaskId CurrentOn(uint32_t cpu) const { return smp_.running[cpu]; }
   // True while `cpu` owes a deferred whole-TLB flush: its TLB content is logically
   // invalidated, the tlbia runs at its next switch-in. The auditor tolerates (and counts)
   // stale entries only on such CPUs.
   bool FlushPendingOn(uint32_t cpu) const { return smp_.flush_pending[cpu] != 0; }
 
-  TaskId current() const { return current_; }
+  TaskId current() const { return smp_.running[smp_.current_cpu]; }
   Task& task(TaskId id);
   bool TaskExists(TaskId id) const { return tasks_.contains(id.value); }
   uint32_t TaskCount() const { return static_cast<uint32_t>(tasks_.size()); }
@@ -185,32 +186,11 @@ class Kernel : public PteBackingSource {
   // Destroys the segment, releasing its frames. Mappings must be detached first.
   void ShmDestroy(uint32_t shm_id);
 
-  // pipes — non-blocking core (returns bytes moved; callers orchestrate switches)...
+  // pipes: each call moves what fits (write) or what is buffered (read) and returns the
+  // bytes moved; callers switch between the two ends themselves.
   uint32_t CreatePipe();
   uint32_t PipeWrite(uint32_t pipe, EffAddr user_src, uint32_t length);
   uint32_t PipeRead(uint32_t pipe, EffAddr user_dst, uint32_t length);
-  // ...and blocking variants that sleep on the pipe's wait queues and let the scheduler run
-  // whoever is ready, like real read(2)/write(2).
-  void PipeWriteBlocking(uint32_t pipe, EffAddr user_src, uint32_t length);
-  void PipeReadBlocking(uint32_t pipe, EffAddr user_dst, uint32_t length);
-
-  // ---- cooperative scheduling ----
-
-  // Installs a hook invoked at the end of every context switch with (previous, next).
-  // The CoopHarness uses it to park and wake task-body threads; pass nullptr to clear.
-  void SetSwitchHook(std::function<void(TaskId, TaskId)> hook) {
-    switch_hook_ = std::move(hook);
-  }
-
-  // Moves the CPU to the longest-runnable task (round-robin); stays put if none.
-  void Yield();
-  // Blocks the current task on `queue` and schedules whoever is ready; trips a check on
-  // deadlock (nothing runnable and nothing in flight to wake anyone).
-  void BlockCurrentOn(WaitQueue& queue);
-  // Wakes the longest waiter on `queue`, making it runnable. Returns true if one woke.
-  bool WakeOne(WaitQueue& queue);
-  void WakeAll(WaitQueue& queue);
-  Scheduler& scheduler() { return scheduler_; }
 
   // ---- user-mode execution primitives ----
 
@@ -292,6 +272,9 @@ class Kernel : public PteBackingSource {
   // Charges the instruction fetches and kernel data references of one operation. With the
   // original (unoptimized) handlers the footprint doubles — the C paths are fatter.
   void ChargeKernelWork(KernelOp op);
+  // Syscall entry and exit: counts the syscall, charges `op`'s footprint and the handler
+  // body. The caller opens its own CycleScope first.
+  void EnterSyscall(KernelOp op);
   // One kernel memory reference at a kernel virtual address, through the MMU.
   void KernelTouch(EffAddr ea, AccessKind kind);
   // An upper bound on the cycles of each of the next idle iterations but a chunk's first
@@ -354,16 +337,12 @@ class Kernel : public PteBackingSource {
   };
   std::map<uint32_t, ShmSegment> shm_segments_;
   uint32_t next_shm_ = 1;
-  Scheduler scheduler_;
-  std::function<void(TaskId, TaskId)> switch_hook_;
   uint32_t next_task_ = 1;
   uint32_t next_pipe_ = 1;
   uint32_t framebuffer_first_frame_ = 0;
-  TaskId current_{0};
-  // SMP bookkeeping: per-CPU idle/flush-pending flags (shared with the flush engine) and
-  // per-CPU current tasks. Invariant: cpu_current_[smp_.current_cpu] == current_.
+  // SMP bookkeeping, shared with the flush engine: the task each CPU runs and its
+  // flush-pending flag.
   SmpState smp_;
-  std::vector<TaskId> cpu_current_;
   uint64_t user_fetch_cursor_ = 0;
   FaultInjector* injector_ = nullptr;
 };

@@ -18,13 +18,6 @@ struct TaskId {
   constexpr auto operator<=>(const TaskId&) const = default;
 };
 
-enum class TaskState {
-  kRunnable,
-  kRunning,
-  kBlocked,  // waiting on a pipe or simulated I/O
-  kZombie,   // exited, not yet reaped
-};
-
 // Per-task observability counters: how much MMU work each address space caused. Maintained
 // unconditionally (plain increments on already-taken paths); the MetricsRegistry exports
 // them as task.<id>.* metrics.
@@ -38,7 +31,6 @@ struct TaskObsCounters {
 struct Task {
   TaskId id;
   std::string name;
-  TaskState state = TaskState::kRunnable;
   std::unique_ptr<Mm> mm;
   TaskObsCounters obs;
 

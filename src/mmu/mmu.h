@@ -56,11 +56,11 @@ struct MmuPolicy {
   // clean translation traps to update the C bit in the HTAB and the Linux PTE.
   bool eager_dirty_marking = false;
   // Handler body costs in cycles, beyond the architectural interrupt overhead.
-  uint32_t unoptimized_handler_cycles = 150;
-  uint32_t optimized_handler_cycles = 10;
+  static constexpr uint32_t kUnoptimizedHandlerCycles = 150;
+  static constexpr uint32_t kOptimizedHandlerCycles = 10;
 
   uint32_t HandlerBodyCycles() const {
-    return optimized_handlers ? optimized_handler_cycles : unoptimized_handler_cycles;
+    return optimized_handlers ? kOptimizedHandlerCycles : kUnoptimizedHandlerCycles;
   }
 
   bool UsesHtab() const { return strategy != ReloadStrategy::kSoftwareDirect; }

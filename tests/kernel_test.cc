@@ -26,7 +26,6 @@ TEST(KernelTest, CreateExecSwitchRun) {
   Kernel& kernel = sys.kernel();
   const TaskId t = SpawnStd(kernel, "t");
   EXPECT_EQ(kernel.current(), t);
-  EXPECT_EQ(kernel.task(t).state, TaskState::kRunning);
   kernel.UserExecute(100);
   kernel.UserTouch(EffAddr(kUserDataBase), AccessKind::kStore);
   EXPECT_GT(sys.counters().cycles, 0u);

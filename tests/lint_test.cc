@@ -92,6 +92,19 @@ TEST(MmuLintFixtures, DeterminismRulesFireAtStagedLines) {
                 });
 }
 
+TEST(MmuLintFixtures, ThreadBanExemptsOnlyTheSweepPool) {
+  // The sweep-pool twin may name threads and locks, but its rand() still fires: the
+  // exemption lifts DET-THREAD-013 alone, and only from src/sim/sweep_runner.{h,cc}.
+  ExpectExactly(RunFixture("threads", "DET"),
+                {
+                    {"src/sim/sweep_runner.h", 8, "DET-RAND-010"},
+                    {"src/workloads/fibers.cc", 2, "DET-THREAD-013"},
+                    {"src/workloads/fibers.cc", 3, "DET-THREAD-013"},
+                    {"src/workloads/fibers.cc", 5, "DET-THREAD-013"},
+                    {"src/workloads/fibers.cc", 6, "DET-THREAD-013"},
+                });
+}
+
 TEST(MmuLintFixtures, HotPathRulesFireAtStagedLines) {
   // hash_table.cc's Grow() uses `new` outside any registered hot function and must stay
   // quiet; the missing Tlb::ProbePtr must be reported so the rule table cannot rot.
@@ -195,7 +208,8 @@ TEST(MmuLintFixtures, AttrCoverFiresAtStagedLines) {
   // The transitive finding must name the entry point the unattributed path starts at.
   for (const auto& d : result.diagnostics) {
     if (d.line == 30) {
-      EXPECT_NE(d.message.find("unattributed path from Kernel::Yield"), std::string::npos)
+      EXPECT_NE(d.message.find("unattributed path from Kernel::CreatePipe"),
+                std::string::npos)
           << d.message;
     }
   }
@@ -315,7 +329,7 @@ TEST(MmuLintFixtures, EveryListedRuleIsExercisedByAFixture) {
   std::set<std::string> fired;
   for (const char* fixture : {"layering", "determinism", "hotpath", "smp", "counters",
                               "xmacro", "flushcontract", "hotclosure", "smpconfine",
-                              "attrcover"}) {
+                              "attrcover", "threads"}) {
     for (const auto& d : RunFixture(fixture, "").diagnostics) {
       fired.insert(d.rule);
     }

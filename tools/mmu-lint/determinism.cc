@@ -1,7 +1,8 @@
 // DET-* checks: keep host nondeterminism out of simulated state.
 //
 // Scope is all of src/: every file there either holds simulated state or computes results
-// from it. The only exemption is src/sim/rng.h, the seeded RNG everything else must use.
+// from it. The only whole-file exemption is src/sim/rng.h, the seeded RNG everything else
+// must use; DeterminismRuleExemptions() lifts single rules from single files.
 
 #include <set>
 #include <string>
@@ -27,10 +28,19 @@ bool InScope(const std::string& path) {
   return false;
 }
 
+bool ExemptFrom(const std::string& rule, const std::string& path) {
+  for (const RuleExemption& exemption : DeterminismRuleExemptions()) {
+    if (exemption.rule == rule && exemption.path == path) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void CheckBannedIdents(const LintConfig& config, const SourceFile& sf,
                        std::vector<Diagnostic>* out) {
   for (const BannedIdent& ban : DeterminismBans()) {
-    if (!RuleEnabled(config, ban.id)) {
+    if (!RuleEnabled(config, ban.id) || ExemptFrom(ban.id, sf.path)) {
       continue;
     }
     for (size_t pos : FindIdentifier(sf.code, ban.ident)) {

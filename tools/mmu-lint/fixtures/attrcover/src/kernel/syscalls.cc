@@ -1,4 +1,4 @@
-// ATTR-COVER-032 corpus. Kernel::NullSyscall / Mmap / Yield / UserExecute / Exit are all
+// ATTR-COVER-032 corpus. Kernel::NullSyscall / Mmap / CreatePipe / UserExecute / Exit are all
 // registered entry points (KernelEntryPoints() in rules.cc); the helpers are plain methods
 // whose attribution state is inherited along the call graph. No src/kernel/kernel.cc here,
 // so the entry-point staleness check does not apply to this partial tree.
@@ -20,13 +20,13 @@ void Kernel::ChargeBody(uint32_t pages) {
   machine_.AddCycles(Cycles(7));
 }
 
-// Yield never opens a scope, so the helper below inherits the unattributed path.
-void Kernel::Yield() {
-  ChargeSwitch();
+// CreatePipe never opens a scope, so the helper below inherits the unattributed path.
+void Kernel::CreatePipe() {
+  ChargePipe();
 }
 
-// Violation: transitively unscoped — the diagnostic names Kernel::Yield as the root.
-void Kernel::ChargeSwitch() {
+// Violation: transitively unscoped — the diagnostic names Kernel::CreatePipe as the root.
+void Kernel::ChargePipe() {
   machine_.AddCycles(Cycles(3));
 }
 

@@ -5,7 +5,7 @@
 //   LAYER-*  include-DAG layering (sim < mmu/pagetable < kernel < core < obs < workloads
 //            < verify), fuzz-oracle independence, hot-path headers free of src/obs
 //   DET-*    no nondeterminism sources in simulated state (rand, wall clocks,
-//            unordered-container iteration)
+//            unordered-container iteration, host threads outside the sweep pool)
 //   HOT-*    listed hot-path function bodies free of allocation, throw, locks, stream I/O,
 //            and PTE-tree virtual dispatch
 //   SMP-*    cross-CPU TLB mutation confined to the IPI shootdown path in

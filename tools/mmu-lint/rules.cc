@@ -62,6 +62,15 @@ const std::vector<BannedIdent>& DeterminismBans() {
        "use the simulated cycle counter (Machine::counters().cycles)"},
       {"DET-TIME-011", "timespec_get", "host time must not leak into simulated state",
        "use the simulated cycle counter (Machine::counters().cycles)"},
+      {"DET-THREAD-013", "thread", "host threads interleave in host order",
+       "run kernel calls to completion on the caller's stack; parallel sweeps go through "
+       "SweepRunner (src/sim/sweep_runner.h)"},
+      {"DET-THREAD-013", "mutex", "a lock is only needed where host threads share state",
+       "keep Machine state thread-confined; parallel sweeps go through SweepRunner"},
+      {"DET-THREAD-013", "condition_variable",
+       "a parked host thread is a call stack suspended mid-operation",
+       "run kernel calls to completion on the caller's stack; parallel sweeps go through "
+       "SweepRunner"},
   };
   return kBans;
 }
@@ -76,6 +85,15 @@ const std::vector<std::string>& DeterminismAllowlist() {
       "src/sim/rng.h",  // the one sanctioned randomness source (seeded, splittable)
   };
   return kAllow;
+}
+
+const std::vector<RuleExemption>& DeterminismRuleExemptions() {
+  static const std::vector<RuleExemption> kExempt = {
+      // The sweep pool: one System per work item, so no simulated state is shared.
+      {"DET-THREAD-013", "src/sim/sweep_runner.h"},
+      {"DET-THREAD-013", "src/sim/sweep_runner.cc"},
+  };
+  return kExempt;
 }
 
 const std::vector<HotFunction>& HotFunctions() {
@@ -272,7 +290,6 @@ const std::vector<ReceiverType>& ReceiverTypes() {
       {"flusher_", "FlushEngine"},
       {"vsids_", "VsidSpace"},
       {"allocator_", "PageAllocator"},
-      {"scheduler_", "Scheduler"},
   };
   return kReceivers;
 }
@@ -384,8 +401,6 @@ const std::vector<std::string>& KernelEntryPoints() {
       "Kernel::FileRead",      "Kernel::FileWrite",      "Kernel::ShmCreate",
       "Kernel::ShmAttach",     "Kernel::ShmDetach",      "Kernel::ShmDestroy",
       "Kernel::CreatePipe",    "Kernel::PipeWrite",      "Kernel::PipeRead",
-      "Kernel::PipeWriteBlocking", "Kernel::PipeReadBlocking",
-      "Kernel::Yield",         "Kernel::WakeOne",        "Kernel::WakeAll",
       "Kernel::UserTouch",     "Kernel::UserTouchRun",   "Kernel::UserTouchRange",
       "Kernel::UserExecute",   "Kernel::RunIdle",        "Kernel::HandlePageFault",
       "Kernel::HandleCowFault", "Kernel::HandleVsidRollover", "Kernel::InjectZombieFlood",
@@ -412,6 +427,8 @@ std::vector<std::pair<std::string, std::string>> ListRules() {
       {"DET-RAND-010", "no host PRNG in simulated state (use src/sim/rng.h)"},
       {"DET-TIME-011", "no wall-clock reads in simulated state (use the cycle counter)"},
       {"DET-ITER-012", "no iteration over unordered containers in simulated state"},
+      {"DET-THREAD-013", "no host threads, mutexes or condition variables in src/ outside the "
+                         "sweep pool (src/sim/sweep_runner.{h,cc})"},
       {"HOT-ALLOC-020", "no allocation in hot-path function bodies"},
       {"HOT-THROW-021", "no throw in hot-path function bodies"},
       {"HOT-LOCK-022", "no locks in hot-path function bodies"},

@@ -56,6 +56,13 @@ const std::vector<std::string>& DeterminismScope();
 // Exact paths exempt from DET-* (the one sanctioned randomness source).
 const std::vector<std::string>& DeterminismAllowlist();
 
+// Exact paths exempt from one DET-* rule alone.
+struct RuleExemption {
+  std::string rule;
+  std::string path;
+};
+const std::vector<RuleExemption>& DeterminismRuleExemptions();
+
 // ---- Hot-path purity (HOT-*) ---------------------------------------------------------
 
 struct HotFunction {
