@@ -4,7 +4,7 @@
 //   fuzz [--seed N] [--ops N] [--ncpus N] [--preset NAME] [--check-period N]
 //        [--max-seconds S] [--minimize] [--out FILE] [--replay FILE] [--break-flush]
 //
-// Default: one stream (--seed, --ops) through the full matrix (14 presets x 3 reload
+// Default: one stream (--seed, --ops) through the full matrix (13 presets x 3 reload
 // strategies). With --max-seconds the seed keeps incrementing until the wall-clock budget
 // is spent. On divergence the failure report is printed, the stream is shrunk to a
 // 1-minimal repro (--minimize), written to --out, and the exit status is 1.

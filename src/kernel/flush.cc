@@ -102,30 +102,29 @@ void FlushEngine::LazyFlushContext(Mm& mm, bool mm_is_current) {
 }
 
 void FlushEngine::ShootdownRound(const std::optional<EffAddr>& page) {
-  if (smp_ == nullptr || smp_->ncpus <= 1) {
+  Machine& machine = mmu_.machine();
+  if (machine.ncpus() <= 1) {
     return;
   }
-  Machine& machine = mmu_.machine();
-  const MachineConfig& config = machine.config();
   HwCounters& counters = machine.counters();
   CycleScope shootdown_scope(machine, AttrCause::kTlbShootdown);
   ++counters.tlb_shootdown_requests;
-  for (uint32_t cpu = 0; cpu < smp_->ncpus; ++cpu) {
-    if (cpu == smp_->current_cpu) {
+  for (uint32_t cpu = 0; cpu < machine.ncpus(); ++cpu) {
+    if (cpu == machine.current_cpu()) {
       continue;  // the local TLB was already invalidated by the eager flush itself
     }
-    if (smp_->running[cpu].value == 0) {
+    if (smp_.running[cpu].value == 0) {
       // The cpu_idle_wait idiom: an idle CPU runs no user code, so instead of an IPI it is
       // marked flush-pending and runs one whole-TLB flush when it next schedules a task.
-      smp_->flush_pending[cpu] = 1;
+      smp_.flush_pending[cpu] = 1;
       ++counters.tlb_shootdown_idle_skips;
       continue;
     }
     ++counters.tlb_shootdown_ipis;
     // The requester raises the IPI and busy-waits for the acknowledgement; the remote CPU
-    // takes the interrupt and runs the invalidation (tlbie or tlbia plus sync, 32 cycles).
-    machine.AddCycles(Cycles(config.ipi_send_cycles));
-    machine.AddCyclesOn(cpu, Cycles(config.ipi_receive_cycles + 32));
+    // takes the interrupt and runs the invalidation.
+    machine.AddCycles(Cycles(kIpiSendCycles));
+    machine.AddCyclesOn(cpu, Cycles(kIpiReceiveCycles + kTlbInvalidateCycles));
     if (broken_shootdown_) {
       continue;  // test-only: the IPI lands but the handler forgets the invalidation
     }
@@ -138,30 +137,27 @@ void FlushEngine::ShootdownRound(const std::optional<EffAddr>& page) {
 }
 
 void FlushEngine::RunDeferredFlush(uint32_t cpu) {
-  if (smp_ == nullptr || smp_->flush_pending[cpu] == 0) {
+  if (smp_.flush_pending[cpu] == 0) {
     return;
   }
-  smp_->flush_pending[cpu] = 0;
+  smp_.flush_pending[cpu] = 0;
   Machine& machine = mmu_.machine();
   CycleScope shootdown_scope(machine, AttrCause::kTlbShootdown);
   ++machine.counters().tlb_shootdown_deferred_flushes;
   // The spotlight is already on `cpu`, so the tlbia cost lands on its local clock.
-  machine.AddCycles(Cycles(32));
+  machine.AddCycles(Cycles(kTlbInvalidateCycles));
   mmu_.ShootdownInvalidateAll(cpu);
 }
 
 void FlushEngine::RolloverInvalidateAll() {
   mmu_.TlbInvalidateAll();
-  if (smp_ == nullptr || smp_->ncpus <= 1) {
-    return;
-  }
   Machine& machine = mmu_.machine();
-  for (uint32_t cpu = 0; cpu < smp_->ncpus; ++cpu) {
-    smp_->flush_pending[cpu] = 0;  // every TLB is empty after this sweep; no debts remain
-    if (cpu == smp_->current_cpu) {
+  for (uint32_t cpu = 0; cpu < machine.ncpus(); ++cpu) {
+    smp_.flush_pending[cpu] = 0;  // every TLB is empty after this sweep; no debts remain
+    if (cpu == machine.current_cpu()) {
       continue;
     }
-    machine.AddCyclesOn(cpu, Cycles(32));
+    machine.AddCyclesOn(cpu, Cycles(kTlbInvalidateCycles));
     mmu_.ShootdownInvalidateAll(cpu);
   }
 }

@@ -23,11 +23,16 @@
 
 namespace ppcmm {
 
+// Inter-processor-interrupt costs for TLB shootdown (the smp_call_function idiom): cycles
+// the requesting CPU spends raising the IPI and the remote CPU spends taking the interrupt
+// before it runs the invalidation itself.
+constexpr uint32_t kIpiSendCycles = 64;
+constexpr uint32_t kIpiReceiveCycles = 128;
+
 // SMP bookkeeping shared between the kernel (which owns it and keeps it current) and the
-// flush engine (which reads it to run TLB shootdown). One entry per simulated CPU.
+// flush engine (which reads it to run TLB shootdown). One entry per simulated CPU; the CPU
+// count and the current CPU are the Machine's.
 struct SmpState {
-  uint32_t ncpus = 1;
-  uint32_t current_cpu = 0;
   // The task each CPU runs. {0} = none: the CPU sits in its idle loop, so shootdowns skip
   // it and defer the invalidation to its next switch-in (the cpu_idle_wait idiom).
   std::vector<TaskId> running;
@@ -39,12 +44,10 @@ struct SmpState {
 // Executes flushes against the MMU on behalf of the kernel.
 class FlushEngine {
  public:
-  FlushEngine(Mmu& mmu, VsidSpace& vsids, const OptimizationConfig& config)
-      : mmu_(mmu), vsids_(vsids), config_(config) {}
-
-  // Wires up the kernel-owned SMP state. Unset (or ncpus == 1) disables every cross-CPU
-  // path, leaving the uniprocessor behavior bit-identical.
-  void SetSmp(SmpState* smp) { smp_ = smp; }
+  // `smp` is the kernel-owned SMP state. With one CPU every cross-CPU path is idle, leaving
+  // the uniprocessor behavior bit-identical.
+  FlushEngine(Mmu& mmu, VsidSpace& vsids, const OptimizationConfig& config, SmpState& smp)
+      : mmu_(mmu), vsids_(vsids), config_(config), smp_(smp) {}
 
   // Flushes one user page of `mm`. Always eager (a single page never hits the cutoff).
   void FlushPage(Mm& mm, EffAddr ea);
@@ -108,7 +111,7 @@ class FlushEngine {
   Mmu& mmu_;
   VsidSpace& vsids_;
   const OptimizationConfig& config_;
-  SmpState* smp_ = nullptr;
+  SmpState& smp_;
   bool broken_tlb_invalidate_ = false;
   bool broken_shootdown_ = false;
 };

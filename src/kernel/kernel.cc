@@ -28,14 +28,21 @@ constexpr uint32_t kIdleTextPage = 5;
 // iteration that found no work.
 constexpr uint64_t kIdleLoopCycles = 10;
 constexpr uint64_t kIdleSpinCycles = 20;
+// PTEGs an idle reclaim pass scans (each is 8 charged probes).
+constexpr uint32_t kIdleReclaimPtegsPerPass = 16;
 
-}  // namespace
-
-namespace {
+// Flat costs of the fork and exec bodies beyond their charged memory traffic.
+constexpr uint32_t kForkBodyCycles = 1200;
+constexpr uint32_t kExecBodyCycles = 2500;
+// sleep_on()/wake_up() pair charged on every pipe operation: the blocking handoff a real
+// kernel pays through its wait queue and run queue, the reason lat_pipe far exceeds
+// 2*syscall + ctxsw.
+constexpr uint32_t kPipeWakeupUnoptCycles = 1300;
+constexpr uint32_t kPipeWakeupOptCycles = 600;
 
 MmuPolicy MakeMmuPolicy(const MachineConfig& machine_config, const OptimizationConfig& config) {
   MmuPolicy policy;
-  if (machine_config.reload == TlbReloadMechanism::kSoftware) {
+  if (machine_config.cpu == CpuModel::kPpc603) {
     policy.strategy = config.no_htab_direct_reload ? ReloadStrategy::kSoftwareDirect
                                                    : ReloadStrategy::kSoftwareHtab;
   } else {
@@ -46,7 +53,7 @@ MmuPolicy MakeMmuPolicy(const MachineConfig& machine_config, const OptimizationC
   policy.cache_page_tables = !config.uncached_page_tables;
   // Zombie PTEs can never write their C bits back, so lazy flushing requires dirty bits to
   // be correct at load time.
-  policy.eager_dirty_marking = config.eager_dirty_marking || config.lazy_context_flush;
+  policy.eager_dirty_marking = config.lazy_context_flush;
   return policy;
 }
 
@@ -64,14 +71,12 @@ Kernel::Kernel(Machine& machine, const OptimizationConfig& config, const KernelC
       mmu_(std::make_unique<Mmu>(machine, MakeMmuPolicy(machine.config(), config),
                                  PhysAddr(kHtabPhysBase))),
       kernel_page_table_(nullptr),
-      flusher_(*mmu_, vsids_, config_),
+      flusher_(*mmu_, vsids_, config_, smp_),
       page_cache_(machine, mem_) {
   framebuffer_first_frame_ =
       static_cast<uint32_t>(machine.memory().num_frames()) - kFramebufferBytes / kPageSize;
-  smp_.ncpus = machine.ncpus();
-  smp_.running.assign(smp_.ncpus, TaskId{0});  // every CPU boots in its idle loop
-  smp_.flush_pending.assign(smp_.ncpus, 0);
-  flusher_.SetSmp(&smp_);
+  smp_.running.assign(machine.ncpus(), TaskId{0});  // every CPU boots in its idle loop
+  smp_.flush_pending.assign(machine.ncpus(), 0);
   mmu_->SetBacking(this);
   mmu_->SetVsidOracle(&vsids_);
   mem_.SetReclaimHook([this](uint32_t target) { return page_cache_.ReclaimPages(target); });
@@ -121,7 +126,7 @@ void Kernel::HandleVsidRollover() {
     mm.context = vsids_.NewContext();
   }
   // Every CPU whose current task just moved to a new context must see the fresh VSIDs.
-  for (uint32_t cpu = 0; cpu < smp_.ncpus; ++cpu) {
+  for (uint32_t cpu = 0; cpu < machine_.ncpus(); ++cpu) {
     const TaskId cur = smp_.running[cpu];
     if (cur.value != 0 && tasks_.contains(cur.value)) {
       mmu_->segments(cpu).LoadUserSegments(vsids_.SegmentImage(task(cur).mm->context));
@@ -201,7 +206,7 @@ void Kernel::SetupKernelTranslation() {
   for (uint32_t seg = kFirstKernelSegment; seg < kNumSegments; ++seg) {
     image[seg] = VsidSpace::KernelVsid(seg);
   }
-  for (uint32_t cpu = 0; cpu < smp_.ncpus; ++cpu) {
+  for (uint32_t cpu = 0; cpu < machine_.ncpus(); ++cpu) {
     mmu_->segments(cpu).LoadAll(image);
   }
 }
@@ -235,8 +240,8 @@ Task& Kernel::CurrentTask() {
 
 void Kernel::SwitchTo(TaskId id) {
   Task& next = task(id);
-  for (uint32_t cpu = 0; cpu < smp_.ncpus; ++cpu) {
-    PPCMM_CHECK_MSG(cpu == smp_.current_cpu || smp_.running[cpu] != id,
+  for (uint32_t cpu = 0; cpu < machine_.ncpus(); ++cpu) {
+    PPCMM_CHECK_MSG(cpu == machine_.current_cpu() || smp_.running[cpu] != id,
                     "task " << id.value << " is already running on CPU " << cpu);
   }
   CycleScope switch_scope(machine_, AttrCause::kContextSwitch);
@@ -277,19 +282,19 @@ void Kernel::SwitchTo(TaskId id) {
   mmu_->segments().LoadUserSegments(vsids_.SegmentImage(next.mm->context));
 
   ++next.obs.switches_in;
-  smp_.running[smp_.current_cpu] = id;
+  smp_.running[machine_.current_cpu()] = id;
   machine_.attr().SetCurrentTask(id.value);
 }
 
 void Kernel::SwitchCpu(uint32_t cpu) {
-  PPCMM_CHECK_MSG(cpu < smp_.ncpus, "SwitchCpu to CPU " << cpu << " of " << smp_.ncpus);
-  if (cpu == smp_.current_cpu) {
+  PPCMM_CHECK_MSG(cpu < machine_.ncpus(),
+                  "SwitchCpu to CPU " << cpu << " of " << machine_.ncpus());
+  if (cpu == machine_.current_cpu()) {
     return;
   }
   // Pure spotlight move in the serialized interleaving model: redirect the machine's hot
   // paths, the MMU's bank, and the task bookkeeping at `cpu`. No simulated cycles — the
   // CPUs were always all "running"; the simulation just models one at a time.
-  smp_.current_cpu = cpu;
   machine_.SetCurrentCpu(cpu);
   mmu_->SetCurrentCpu(cpu);
   machine_.attr().SetCurrentTask(current().value);
@@ -301,7 +306,7 @@ TaskId Kernel::Fork(TaskId parent_id) {
   Task& parent = task(parent_id);
   CycleScope fork_scope(machine_, AttrCause::kFork);
   ChargeKernelWork(KernelOp::kFork);
-  machine_.AddCycles(Cycles(costs_.fork_body));
+  machine_.AddCycles(Cycles(kForkBodyCycles));
 
   const TaskId child_id = CreateTask(parent.name + "+");
   Task& child = task(child_id);
@@ -368,7 +373,7 @@ void Kernel::Exec(TaskId id, const ExecImage& image) {
   Task& target = task(id);
   CycleScope exec_scope(machine_, AttrCause::kExec);
   ChargeKernelWork(KernelOp::kExec);
-  machine_.AddCycles(Cycles(costs_.exec_body));
+  machine_.AddCycles(Cycles(kExecBodyCycles));
 
   Mm& mm = *target.mm;
   // Drop every cached translation of the old image, then its pages and VMAs.
@@ -409,10 +414,10 @@ void Kernel::Exit(TaskId id) {
   flusher_.RetireContext(mm, current() == id);
   ReleaseAllPages(mm);
 
-  for (uint32_t cpu = 0; cpu < smp_.ncpus; ++cpu) {
+  for (uint32_t cpu = 0; cpu < machine_.ncpus(); ++cpu) {
     if (smp_.running[cpu] == id) {
       smp_.running[cpu] = TaskId{0};
-      if (cpu == smp_.current_cpu) {
+      if (cpu == machine_.current_cpu()) {
         machine_.attr().SetCurrentTask(0);
       }
     }
@@ -557,7 +562,7 @@ void Kernel::ForEachLiveTranslation(const std::function<void(const LiveTranslati
       fn(*lt);
     });
   };
-  for (uint32_t cpu = 0; cpu < smp_.ncpus; ++cpu) {
+  for (uint32_t cpu = 0; cpu < machine_.ncpus(); ++cpu) {
     if (smp_.flush_pending[cpu] != 0) {
       // The CPU owes a deferred whole-TLB flush: its TLB content is logically invalid and
       // will be wiped before anything runs there, so nothing in it counts as live.
@@ -729,8 +734,8 @@ uint32_t Kernel::PipeWrite(uint32_t pipe_id, EffAddr user_src, uint32_t length) 
   PipeState& pipe = it->second;
   CycleScope pipe_scope(machine_, AttrCause::kPipe);
   EnterSyscall(KernelOp::kPipe);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.pipe_wakeup_opt
-                                                       : costs_.pipe_wakeup_unopt));
+  machine_.AddCycles(Cycles(config_.optimized_handlers ? kPipeWakeupOptCycles
+                                                       : kPipeWakeupUnoptCycles));
 
   const uint32_t n = std::min(length, PipeState::kCapacity - pipe.used);
   uint32_t done = 0;
@@ -751,8 +756,8 @@ uint32_t Kernel::PipeRead(uint32_t pipe_id, EffAddr user_dst, uint32_t length) {
   PipeState& pipe = it->second;
   CycleScope pipe_scope(machine_, AttrCause::kPipe);
   EnterSyscall(KernelOp::kPipe);
-  machine_.AddCycles(Cycles(config_.optimized_handlers ? costs_.pipe_wakeup_opt
-                                                       : costs_.pipe_wakeup_unopt));
+  machine_.AddCycles(Cycles(config_.optimized_handlers ? kPipeWakeupOptCycles
+                                                       : kPipeWakeupUnoptCycles));
 
   const uint32_t n = std::min(length, pipe.used);
   uint32_t done = 0;
@@ -864,8 +869,7 @@ uint64_t Kernel::IdleIterationBound(bool reclaim) const {
   if (!reclaim) {
     bound += kIdleSpinCycles;
   } else {
-    const uint64_t ptegs =
-        std::min(config_.idle_reclaim_ptegs_per_pass, mmu_->htab().num_ptegs());
+    const uint64_t ptegs = std::min(kIdleReclaimPtegsPerPass, mmu_->htab().num_ptegs());
     const uint64_t slots = ptegs * kPtesPerPteg;
     if (mmu_->policy().cache_page_tables) {
       // Every line of the pass missing onto a dirty victim (a pass that wraps covers two
@@ -895,7 +899,6 @@ void Kernel::RunIdle(Cycles budget) {
   const EffAddr idle_text(kKernelVirtualBase + kIdleTextPage * kPageSize);
   const bool reclaim = config_.idle_zombie_reclaim && mmu_->policy().UsesHtab();
   const bool zeroing = config_.idle_zero != IdleZeroPolicy::kOff;
-  const uint32_t ptegs_per_pass = config_.idle_reclaim_ptegs_per_pass;
   // Iterations may run in chunks of n, each kind of work grouped in iteration order: the
   // fetches go to the I-cache and the ITLB or a BAT, the sweep to the D-cache and the
   // HTAB, a zero to the D-cache (or to neither cache when uncached), and nothing in the
@@ -922,10 +925,10 @@ void Kernel::RunIdle(Cycles budget) {
       bound = IdleIterationBound(reclaim);
       const uint64_t left = (deadline - start).value;
       uint64_t chunk = left > first_miss ? (left - first_miss + bound - 1) / bound : 1;
-      if (reclaim && ptegs_per_pass > 0) {
+      if (reclaim) {
         // One contiguous sweep covers the n passes: at most the whole table, so its cursor
         // wraps at most once, as the passes' would.
-        chunk = std::min<uint64_t>(chunk, mmu_->htab().num_ptegs() / ptegs_per_pass);
+        chunk = std::min<uint64_t>(chunk, mmu_->htab().num_ptegs() / kIdleReclaimPtegsPerPass);
       }
       n = static_cast<uint32_t>(std::min<uint64_t>(chunk, UINT32_MAX));
       if (n >= 2) {
@@ -949,7 +952,7 @@ void Kernel::RunIdle(Cycles budget) {
     if (reclaim) {
       CycleScope reclaim_scope(machine_, AttrCause::kIdleReclaim);
       counters.zombies_reclaimed +=
-          mmu_->htab().ReclaimZombies(n * ptegs_per_pass, vsids_, pt_charger);
+          mmu_->htab().ReclaimZombies(n * kIdleReclaimPtegsPerPass, vsids_, pt_charger);
     }
     uint32_t zeroed = 0;
     if (zeroing) {
@@ -1208,10 +1211,6 @@ void Kernel::ChargeKernelWork(KernelOp op) {
       break;
     case KernelOp::kMmapCall:
       fp = Footprint{.text_page = 130, .text_pages = 4, .data_offset = 0x1C00, .data_refs = 6};
-      break;
-    case KernelOp::kIdleLoop:
-      fp = Footprint{.text_page = kIdleTextPage, .text_pages = 1, .data_offset = 0x2000,
-                     .data_refs = 1};
       break;
   }
   // The original C paths are roughly twice the code and touch twice the data (§6.1).

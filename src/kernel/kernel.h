@@ -48,14 +48,7 @@ struct KernelCostModel {
   uint32_t ctxsw_body_opt = 260;
   uint32_t fault_body_unopt = 500;
   uint32_t fault_body_opt = 180;
-  uint32_t fork_body = 1200;
-  uint32_t exec_body = 2500;
   uint32_t copy_cycles_per_line = 24;  // word loop per 32-byte line, beyond cache accesses
-  // sleep_on()/wake_up() pair charged on every pipe operation: the blocking handoff a real
-  // kernel pays through its wait queue and run queue, the reason lat_pipe far exceeds
-  // 2*syscall + ctxsw.
-  uint32_t pipe_wakeup_unopt = 1300;
-  uint32_t pipe_wakeup_opt = 600;
   uint32_t disk_latency_cycles = 60000;  // rotational+transfer wait per page-cache miss
 };
 
@@ -128,8 +121,8 @@ class Kernel : public PteBackingSource {
   // remembers its own current task. Charges nothing except any deferred whole-TLB flush
   // the CPU owes from shootdowns it skipped while idle (run here, on its own clock).
   void SwitchCpu(uint32_t cpu);
-  uint32_t current_cpu() const { return smp_.current_cpu; }
-  uint32_t ncpus() const { return smp_.ncpus; }
+  uint32_t current_cpu() const { return machine_.current_cpu(); }
+  uint32_t ncpus() const { return machine_.ncpus(); }
   // The task running on `cpu` ({0} = none: the CPU sits in its idle loop).
   TaskId CurrentOn(uint32_t cpu) const { return smp_.running[cpu]; }
   // True while `cpu` owes a deferred whole-TLB flush: its TLB content is logically
@@ -137,7 +130,7 @@ class Kernel : public PteBackingSource {
   // stale entries only on such CPUs.
   bool FlushPendingOn(uint32_t cpu) const { return smp_.flush_pending[cpu] != 0; }
 
-  TaskId current() const { return smp_.running[smp_.current_cpu]; }
+  TaskId current() const { return smp_.running[machine_.current_cpu()]; }
   Task& task(TaskId id);
   bool TaskExists(TaskId id) const { return tasks_.contains(id.value); }
   uint32_t TaskCount() const { return static_cast<uint32_t>(tasks_.size()); }
@@ -266,7 +259,6 @@ class Kernel : public PteBackingSource {
     kFork,
     kExec,
     kMmapCall,
-    kIdleLoop,
   };
 
   // Charges the instruction fetches and kernel data references of one operation. With the
@@ -326,6 +318,9 @@ class Kernel : public PteBackingSource {
   MemManager mem_;
   std::unique_ptr<Mmu> mmu_;
   std::unique_ptr<PageTable> kernel_page_table_;
+  // SMP bookkeeping, shared with the flush engine: the task each CPU runs and its
+  // flush-pending flag.
+  SmpState smp_;
   FlushEngine flusher_;
   PageCache page_cache_;
 
@@ -340,9 +335,6 @@ class Kernel : public PteBackingSource {
   uint32_t next_task_ = 1;
   uint32_t next_pipe_ = 1;
   uint32_t framebuffer_first_frame_ = 0;
-  // SMP bookkeeping, shared with the flush engine: the task each CPU runs and its
-  // flush-pending flag.
-  SmpState smp_;
   uint64_t user_fetch_cursor_ = 0;
   FaultInjector* injector_ = nullptr;
 };

@@ -71,7 +71,7 @@ bool MemManager::IdleZeroDeclines() const {
                             config_.idle_zero == IdleZeroPolicy::kUncachedWithList;
   // Leave headroom: don't starve the allocator by hoarding pages on the zeroed list.
   return config_.idle_zero == IdleZeroPolicy::kOff ||
-         (keep_on_list && PrezeroedCount() >= config_.prezero_list_cap) ||
+         (keep_on_list && PrezeroedCount() >= kPrezeroListCap) ||
          allocator_.FreeCount() < 32;
 }
 

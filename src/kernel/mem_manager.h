@@ -20,6 +20,9 @@
 
 namespace ppcmm {
 
+// Cap on the pre-zeroed list (pages); beyond it the idle task stops zeroing.
+constexpr uint32_t kPrezeroListCap = 64;
+
 // Kernel-level page supplier.
 class MemManager {
  public:

@@ -14,7 +14,6 @@ OptimizationConfig OptimizationConfig::AllOptimizations() {
   config.vsid_scatter = kDefaultVsidScatter;
   config.optimized_handlers = true;
   config.no_htab_direct_reload = true;
-  config.eager_dirty_marking = true;
   config.lazy_context_flush = true;
   config.range_flush_cutoff = 20;
   config.idle_zombie_reclaim = true;
@@ -56,8 +55,6 @@ OptimizationConfig OptimizationConfig::OnlyLazyFlush(uint32_t cutoff) {
   OptimizationConfig config = Baseline();
   config.lazy_context_flush = true;
   config.range_flush_cutoff = cutoff;
-  // Lazy flushing abandons PTEs in place, so their C bits must already be correct.
-  config.eager_dirty_marking = true;
   return config;
 }
 
@@ -83,7 +80,6 @@ OptimizationConfig OptimizationConfig::OnlyIdleZero(IdleZeroPolicy policy) {
 std::string OptimizationConfig::Describe() const {
   std::ostringstream oss;
   oss << "bat=" << kernel_bat_mapping << " scatter=" << vsid_scatter
-      << " eager_dirty=" << eager_dirty_marking
       << " fast_handlers=" << optimized_handlers << " no_htab=" << no_htab_direct_reload
       << " lazy_flush=" << lazy_context_flush << " cutoff=" << range_flush_cutoff
       << " idle_reclaim=" << idle_zombie_reclaim << " uncached_pt=" << uncached_page_tables

@@ -41,33 +41,26 @@ struct OptimizationConfig {
   // Linux PTE tree. Ignored on hardware-walk CPUs (604), which cannot bypass the HTAB.
   bool no_htab_direct_reload = false;
 
-  // §7 — mark PTEs changed (dirty) when they are loaded into the HTAB, so "a TLB flush is
-  // actually a TLB invalidate". Off = the classic deferred scheme: the first store through a
-  // clean translation traps to set the C bit. Forced on by lazy_context_flush (zombie PTEs
-  // can never write their C bits back).
-  bool eager_dirty_marking = false;
-
   // §7 — lazy whole-context flushing: retire the context's VSIDs instead of searching the
-  // HTAB per page.
+  // HTAB per page. It also marks PTEs changed (dirty) when they are loaded, so "a TLB flush
+  // is actually a TLB invalidate": zombie PTEs can never write their C bits back. Off = the
+  // classic deferred scheme, where the first store through a clean translation traps to set
+  // the C bit.
   bool lazy_context_flush = false;
 
   // §7 — flush ranges bigger than this many pages by invalidating the whole context
   // (requires lazy_context_flush). 0 disables the cutoff; the paper settled on 20.
   uint32_t range_flush_cutoff = 0;
 
-  // §7 — idle-task reclaim of zombie HTAB entries.
+  // §7 — idle-task reclaim of zombie HTAB entries (kIdleReclaimPtegsPerPass PTEGs a pass).
   bool idle_zombie_reclaim = false;
-  // PTEGs scanned per idle pass (each is 8 charged probes).
-  uint32_t idle_reclaim_ptegs_per_pass = 16;
 
   // §8 — treat page tables (HTAB + PTE tree) as cache inhibited so their traffic stops
   // polluting the data cache.
   bool uncached_page_tables = false;
 
-  // §9 — idle-task page clearing policy.
+  // §9 — idle-task page clearing policy (the pre-zeroed list holds kPrezeroListCap pages).
   IdleZeroPolicy idle_zero = IdleZeroPolicy::kOff;
-  // Cap on the pre-zeroed list (pages); beyond it the idle task stops zeroing.
-  uint32_t prezero_list_cap = 64;
 
   // §10.1 (future work, built as an extension) — keep idle-task instruction/data accesses
   // out of the caches entirely.

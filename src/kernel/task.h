@@ -42,8 +42,6 @@ struct Task {
   // page and stack page (so instruction fetches and stack touches are realistic).
   uint32_t text_page = 0;   // effective page number of the code being "executed"
   uint32_t stack_page = 0;  // effective page number of the top of stack
-
-  uint64_t user_cycles = 0;  // accounting only
 };
 
 }  // namespace ppcmm

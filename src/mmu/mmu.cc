@@ -368,16 +368,14 @@ void Mmu::UpdateKernelHighwater() {
 
 void Mmu::TlbInvalidatePage(EffAddr ea) {
   ++machine_.counters().tlb_page_flushes;
-  // tlbie plus the serializing tlbsync/sync pair — a fixed pipeline cost on 603/604.
-  machine_.AddCycles(Cycles(32));
+  machine_.AddCycles(Cycles(kTlbInvalidateCycles));
   bank_->itlb.InvalidatePage(ea.PageIndex());
   bank_->dtlb.InvalidatePage(ea.PageIndex());
 }
 
 void Mmu::TlbInvalidateAll() {
   ++machine_.counters().tlb_all_flushes;
-  // tlbia plus the serializing tlbsync/sync pair, same fixed pipeline cost as tlbie.
-  machine_.AddCycles(Cycles(32));
+  machine_.AddCycles(Cycles(kTlbInvalidateCycles));
   bank_->itlb.InvalidateAll();
   bank_->dtlb.InvalidateAll();
 }

@@ -232,8 +232,7 @@ class Mmu {
   // Per-CPU MMU state (see the SMP section above).
   struct CpuBank {
     explicit CpuBank(const MachineConfig& config)
-        : itlb("itlb", config.itlb_entries, config.tlb_associativity),
-          dtlb("dtlb", config.dtlb_entries, config.tlb_associativity) {}
+        : itlb("itlb", config.itlb_entries), dtlb("dtlb", config.dtlb_entries) {}
     SegmentRegs segments;
     Tlb itlb;
     Tlb dtlb;

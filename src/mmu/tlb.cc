@@ -10,28 +10,18 @@ bool IsPowerOfTwo(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 }  // namespace
 
-Tlb::Tlb(std::string name, uint32_t entries, uint32_t associativity)
-    : name_(std::move(name)), associativity_(associativity) {
-  PPCMM_CHECK(associativity > 0);
-  PPCMM_CHECK_MSG(entries % associativity == 0, "TLB entries must divide evenly into ways");
-  num_sets_ = entries / associativity;
+Tlb::Tlb(std::string name, uint32_t entries) : name_(std::move(name)) {
+  PPCMM_CHECK_MSG(entries % kTlbAssociativity == 0, "TLB entries must divide evenly into ways");
+  num_sets_ = entries / kTlbAssociativity;
   PPCMM_CHECK_MSG(IsPowerOfTwo(num_sets_), "TLB set count must be a power of two");
   ways_.resize(entries);
-}
-
-std::optional<TlbEntry> Tlb::Lookup(VirtPage vp) {
-  TlbEntry* entry = LookupPtr(vp);
-  if (entry == nullptr) {
-    return std::nullopt;
-  }
-  return *entry;
 }
 
 void Tlb::Insert(const TlbEntry& entry) {
   ++tick_;
   TlbEntry* ways = SetBase(SetIndex(entry.page_index));
   TlbEntry* victim = &ways[0];
-  for (uint32_t w = 0; w < associativity_; ++w) {
+  for (uint32_t w = 0; w < kTlbAssociativity; ++w) {
     TlbEntry& candidate = ways[w];
     // Reuse the way already holding this virtual page, else prefer an invalid way.
     if (candidate.valid && candidate.vsid == entry.vsid &&
@@ -61,7 +51,7 @@ void Tlb::Insert(const TlbEntry& entry) {
 uint32_t Tlb::InvalidatePage(uint32_t page_index) {
   uint32_t cleared = 0;
   TlbEntry* ways = SetBase(SetIndex(page_index));
-  for (uint32_t w = 0; w < associativity_; ++w) {
+  for (uint32_t w = 0; w < kTlbAssociativity; ++w) {
     TlbEntry& entry = ways[w];
     if (entry.valid && entry.page_index == page_index) {
       if (entry.is_kernel) {

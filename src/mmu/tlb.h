@@ -12,7 +12,6 @@
 #define PPCMM_SRC_MMU_TLB_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,21 +33,24 @@ struct TlbEntry {
   uint64_t last_used = 0;
 };
 
+// Both the 603's and the 604's TLBs are 2-way set associative.
+constexpr uint32_t kTlbAssociativity = 2;
+// A tlbie or tlbia plus the serializing tlbsync/sync pair: a fixed pipeline cost on 603/604,
+// paid locally and by every remote CPU that runs a shootdown's invalidation.
+constexpr uint32_t kTlbInvalidateCycles = 32;
+
 // One TLB (instruction or data side).
 class Tlb {
  public:
-  // `entries` must be a multiple of `associativity`; sets = entries / associativity must be
-  // a power of two.
-  Tlb(std::string name, uint32_t entries, uint32_t associativity);
+  // `entries` must be a multiple of kTlbAssociativity; sets = entries / kTlbAssociativity
+  // must be a power of two.
+  Tlb(std::string name, uint32_t entries);
 
-  // Looks up a translation; refreshes LRU state on hit.
-  std::optional<TlbEntry> Lookup(VirtPage vp);
-
-  // Lookup variant returning a pointer into the TLB's backing store (nullptr on miss), with
-  // byte-identical LRU/tick behaviour. The pointer stays valid for the TLB's lifetime (the
-  // way array never reallocates) but the *entry* it names may be replaced or invalidated by
-  // any later Insert/Invalidate*. Inline: this sits on the translation path of every
-  // non-BAT memory reference.
+  // Looks up a translation and refreshes its LRU state on a hit. Returns a pointer into the
+  // TLB's backing store (nullptr on miss) that stays valid for the TLB's lifetime (the way
+  // array never reallocates), but the *entry* it names may be replaced or invalidated by any
+  // later Insert/Invalidate*. Inline: this sits on the translation path of every non-BAT
+  // memory reference.
   TlbEntry* LookupPtr(VirtPage vp) {
     ++tick_;
     TlbEntry* entry = ProbePtr(vp);
@@ -62,7 +64,7 @@ class Tlb {
   // LRU state moves. The MMU judges translation spans with it before replaying any hit.
   TlbEntry* ProbePtr(VirtPage vp) {
     TlbEntry* ways = SetBase(SetIndex(vp.page_index));
-    for (uint32_t w = 0; w < associativity_; ++w) {
+    for (uint32_t w = 0; w < kTlbAssociativity; ++w) {
       TlbEntry& entry = ways[w];
       if (entry.valid && entry.vsid == vp.vsid && entry.page_index == vp.page_index) {
         return &entry;
@@ -107,13 +109,14 @@ class Tlb {
 
  private:
   uint32_t SetIndex(uint32_t page_index) const { return page_index & (num_sets_ - 1); }
-  TlbEntry* SetBase(uint32_t set) { return &ways_[static_cast<size_t>(set) * associativity_]; }
+  TlbEntry* SetBase(uint32_t set) {
+    return &ways_[static_cast<size_t>(set) * kTlbAssociativity];
+  }
   const TlbEntry* SetBase(uint32_t set) const {
-    return &ways_[static_cast<size_t>(set) * associativity_];
+    return &ways_[static_cast<size_t>(set) * kTlbAssociativity];
   }
 
   std::string name_;
-  uint32_t associativity_;
   uint32_t num_sets_;
   std::vector<TlbEntry> ways_;  // sets * ways, row-major by set
   uint64_t tick_ = 0;

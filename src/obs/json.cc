@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "src/sim/histogram.h"
-
 namespace ppcmm {
 
 JsonValue& JsonValue::Set(const std::string& key, JsonValue value) {
@@ -393,30 +391,6 @@ class Parser {
 
 std::optional<JsonValue> JsonValue::Parse(std::string_view text, std::string* error) {
   return Parser(text).Run(error);
-}
-
-JsonValue HistogramToJson(const LatencyHistogram& h) {
-  JsonValue out = JsonValue::Object();
-  out.Set("count", h.TotalCount());
-  out.Set("sum", h.Sum());
-  out.Set("min", h.Min());
-  out.Set("max", h.Max());
-  out.Set("mean", h.Mean());
-  out.Set("p50", h.Percentile(0.50));
-  out.Set("p95", h.Percentile(0.95));
-  out.Set("p99", h.Percentile(0.99));
-  JsonValue buckets = JsonValue::Array();
-  for (uint32_t bucket = 0; bucket < LatencyHistogram::kBuckets; ++bucket) {
-    if (h.CountInBucket(bucket) == 0) {
-      continue;
-    }
-    JsonValue entry = JsonValue::Object();
-    entry.Set("le", LatencyHistogram::BucketUpperEdge(bucket));
-    entry.Set("count", h.CountInBucket(bucket));
-    buckets.Append(std::move(entry));
-  }
-  out.Set("buckets", std::move(buckets));
-  return out;
 }
 
 }  // namespace ppcmm

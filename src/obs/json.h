@@ -93,13 +93,6 @@ std::string JsonQuote(std::string_view s);
 // Formats a double the way Serialize does (shortest round-trip; integral without a point).
 std::string JsonNumber(double value);
 
-class LatencyHistogram;
-
-// {"count":N,"sum":S,"min":m,"max":M,"mean":x,"p50":...,"p95":...,"p99":...,
-//  "buckets":[{"le":upper,"count":n}, ...nonempty only]}
-// Lives here rather than on LatencyHistogram so the sim layer never depends on obs.
-JsonValue HistogramToJson(const LatencyHistogram& h);
-
 }  // namespace ppcmm
 
 #endif  // PPCMM_SRC_OBS_JSON_H_

@@ -1,7 +1,5 @@
 #include "src/obs/metrics.h"
 
-#include <sstream>
-
 #include "src/core/stats.h"
 #include "src/core/system.h"
 
@@ -51,19 +49,6 @@ JsonValue MetricsSnapshot::ToJson() const {
   }
   out.Set("gauges", std::move(gauge_obj));
   return out;
-}
-
-std::string MetricsSnapshot::ToCsv() const {
-  std::ostringstream oss;
-  oss << "metric,value\n";
-  oss << "cycle," << cycle << "\n";
-  for (const auto& [name, value] : counters) {
-    oss << name << "," << value << "\n";
-  }
-  for (const auto& [name, value] : gauges) {
-    oss << name << "," << JsonNumber(value) << "\n";
-  }
-  return oss.str();
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {

@@ -41,9 +41,6 @@ struct MetricsSnapshot {
 
   // {"cycle":N,"counters":{name:value,...},"gauges":{name:value,...}}
   JsonValue ToJson() const;
-
-  // "metric,value" lines, one per metric, counters first, prefixed by a "cycle,N" row.
-  std::string ToCsv() const;
 };
 
 // Builds MetricsSnapshots from a live System.

@@ -8,7 +8,6 @@ MachineConfig MachineConfig::Ppc603(uint32_t mhz) {
   MachineConfig mc;
   mc.name = "PPC603 " + std::to_string(mhz) + "MHz";
   mc.cpu = CpuModel::kPpc603;
-  mc.reload = TlbReloadMechanism::kSoftware;
   mc.clock_mhz = mhz;
   // 603: 8K+8K split L1, 64+64 entry split TLBs — half the 604's capacity, as the paper
   // notes ("double the size TLB and cache", §11).
@@ -16,7 +15,6 @@ MachineConfig MachineConfig::Ppc603(uint32_t mhz) {
   mc.dcache = CacheGeometry{.size_bytes = 8 * 1024, .line_bytes = 32, .associativity = 2};
   mc.itlb_entries = 64;
   mc.dtlb_entries = 64;
-  mc.tlb_associativity = 2;
   mc.memory = MemoryTiming{.line_fill_cycles = 30, .single_beat_cycles = 13,
                            .writeback_cycles = 11};
   mc.tlb_miss_interrupt_cycles = 32;
@@ -29,13 +27,11 @@ MachineConfig MachineConfig::Ppc604(uint32_t mhz) {
   MachineConfig mc;
   mc.name = "PPC604 " + std::to_string(mhz) + "MHz";
   mc.cpu = CpuModel::kPpc604;
-  mc.reload = TlbReloadMechanism::kHardwareHtabWalk;
   mc.clock_mhz = mhz;
   mc.icache = CacheGeometry{.size_bytes = 16 * 1024, .line_bytes = 32, .associativity = 4};
   mc.dcache = CacheGeometry{.size_bytes = 16 * 1024, .line_bytes = 32, .associativity = 4};
   mc.itlb_entries = 128;
   mc.dtlb_entries = 128;
-  mc.tlb_associativity = 2;
   mc.memory = MemoryTiming{.line_fill_cycles = 28, .single_beat_cycles = 12,
                            .writeback_cycles = 10};
   mc.tlb_miss_interrupt_cycles = 91;  // reaching software at all costs the hash-miss entry

@@ -16,17 +16,13 @@
 
 namespace ppcmm {
 
-// Which PowerPC implementation the machine models.
+// Which PowerPC implementation the machine models, and with it how TLB misses are
+// serviced: the 603 always interrupts to a software handler; "the 604" in the paper's sense
+// (which includes the 601 and 750) always has hardware search the HTAB and interrupts only
+// on an HTAB miss.
 enum class CpuModel {
   kPpc603,  // software TLB reload
   kPpc604,  // hardware hash-table walk
-};
-
-// How TLB misses are serviced. The 603 always uses software; "the 604" in the paper's sense
-// (which includes the 601 and 750) always uses the hardware HTAB walk.
-enum class TlbReloadMechanism {
-  kSoftware,         // interrupt to a software handler on every TLB miss (603)
-  kHardwareHtabWalk,  // hardware searches the HTAB; interrupt only on HTAB miss (604)
 };
 
 // Geometry of one level-1 cache.
@@ -51,26 +47,18 @@ struct MemoryTiming {
 struct MachineConfig {
   std::string name;
   CpuModel cpu = CpuModel::kPpc604;
-  TlbReloadMechanism reload = TlbReloadMechanism::kHardwareHtabWalk;
   uint32_t clock_mhz = 185;
 
   CacheGeometry icache;
   CacheGeometry dcache;
 
-  uint32_t itlb_entries = 128;
+  uint32_t itlb_entries = 128;  // both CPUs' TLBs are 2-way (kTlbAssociativity)
   uint32_t dtlb_entries = 128;
-  uint32_t tlb_associativity = 2;  // both 603 and 604 TLBs are 2-way set associative
 
   // SMP: number of simulated CPUs. Each CPU gets its own split I/D TLBs, segment
   // registers, and L1 caches; physical memory, the HTAB and the BATs are shared. 1 (the
   // default) is bit-identical to the original uniprocessor model.
   uint32_t ncpus = 1;
-
-  // Inter-processor-interrupt costs for TLB shootdown (the smp_call_function idiom):
-  // cycles the requesting CPU spends raising the IPI and the remote CPU spends taking
-  // the interrupt before it runs the flush itself.
-  uint32_t ipi_send_cycles = 64;
-  uint32_t ipi_receive_cycles = 128;
 
   MemoryTiming memory;
   uint64_t ram_bytes = 32ull * 1024 * 1024;  // the paper fixes 32 MB in every machine (§4)

@@ -351,9 +351,6 @@ std::vector<FuzzPreset> FuzzPresets() {
   OptimizationConfig all_fb_bat = OptimizationConfig::AllOptimizations();
   all_fb_bat.framebuffer_bat = true;
   presets.push_back({"all_fb_bat", all_fb_bat});
-  OptimizationConfig eager_dirty = OptimizationConfig::Baseline();
-  eager_dirty.eager_dirty_marking = true;
-  presets.push_back({"eager_dirty_only", eager_dirty});
   return presets;
 }
 
@@ -381,7 +378,6 @@ DifferentialResult RunDifferential(const FuzzStream& stream,
     // cannot hide behind lazy whole-context retirement.
     config.lazy_context_flush = false;
     config.range_flush_cutoff = 0;
-    config.eager_dirty_marking = false;
   }
   MachineConfig machine = options.strategy == ReloadStrategy::kHardwareHtabWalk
                               ? MachineConfig::Ppc604(185)
@@ -401,7 +397,7 @@ DifferentialResult RunDifferential(const FuzzStream& stream,
 
   ReferenceMmu ref(RefArchConfig{
       .framebuffer_bat = config.framebuffer_bat,
-      .eager_dirty_marking = config.eager_dirty_marking || config.lazy_context_flush,
+      .eager_dirty_marking = config.lazy_context_flush,
       .num_frames = static_cast<uint32_t>(sys.machine().memory().num_frames()),
       .ncpus = machine.ncpus});
   CoherenceAuditor auditor(sys.kernel());

@@ -23,7 +23,7 @@
 
 namespace ppcmm {
 
-// The named optimization presets the fuzzer sweeps — the same fourteen the property tests
+// The named optimization presets the fuzzer sweeps — the same thirteen the property tests
 // use, so a preset name in a fuzz report means the same thing everywhere.
 struct FuzzPreset {
   std::string name;

@@ -34,9 +34,9 @@ namespace ppcmm {
 struct RefArchConfig {
   // §5.1 extension: MapFramebuffer() also programs the user-visible DBAT.
   bool framebuffer_bat = false;
-  // Effective eager C-bit marking (eager_dirty_marking || lazy_context_flush): decides
-  // whether a Linux dirty bit may exist without an architectural store (over-reporting,
-  // the §7 trade) or must imply one.
+  // Eager C-bit marking, which lazy_context_flush implies: decides whether a Linux dirty
+  // bit may exist without an architectural store (over-reporting, the §7 trade) or must
+  // imply one.
   bool eager_dirty_marking = false;
   uint32_t num_frames = 8192;  // 32 MB
   // Simulated CPUs. The oracle has no TLBs, so all it models is per-CPU current tasks:

@@ -54,7 +54,6 @@ OptimizationConfig DrawConfig(Rng& rng, const TortureOptions& options) {
     const uint32_t cutoffs[] = {0, 8, 20};
     config.range_flush_cutoff =
         config.lazy_context_flush ? cutoffs[rng.NextBelow(3)] : 0;
-    config.eager_dirty_marking = rng.Chance(1, 2);
     config.optimized_handlers = rng.Chance(1, 2);
     config.idle_zombie_reclaim = rng.Chance(1, 2);
     const IdleZeroPolicy policies[] = {IdleZeroPolicy::kOff, IdleZeroPolicy::kCached,
@@ -72,7 +71,6 @@ OptimizationConfig DrawConfig(Rng& rng, const TortureOptions& options) {
     // The sabotage lives in the eager per-page flush path; force the kernel onto it.
     config.lazy_context_flush = false;
     config.range_flush_cutoff = 0;
-    config.eager_dirty_marking = false;
   }
   return config;
 }

@@ -158,8 +158,7 @@ TEST(BatchedRunTest, ReplaySpanRefreshesTheTlbLru) {
   kernel.SwitchTo(t);
   // Three pages that share one 2-way D-TLB set (the kernel is BAT-mapped, so only these
   // user pages compete for it).
-  const uint32_t sets = sys.machine().config().dtlb_entries /
-                        sys.machine().config().tlb_associativity;
+  const uint32_t sets = sys.machine().config().dtlb_entries / kTlbAssociativity;
   const EffAddr a(kUserDataBase);
   const EffAddr b = a + sets * kPageSize;
   const EffAddr c = b + sets * kPageSize;

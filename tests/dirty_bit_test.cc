@@ -24,9 +24,8 @@ TaskId SpawnStd(Kernel& kernel) {
 }
 
 TEST(DirtyBitTest, DeferredSchemeTrapsOnFirstStoreOnly) {
-  OptimizationConfig config = OptimizationConfig::Baseline();
-  ASSERT_FALSE(config.eager_dirty_marking);
-  System sys(MachineConfig::Ppc604(185), config);
+  System sys(MachineConfig::Ppc604(185), OptimizationConfig::Baseline());
+  ASSERT_FALSE(sys.mmu().policy().eager_dirty_marking);
   Kernel& kernel = sys.kernel();
   SpawnStd(kernel);
   const EffAddr ea(kUserDataBase);
@@ -63,9 +62,7 @@ TEST(DirtyBitTest, DeferredTrapMarksLinuxPteDirty) {
 }
 
 TEST(DirtyBitTest, EagerSchemeNeverTraps) {
-  OptimizationConfig config = OptimizationConfig::Baseline();
-  config.eager_dirty_marking = true;
-  System sys(MachineConfig::Ppc604(185), config);
+  System sys(MachineConfig::Ppc604(185), OptimizationConfig::OnlyLazyFlush(0));
   Kernel& kernel = sys.kernel();
   SpawnStd(kernel);
   for (uint32_t p = 0; p < 16; ++p) {
@@ -76,12 +73,10 @@ TEST(DirtyBitTest, EagerSchemeNeverTraps) {
 }
 
 TEST(DirtyBitTest, LazyFlushForcesEagerMarking) {
-  // Even if the caller forgets to enable eager marking, lazy flushing must force it:
-  // zombies cannot write their C bits back.
+  // Lazy flushing alone switches eager marking on: zombies cannot write their C bits back.
   OptimizationConfig config = OptimizationConfig::Baseline();
   config.lazy_context_flush = true;
   config.range_flush_cutoff = 20;
-  config.eager_dirty_marking = false;  // deliberately inconsistent
   System sys(MachineConfig::Ppc604(185), config);
   Kernel& kernel = sys.kernel();
   SpawnStd(kernel);
@@ -122,11 +117,8 @@ TEST(DirtyBitTest, KernelStoresUseDeferredPathWithoutBats) {
 }
 
 TEST(DirtyBitTest, DeferredCostsMoreThanEagerOnStoreHeavyWork) {
-  OptimizationConfig deferred = OptimizationConfig::Baseline();
-  OptimizationConfig eager = OptimizationConfig::Baseline();
-  eager.eager_dirty_marking = true;
-  System sys_deferred(MachineConfig::Ppc604(185), deferred);
-  System sys_eager(MachineConfig::Ppc604(185), eager);
+  System sys_deferred(MachineConfig::Ppc604(185), OptimizationConfig::Baseline());
+  System sys_eager(MachineConfig::Ppc604(185), OptimizationConfig::OnlyLazyFlush(0));
   double times[2];
   int i = 0;
   for (System* sys : {&sys_deferred, &sys_eager}) {

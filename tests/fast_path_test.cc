@@ -218,7 +218,7 @@ TEST(FastPathTest, DeclinedProbesLeaveNoTrace) {
   };
   OptimizationConfig deferred = OptimizationConfig::Baseline();
   deferred.framebuffer_bat = true;
-  ASSERT_FALSE(deferred.eager_dirty_marking);
+  ASSERT_FALSE(deferred.lazy_context_flush);  // so C bits are deferred
   for (const Case& c : {Case{"deferred_c_bits_fb_bat", deferred},
                         Case{"lazy_flush", OptimizationConfig::OnlyLazyFlush()}}) {
     SCOPED_TRACE(c.name);
@@ -333,11 +333,11 @@ TEST(FastPathTest, SpuriousTlbFlushInjectionIsIdentical) {
 }
 
 TEST(FastPathTest, DeferredFirstStoreStillTrapsThenFastPaths) {
-  // Deferred C-bit scheme (eager_dirty_marking off): a load run leaves clean translations,
+  // Deferred C-bit scheme (lazy_context_flush off): a load run leaves clean translations,
   // so the first store to each page must fall off the span into the C-bit trap; the rest
   // of that page's run, and every later store run, rides spans.
   OptimizationConfig opts = OptimizationConfig::Baseline();
-  ASSERT_FALSE(opts.eager_dirty_marking);
+  ASSERT_FALSE(opts.lazy_context_flush);
   constexpr uint32_t kPages = 8;
   constexpr uint32_t kPerPage = kPageSize / 64;
   struct Round {

@@ -1,12 +1,11 @@
 // LatencyHistogram tests: log2 bucketing edges, percentile math at bucket boundaries,
-// clamping to the observed max, merge, and JSON round-trip.
+// clamping to the observed max, merge and clear.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "src/sim/histogram.h"
-#include "src/obs/json.h"
 
 namespace ppcmm {
 namespace {
@@ -128,30 +127,6 @@ TEST(HistogramTest, ClearResets) {
   EXPECT_EQ(h.TotalCount(), 0u);
   EXPECT_EQ(h.Max(), 0u);
   EXPECT_EQ(h.CountInBucket(LatencyHistogram::BucketOf(42)), 0u);
-}
-
-TEST(HistogramTest, JsonRoundTrips) {
-  LatencyHistogram h;
-  for (uint64_t v : {3u, 3u, 17u, 255u, 9000u}) {
-    h.Record(v);
-  }
-  const std::string text = HistogramToJson(h).Serialize();
-  std::string error;
-  const auto parsed = JsonValue::Parse(text, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_DOUBLE_EQ(parsed->Find("count")->AsNumber(), 5.0);
-  EXPECT_DOUBLE_EQ(parsed->Find("max")->AsNumber(), 9000.0);
-  EXPECT_DOUBLE_EQ(parsed->Find("p50")->AsNumber(),
-                   static_cast<double>(h.Percentile(0.5)));
-  // Only non-empty buckets serialize, and their counts add up to the total.
-  const JsonValue* buckets = parsed->Find("buckets");
-  ASSERT_NE(buckets, nullptr);
-  double total = 0;
-  for (const JsonValue& b : buckets->Items()) {
-    EXPECT_GT(b.Find("count")->AsNumber(), 0.0);
-    total += b.Find("count")->AsNumber();
-  }
-  EXPECT_DOUBLE_EQ(total, 5.0);
 }
 
 }  // namespace

@@ -83,10 +83,10 @@ std::unique_ptr<System> BuildSystem(const MachineConfig& machine, const Optimiza
 
 Snapshot TakeSnapshot(System& sys, uint64_t idle_spans, FaultInjector* injector = nullptr);
 
-// The idle schedule: a cold slice (zeroing fills the list, reclaim sweeps), then slices
-// shorter than one iteration, ending exactly on an iteration boundary and ending
-// mid-iteration, an idle slice on the second CPU, and a follow-up workload that runs into
-// whatever cache and TLB state the idle spin left behind.
+// The idle schedule: a cold slice (zeroing fills the list toward its cap, reclaim sweeps),
+// then slices shorter than one iteration, ending exactly on an iteration boundary and
+// ending mid-iteration, an idle slice on the second CPU, and a follow-up workload that runs
+// into whatever cache and TLB state the idle spin left behind.
 Snapshot DriveIdle(System& sys, bool ledger, FaultInjector* injector = nullptr) {
   sys.machine().attr().SetEnabled(ledger);
   if (injector != nullptr) {
@@ -187,7 +187,6 @@ TEST(IdleFastForwardTest, BitIdenticalToTheSpinLoopAcrossTheMatrix) {
                            (kernel_bat ? "/kbat" : "") + (ledger ? "/ledger" : ""));
               OptimizationConfig opts = OptimizationConfig::Baseline();
               opts.idle_zero = zero;
-              opts.prezero_list_cap = 8;  // small enough for the cold slice to fill
               opts.idle_zombie_reclaim = reclaim;
               opts.uncached_idle_task = uncached_idle;
               opts.kernel_bat_mapping = kernel_bat;
@@ -282,44 +281,41 @@ Snapshot DriveReclaim(System& sys) {
 }
 
 TEST(IdleFastForwardTest, ReclaimChunksBitIdenticalAcrossTheReclaimMatrix) {
-  std::vector<MachineCase> machines = {{"604", MachineConfig::Ppc604(185)},
-                                       {"603", MachineConfig::Ppc603(133)},
-                                       {"604x2", MachineConfig::Ppc604(185)},
-                                       {"604_16pteg", MachineConfig::Ppc604(185)}};
-  machines[2].config.ncpus = 2;
-  machines[3].config.htab_ptegs = 16;
-  for (const MachineCase& machine : machines) {
-    const uint32_t num_ptegs = machine.config.htab_ptegs;
-    // 3 PTEGs a pass leave a chunk short of the whole table, so the cursor wraps inside
-    // chunks at a point that moves; more than the table never chunks.
-    for (const uint32_t per_pass : {0u, 3u, 16u, num_ptegs + 5}) {
+  // A pass scans kIdleReclaimPtegsPerPass = 16 PTEGs. An 8-PTEG table clamps the pass to the
+  // table and a 16-PTEG one is a whole table per pass, so neither chunks; in a 64-PTEG table
+  // a chunk holds at most 4 passes and the cursor wraps inside chunks.
+  MachineConfig smp604 = MachineConfig::Ppc604(185);
+  smp604.ncpus = 2;
+  const std::vector<MachineCase> cpus = {{"604", MachineConfig::Ppc604(185)},
+                                         {"603", MachineConfig::Ppc603(133)},
+                                         {"604x2", smp604}};
+  for (MachineCase machine : cpus) {
+    for (const uint32_t num_ptegs : {8u, 16u, 64u, 2048u}) {
+      machine.config.htab_ptegs = num_ptegs;
       for (const IdleZeroPolicy zero :
            {IdleZeroPolicy::kOff, IdleZeroPolicy::kCached, IdleZeroPolicy::kUncachedWithList,
             IdleZeroPolicy::kUncachedNoList}) {
         for (const bool uncached_pt : {false, true}) {
           for (const bool kernel_bat : {false, true}) {
-            SCOPED_TRACE(std::string(machine.name) + "/per_pass_" + std::to_string(per_pass) +
+            SCOPED_TRACE(std::string(machine.name) + "/ptegs_" + std::to_string(num_ptegs) +
                          "/" + ZeroName(zero) + (uncached_pt ? "/uncached_pt" : "") +
                          (kernel_bat ? "/kbat" : ""));
             OptimizationConfig opts = OptimizationConfig::Baseline();
             opts.lazy_context_flush = true;
             opts.idle_zombie_reclaim = true;
-            opts.idle_reclaim_ptegs_per_pass = per_pass;
             opts.idle_zero = zero;
-            opts.prezero_list_cap = 8;
             opts.uncached_page_tables = uncached_pt;
             opts.kernel_bat_mapping = kernel_bat;
 
             const Snapshot off = DriveReclaim(*BuildSystem(machine.config, opts, false));
             const Snapshot on = DriveReclaim(*BuildSystem(machine.config, opts, true));
             ExpectSnapshotsEqual(off, on);
-            if (per_pass > 0) {
-              EXPECT_GT(on.counters.zombies_reclaimed, 0u);
-            }
+            EXPECT_GT(on.counters.zombies_reclaimed, 0u);
             EXPECT_EQ(off.idle_spans, 0u);
             // A cached zero chunks only beside an uncached sweep.
             const bool cached_zero_beside_sweep = zero == IdleZeroPolicy::kCached && !uncached_pt;
-            if (per_pass <= num_ptegs / 2 && !cached_zero_beside_sweep) {
+            const bool two_passes_fit = num_ptegs / 16 >= 2;
+            if (two_passes_fit && !cached_zero_beside_sweep) {
               EXPECT_GE(on.idle_spans, 250u) << "reclaim chunks never engaged";
             } else {
               EXPECT_EQ(on.idle_spans, 0u);

@@ -149,13 +149,12 @@ TEST(IdleTest, CachedZeroingPollutesTheDataCache) {
 }
 
 TEST(IdleTest, IdleZeroRespectsListCapAndMemoryHeadroom) {
-  OptimizationConfig config = OptimizationConfig::OnlyIdleZero(IdleZeroPolicy::kUncachedWithList);
-  config.prezero_list_cap = 5;
-  System sys(MachineConfig::Ppc604(185), config);
+  System sys(MachineConfig::Ppc604(185),
+             OptimizationConfig::OnlyIdleZero(IdleZeroPolicy::kUncachedWithList));
   Kernel& kernel = sys.kernel();
   SpawnStd(kernel, "t");
   kernel.RunIdle(Cycles(2'000'000));
-  EXPECT_LE(kernel.mem().PrezeroedCount(), 5u);
+  EXPECT_LE(kernel.mem().PrezeroedCount(), kPrezeroListCap);
 }
 
 TEST(IdleTest, IdleOffDoesNothingButSpin) {

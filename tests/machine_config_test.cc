@@ -12,7 +12,6 @@ namespace {
 TEST(MachineConfigTest, Ppc603Profile) {
   const MachineConfig mc = MachineConfig::Ppc603(180);
   EXPECT_EQ(mc.cpu, CpuModel::kPpc603);
-  EXPECT_EQ(mc.reload, TlbReloadMechanism::kSoftware);
   EXPECT_EQ(mc.clock_mhz, 180u);
   // "The PowerPC 603 TLB has 128 entries" (§5.1) — 64 instruction + 64 data.
   EXPECT_EQ(mc.itlb_entries + mc.dtlb_entries, 128u);
@@ -24,7 +23,6 @@ TEST(MachineConfigTest, Ppc603Profile) {
 TEST(MachineConfigTest, Ppc604Profile) {
   const MachineConfig mc = MachineConfig::Ppc604(185);
   EXPECT_EQ(mc.cpu, CpuModel::kPpc604);
-  EXPECT_EQ(mc.reload, TlbReloadMechanism::kHardwareHtabWalk);
   // "the 604 has 256 entries" (§5.1).
   EXPECT_EQ(mc.itlb_entries + mc.dtlb_entries, 256u);
   // "adds at least 91 more cycles to just invoke the handler" (§5).

@@ -122,21 +122,5 @@ TEST(MetricsTest, JsonRoundTrips) {
                    static_cast<double>(snap.cycle));
 }
 
-TEST(MetricsTest, CsvHasOneRowPerMetric) {
-  System sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
-  RunWorkload(sys);
-  const MetricsSnapshot snap = MetricsRegistry(sys).Snapshot();
-  const std::string csv = snap.ToCsv();
-  EXPECT_EQ(csv.rfind("metric,value\n", 0), 0u);
-  size_t rows = 0;
-  for (const char c : csv) {
-    rows += c == '\n' ? 1 : 0;
-  }
-  // Header + cycle row + one row per metric.
-  EXPECT_EQ(rows, 2 + snap.counters.size() + snap.gauges.size());
-  EXPECT_NE(csv.find("hw.cycles,"), std::string::npos);
-  EXPECT_NE(csv.find("sys.htab_utilization,"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ppcmm

@@ -49,12 +49,6 @@ std::vector<PresetCase> AllPresets() {
          c.framebuffer_bat = true;
          return c;
        }()},
-      {"eager_dirty_only",
-       [] {
-         OptimizationConfig c = OptimizationConfig::Baseline();
-         c.eager_dirty_marking = true;
-         return c;
-       }()},
   };
 }
 
@@ -282,10 +276,11 @@ std::string CaseName(const ::testing::TestParamInfo<CaseParam>& info) {
          (std::get<1>(info.param) == 0 ? "_604" : "_603");
 }
 
-INSTANTIATE_TEST_SUITE_P(AllConfigs, PropertySweep,
-                         ::testing::Combine(::testing::Range(0, 14),
-                                            ::testing::Values(0, 1)),
-                         CaseName);
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigs, PropertySweep,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(AllPresets().size())),
+                       ::testing::Values(0, 1)),
+    CaseName);
 
 }  // namespace
 }  // namespace ppcmm

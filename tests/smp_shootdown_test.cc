@@ -198,11 +198,9 @@ TEST(SmpShootdown, AttributedCyclesMatchTheCountersExactly) {
       }
     }
   }
-  const MachineConfig& config = sys.machine().config();
-  const uint64_t per_ipi =
-      config.ipi_send_cycles + config.ipi_receive_cycles + 32;  // send + receive + invalidate
+  const uint64_t per_ipi = kIpiSendCycles + kIpiReceiveCycles + kTlbInvalidateCycles;
   const uint64_t expected = counters.tlb_shootdown_ipis * per_ipi +
-                            counters.tlb_shootdown_deferred_flushes * 32;
+                            counters.tlb_shootdown_deferred_flushes * kTlbInvalidateCycles;
   EXPECT_EQ(attributed, expected)
       << "kTlbShootdown attribution does not reconcile with the shootdown counters: ipis="
       << counters.tlb_shootdown_ipis

@@ -22,49 +22,49 @@ TlbEntry MakeEntry(uint32_t vsid, uint32_t page_index, uint32_t frame = 0x100,
 }
 
 TEST(TlbTest, InsertThenLookup) {
-  Tlb tlb("d", 64, 2);
+  Tlb tlb("d", 64);
   tlb.Insert(MakeEntry(7, 0x42, 0x99));
-  const auto hit = tlb.Lookup(VirtPage{.vsid = Vsid(7), .page_index = 0x42});
-  ASSERT_TRUE(hit.has_value());
+  TlbEntry* hit = tlb.LookupPtr(VirtPage{.vsid = Vsid(7), .page_index = 0x42});
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->frame, 0x99u);
 }
 
 TEST(TlbTest, VsidDisambiguatesIdenticalPageIndices) {
   // The core of lazy flushing: same page index under a retired VSID must not match.
-  Tlb tlb("d", 64, 2);
+  Tlb tlb("d", 64);
   tlb.Insert(MakeEntry(7, 0x42, 0xAAA));
   tlb.Insert(MakeEntry(8, 0x42, 0xBBB));
-  const auto hit7 = tlb.Lookup(VirtPage{.vsid = Vsid(7), .page_index = 0x42});
-  const auto hit8 = tlb.Lookup(VirtPage{.vsid = Vsid(8), .page_index = 0x42});
-  ASSERT_TRUE(hit7.has_value());
-  ASSERT_TRUE(hit8.has_value());
+  TlbEntry* hit7 = tlb.LookupPtr(VirtPage{.vsid = Vsid(7), .page_index = 0x42});
+  TlbEntry* hit8 = tlb.LookupPtr(VirtPage{.vsid = Vsid(8), .page_index = 0x42});
+  ASSERT_NE(hit7, nullptr);
+  ASSERT_NE(hit8, nullptr);
   EXPECT_EQ(hit7->frame, 0xAAAu);
   EXPECT_EQ(hit8->frame, 0xBBBu);
-  EXPECT_FALSE(tlb.Lookup(VirtPage{.vsid = Vsid(9), .page_index = 0x42}).has_value());
+  EXPECT_EQ(tlb.LookupPtr(VirtPage{.vsid = Vsid(9), .page_index = 0x42}), nullptr);
 }
 
 TEST(TlbTest, ReinsertSamePageUpdatesInPlace) {
-  Tlb tlb("d", 64, 2);
+  Tlb tlb("d", 64);
   tlb.Insert(MakeEntry(7, 0x42, 0x111));
   tlb.Insert(MakeEntry(7, 0x42, 0x222));
   EXPECT_EQ(tlb.ValidCount(), 1u);
-  EXPECT_EQ(tlb.Lookup(VirtPage{.vsid = Vsid(7), .page_index = 0x42})->frame, 0x222u);
+  EXPECT_EQ(tlb.LookupPtr(VirtPage{.vsid = Vsid(7), .page_index = 0x42})->frame, 0x222u);
 }
 
 TEST(TlbTest, LruReplacementWithinSet) {
-  Tlb tlb("d", 64, 2);  // 32 sets; page indices 0x00 and 0x20 and 0x40 share set 0
+  Tlb tlb("d", 64);  // 32 sets; page indices 0x00 and 0x20 and 0x40 share set 0
   tlb.Insert(MakeEntry(1, 0x00));
   tlb.Insert(MakeEntry(1, 0x20));
-  tlb.Lookup(VirtPage{.vsid = Vsid(1), .page_index = 0x00});  // refresh 0x00
+  tlb.LookupPtr(VirtPage{.vsid = Vsid(1), .page_index = 0x00});  // refresh 0x00
   tlb.Insert(MakeEntry(1, 0x40));                             // evicts 0x20
-  EXPECT_TRUE(tlb.Lookup(VirtPage{.vsid = Vsid(1), .page_index = 0x00}).has_value());
-  EXPECT_FALSE(tlb.Lookup(VirtPage{.vsid = Vsid(1), .page_index = 0x20}).has_value());
-  EXPECT_TRUE(tlb.Lookup(VirtPage{.vsid = Vsid(1), .page_index = 0x40}).has_value());
+  EXPECT_NE(tlb.LookupPtr(VirtPage{.vsid = Vsid(1), .page_index = 0x00}), nullptr);
+  EXPECT_EQ(tlb.LookupPtr(VirtPage{.vsid = Vsid(1), .page_index = 0x20}), nullptr);
+  EXPECT_NE(tlb.LookupPtr(VirtPage{.vsid = Vsid(1), .page_index = 0x40}), nullptr);
 }
 
 TEST(TlbTest, InvalidatePageIgnoresVsid) {
   // tlbie cannot compare VSIDs: every entry with the page index in the indexed set dies.
-  Tlb tlb("d", 64, 2);
+  Tlb tlb("d", 64);
   tlb.Insert(MakeEntry(1, 0x42));
   tlb.Insert(MakeEntry(2, 0x42));
   const uint32_t cleared = tlb.InvalidatePage(0x42);
@@ -73,7 +73,7 @@ TEST(TlbTest, InvalidatePageIgnoresVsid) {
 }
 
 TEST(TlbTest, InvalidateAll) {
-  Tlb tlb("d", 64, 2);
+  Tlb tlb("d", 64);
   for (uint32_t i = 0; i < 20; ++i) {
     tlb.Insert(MakeEntry(1, i));
   }
@@ -84,7 +84,7 @@ TEST(TlbTest, InvalidateAll) {
 }
 
 TEST(TlbTest, KernelEntryCountTracksInsertEvictInvalidate) {
-  Tlb tlb("d", 64, 2);
+  Tlb tlb("d", 64);
   tlb.Insert(MakeEntry(100, 0x00, 0x1, /*is_kernel=*/true));
   tlb.Insert(MakeEntry(100, 0x20, 0x2, /*is_kernel=*/true));
   tlb.Insert(MakeEntry(1, 0x01, 0x3, /*is_kernel=*/false));
@@ -104,7 +104,7 @@ class TlbShapeSweep : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(TlbShapeSweep, OccupancyNeverExceedsCapacityAndKernelCountStaysConsistent) {
   const uint32_t entries = GetParam();
-  Tlb tlb("sweep", entries, 2);
+  Tlb tlb("sweep", entries);
   Rng rng(1234);
   for (int i = 0; i < 5000; ++i) {
     const bool kernel = rng.Chance(1, 3);

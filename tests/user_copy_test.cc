@@ -110,8 +110,7 @@ struct CopyCase {
 
 std::vector<CopyCase> Cases() {
   OptimizationConfig deferred_c = OptimizationConfig::AllOptimizations();
-  deferred_c.eager_dirty_marking = false;
-  deferred_c.lazy_context_flush = false;
+  deferred_c.lazy_context_flush = false;  // C bits deferred
   return {
       {"604_all_opts", MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations()},
       {"604_baseline", MachineConfig::Ppc604(133), OptimizationConfig::Baseline()},
