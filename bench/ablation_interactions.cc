@@ -48,11 +48,7 @@ int Main() {
       {"fast handlers", OptimizationConfig::OnlyFastHandlers(),
        [](OptimizationConfig& c) { c.optimized_handlers = false; }},
       {"lazy flush + cutoff", OptimizationConfig::OnlyLazyFlush(20),
-       [](OptimizationConfig& c) {
-         c.lazy_context_flush = false;
-         c.range_flush_cutoff = 0;
-         c.idle_zombie_reclaim = false;
-       }},
+       [](OptimizationConfig& c) { c = OptimizationConfig::AllButLazyFlush(); }},
       {"idle reclaim", OptimizationConfig::OnlyIdleReclaim(),
        [](OptimizationConfig& c) { c.idle_zombie_reclaim = false; }},
       {"idle page zeroing", OptimizationConfig::OnlyIdleZero(IdleZeroPolicy::kUncachedWithList),

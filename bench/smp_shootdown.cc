@@ -30,15 +30,8 @@ bool QuickMode() {
 }
 
 // Both policies start from the paper's final kernel so the flush strategy is the only
-// variable; idle reclaim stays off so the idle loop cannot nibble at the HTAB mid-storm.
-OptimizationConfig EagerShootdown() {
-  OptimizationConfig config = OptimizationConfig::AllOptimizations();
-  config.lazy_context_flush = false;
-  config.range_flush_cutoff = 0;
-  config.idle_zombie_reclaim = false;
-  return config;
-}
-
+// variable; idle reclaim stays off so the idle loop cannot nibble at the HTAB mid-storm
+// (the eager side, OptimizationConfig::AllButLazyFlush(), has none to begin with).
 OptimizationConfig LazyVsidBump() {
   // AllOptimizations keeps the paper's tuned 20-page cutoff; the storm's regions sit above
   // it, so every munmap becomes a VSID bump. (Below the cutoff lazy flushing loses — the
@@ -125,7 +118,7 @@ int Main() {
     OptimizationConfig opts;
   };
   const std::vector<Policy> policies = {
-      {"eager shootdown", "eager", EagerShootdown()},
+      {"eager shootdown", "eager", OptimizationConfig::AllButLazyFlush()},
       {"lazy VSID bump", "lazy", LazyVsidBump()},
   };
 

@@ -17,10 +17,7 @@ namespace {
 int Main() {
   // The flushing strategy is the variable; handlers/BATs/scatter stay optimized so the
   // flush cost is isolated, per the paper's one-at-a-time methodology.
-  OptimizationConfig eager = OptimizationConfig::AllOptimizations();
-  eager.lazy_context_flush = false;
-  eager.range_flush_cutoff = 0;
-  eager.idle_zombie_reclaim = false;
+  OptimizationConfig eager = OptimizationConfig::AllButLazyFlush();
   OptimizationConfig lazy = OptimizationConfig::AllOptimizations();
   // "Table 2 shows the 603 doing software searches of the hash table" (§7): the 603 columns
   // keep the HTAB, so the flush strategies act on it exactly as on the 604.

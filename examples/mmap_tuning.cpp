@@ -64,11 +64,7 @@ int main() {
   TextTable size_table({"map pages", "eager flush", "lazy flush", "eager refault",
                         "lazy refault", "speedup"});
   for (const uint32_t pages : {16u, 32u, 64u, 128u, 256u, 512u, 1024u}) {
-    OptimizationConfig eager = OptimizationConfig::AllOptimizations();
-    eager.lazy_context_flush = false;
-    eager.range_flush_cutoff = 0;
-    eager.idle_zombie_reclaim = false;
-    System eager_sys(MachineConfig::Ppc604(185), eager);
+    System eager_sys(MachineConfig::Ppc604(185), OptimizationConfig::AllButLazyFlush());
     System lazy_sys(MachineConfig::Ppc604(185), OptimizationConfig::AllOptimizations());
     const CycleCost e = RunCycle(eager_sys, pages, 6);
     const CycleCost l = RunCycle(lazy_sys, pages, 6);

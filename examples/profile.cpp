@@ -127,14 +127,11 @@ std::vector<RunSpec> TableSpecs(const std::string& workload) {
   }
   if (workload == "table2") {
     // Table 2: eager per-page range flushing vs lazy context flushing on the 604-185.
-    OptimizationConfig eager = all;
-    eager.lazy_context_flush = false;
-    eager.range_flush_cutoff = 0;
-    eager.idle_zombie_reclaim = false;
     LmBenchParams params;
     params.mmap_pages = 1024;  // lat_mmap far beyond the 20-page cutoff
     params.mmap_iters = 8;
-    return {{"table2_604_eager", MachineConfig::Ppc604(185), eager, params},
+    return {{"table2_604_eager", MachineConfig::Ppc604(185),
+             OptimizationConfig::AllButLazyFlush(), params},
             {"table2_604_lazy", MachineConfig::Ppc604(185), all, params}};
   }
   if (workload == "table3") {

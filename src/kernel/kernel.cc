@@ -40,6 +40,11 @@ constexpr uint32_t kExecBodyCycles = 2500;
 constexpr uint32_t kPipeWakeupUnoptCycles = 1300;
 constexpr uint32_t kPipeWakeupOptCycles = 600;
 
+// A context switch saves and restores registers round-robin over this many lines of the
+// task structure, this many bytes apart: register r goes to line r % kTaskStructLines.
+constexpr uint32_t kTaskStructLines = 8;
+constexpr uint32_t kTaskStructLineBytes = 64;
+
 MmuPolicy MakeMmuPolicy(const MachineConfig& machine_config, const OptimizationConfig& config) {
   MmuPolicy policy;
   if (machine_config.cpu == CpuModel::kPpc603) {
@@ -258,8 +263,8 @@ void Kernel::SwitchTo(TaskId id) {
 
   // §10.2 extension: prefetch the incoming task's state so the restore loads below hit.
   if (config_.cache_preload_hints) {
-    for (uint32_t line = 0; line < 8; ++line) {
-      machine_.PrefetchData(next.task_struct_pa + line * 64);
+    for (uint32_t line = 0; line < kTaskStructLines; ++line) {
+      machine_.PrefetchData(next.task_struct_pa + line * kTaskStructLineBytes);
     }
   }
 
@@ -268,14 +273,9 @@ void Kernel::SwitchTo(TaskId id) {
   const uint32_t regs = config_.optimized_handlers ? 12 : 32;
   const TaskId previous = current();
   if (previous.value != 0) {
-    const Task& prev = task(previous);
-    for (uint32_t r = 0; r < regs; ++r) {
-      KernelTouch(KernelVirtFromPhys(prev.task_struct_pa + (r % 8) * 64), AccessKind::kStore);
-    }
+    TouchTaskStruct(task(previous).task_struct_pa, regs, AccessKind::kStore);
   }
-  for (uint32_t r = 0; r < regs; ++r) {
-    KernelTouch(KernelVirtFromPhys(next.task_struct_pa + (r % 8) * 64), AccessKind::kLoad);
-  }
+  TouchTaskStruct(next.task_struct_pa, regs, AccessKind::kLoad);
 
   // Reload the user segment registers from the incoming task's VSIDs.
   machine_.AddCycles(Cycles(kFirstKernelSegment * 2));
@@ -1183,6 +1183,31 @@ void Kernel::KernelTouch(EffAddr ea, AccessKind kind) {
   const AccessOutcome outcome = mmu_->Access(ea, kind);
   PPCMM_CHECK_MSG(outcome == AccessOutcome::kOk, "kernel access faulted at 0x" << std::hex
                                                                                << ea.value);
+}
+
+void Kernel::TouchTaskStruct(PhysAddr task_struct, uint32_t regs, AccessKind kind) {
+  const EffAddr ea = KernelVirtFromPhys(task_struct);
+  // The lines lie within 512 bytes of a 1 KB-aligned slot, so on a D-cache way of at least
+  // 512 bytes no two distinct lines share a set. Then each set sees its one line the same
+  // number of times whether the registers go round-robin or line by line, and a span
+  // charges each line once with its repeat count. A smaller way keeps the round-robin.
+  const CacheGeometry& dcache = machine_.config().dcache;
+  const bool distinct_sets =
+      dcache.size_bytes / dcache.associativity >= kTaskStructLines * kTaskStructLineBytes;
+  const std::optional<Mmu::SpanTarget> span =
+      distinct_sets ? mmu_->ReplaySpan(ea, kind, regs) : std::nullopt;
+  if (span.has_value()) {
+    for (uint32_t l = 0; l < std::min(regs, kTaskStructLines); ++l) {
+      const EffAddr line = ea + l * kTaskStructLineBytes;
+      machine_.TouchDataRepeat(PhysAddr::FromFrame(span->frame, line.PageOffset()),
+                               regs / kTaskStructLines + (l < regs % kTaskStructLines ? 1 : 0),
+                               IsWrite(kind), span->cached);
+    }
+    return;
+  }
+  for (uint32_t r = 0; r < regs; ++r) {
+    KernelTouch(ea + (r % kTaskStructLines) * kTaskStructLineBytes, kind);
+  }
 }
 
 void Kernel::ChargeKernelWork(KernelOp op) {

@@ -269,6 +269,10 @@ class Kernel : public PteBackingSource {
   void EnterSyscall(KernelOp op);
   // One kernel memory reference at a kernel virtual address, through the MMU.
   void KernelTouch(EffAddr ea, AccessKind kind);
+  // A context switch's register save (kStore) or restore (kLoad): `regs` references to the
+  // task structure at `task_struct`, register r in line r % 8. Bit-identical to that
+  // round-robin of KernelTouch calls, which it makes itself when no span validates.
+  void TouchTaskStruct(PhysAddr task_struct, uint32_t regs, AccessKind kind);
   // An upper bound on the cycles of each of the next idle iterations but a chunk's first
   // fetch, priced from the MemoryTiming: the fetch as a hit, the loop, the spin without
   // `reclaim` or the PTEG sweep at its worst with it, and, unless the zeroer declines, one

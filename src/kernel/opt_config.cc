@@ -27,6 +27,14 @@ OptimizationConfig OptimizationConfig::AllPlusUncachedPageTables() {
   return config;
 }
 
+OptimizationConfig OptimizationConfig::AllButLazyFlush() {
+  OptimizationConfig config = AllOptimizations();
+  config.lazy_context_flush = false;
+  config.range_flush_cutoff = 0;
+  config.idle_zombie_reclaim = false;
+  return config;
+}
+
 OptimizationConfig OptimizationConfig::OnlyBatMapping() {
   OptimizationConfig config = Baseline();
   config.kernel_bat_mapping = true;

@@ -90,6 +90,11 @@ struct OptimizationConfig {
   // The §8 extension on top of the full set: page tables become cache inhibited.
   static OptimizationConfig AllPlusUncachedPageTables();
 
+  // The full set with eager flushing: no lazy context flush, and with it neither the
+  // cutoff nor idle reclaim, which only act on the zombies lazy flushing leaves. The
+  // eager side of every flush-strategy comparison.
+  static OptimizationConfig AllButLazyFlush();
+
   // Named single-optimization presets (baseline + exactly one change), used by benches that
   // reproduce the paper's one-at-a-time methodology.
   static OptimizationConfig OnlyBatMapping();

@@ -1,5 +1,7 @@
 #include "src/kernel/page_cache.h"
 
+#include <array>
+
 #include "src/sim/check.h"
 
 namespace ppcmm {
@@ -53,11 +55,11 @@ uint32_t PageCache::GetPage(FileId file, uint32_t page, bool* was_miss) {
   }
   const uint32_t frame = mem_.GetFreePage();
   // Synthesize deterministic contents so data-integrity tests can verify copies end to end.
-  PhysicalMemory& memory = machine_.memory();
-  for (uint32_t offset = 0; offset < kPageSize; offset += 4) {
-    const uint32_t word = (file.value * 0x9E3779B9u) ^ (page << 16) ^ offset;
-    memory.Write32(PhysAddr::FromFrame(frame, offset), word);
+  std::array<uint32_t, kPageSize / 4> words{};
+  for (uint32_t i = 0; i < words.size(); ++i) {
+    words[i] = (file.value * 0x9E3779B9u) ^ (page << 16) ^ (i * 4);
   }
+  machine_.memory().Write(PhysAddr::FromFrame(frame), words.data(), kPageSize);
   // I/O submission overhead (the DMA itself is free CPU-wise; the caller models the wait).
   machine_.AddCycles(Cycles(1200));
   f.pages.emplace(page, frame);

@@ -163,6 +163,17 @@ class Machine {
     AddCycles(icache_cur_->AccessLineRun(pa, /*is_write=*/false, count));
   }
 
+  // Data-side twin of TouchInstructionRepeat: `count` (> 0) back-to-back data references
+  // to the same address, bit-identical to `count` TouchData calls. Used by the context
+  // switch, which saves or restores several registers into each task-structure line.
+  void TouchDataRepeat(PhysAddr pa, uint32_t count, bool is_write, bool cached = true) {
+    if (!cached) {
+      AddCycles(dcache_cur_->AccessUncachedRun(is_write, count));
+      return;
+    }
+    AddCycles(dcache_cur_->AccessLineRun(pa, is_write, count));
+  }
+
   // Issues a software data prefetch (dcbt) for the line containing `pa`.
   void PrefetchData(PhysAddr pa) { AddCycles(dcache_cur_->Prefetch(pa)); }
 

@@ -45,6 +45,11 @@ void PhysicalMemory::Copy(PhysAddr dst, PhysAddr src, uint32_t len) {
   std::memmove(&data_[dst.value], &data_[src.value], len);
 }
 
+void PhysicalMemory::Write(PhysAddr dst, const void* src, uint32_t len) {
+  CheckRange(dst, len);
+  std::memcpy(&data_[dst.value], src, len);
+}
+
 void PhysicalMemory::Fill(PhysAddr dst, uint8_t value, uint32_t len) {
   CheckRange(dst, len);
   std::memset(&data_[dst.value], value, len);

@@ -67,6 +67,8 @@ class PhysicalMemory {
 
   // Copies `len` bytes between physical ranges; ranges must not overlap.
   void Copy(PhysAddr dst, PhysAddr src, uint32_t len);
+  // Stores `len` bytes from host memory at `src` to the physical range at `dst`.
+  void Write(PhysAddr dst, const void* src, uint32_t len);
   // Fills `len` bytes with `value`.
   void Fill(PhysAddr dst, uint8_t value, uint32_t len);
   // Zeroes an entire page frame.

@@ -44,22 +44,29 @@ void Touch(Kernel& kernel, bool batched, EffAddr start, uint32_t stride, uint32_
   }
 }
 
-// Returns the span accesses formed before the trailing idle slice: the idle loop's
-// fetch fast-forward forms spans of its own whenever spans are on.
+// Returns the span accesses of the user-side touches: those formed before the trailing
+// idle slice, whose fetch fast-forward forms spans of its own whenever spans are on, less
+// those of the context switches, whose register save and restore do the same.
 uint64_t DriveWorkload(System& sys, bool batched) {
   Kernel& kernel = sys.kernel();
   auto touch = [&](EffAddr start, uint32_t stride, uint32_t count, AccessKind kind) {
     Touch(kernel, batched, start, stride, count, kind);
   };
+  uint64_t switch_spans = 0;
+  auto switch_to = [&](TaskId id) {
+    const uint64_t before = sys.mmu().span_accesses();
+    kernel.SwitchTo(id);
+    switch_spans += sys.mmu().span_accesses() - before;
+  };
   const TaskId a = kernel.CreateTask("a");
   kernel.Exec(a, ExecImage{.text_pages = 4, .data_pages = 64, .stack_pages = 4});
-  kernel.SwitchTo(a);
+  switch_to(a);
   // Demand-fault 32 pages inside one sub-page-stride run.
   touch(EffAddr(kUserDataBase), 1024, 32 * 4, AccessKind::kStore);
   // Re-stream part of the resident set at cache-line stride (pure span replay).
   touch(EffAddr(kUserDataBase), 64, 8 * (kPageSize / 64), AccessKind::kLoad);
   const TaskId child = kernel.Fork(a);
-  kernel.SwitchTo(child);
+  switch_to(child);
   // The loads put the read-only shared translations in the TLB, then the store run
   // COW-breaks every page mid-run.
   touch(EffAddr(kUserDataBase), kPageSize, 16, AccessKind::kLoad);
@@ -72,10 +79,10 @@ uint64_t DriveWorkload(System& sys, bool batched) {
   kernel.Munmap(map2, 4);  // below the cutoff: eager per-page tlbie flush
   // Post-flush re-touch: spans must not outlive the flushes above.
   touch(EffAddr(kUserDataBase), kPageSize, 32, AccessKind::kLoad);
-  kernel.SwitchTo(a);
+  switch_to(a);
   touch(EffAddr(kUserDataBase), 512, 16 * 8, AccessKind::kLoad);
   kernel.Exit(child);
-  const uint64_t touch_spans = sys.mmu().span_accesses();
+  const uint64_t touch_spans = sys.mmu().span_accesses() - switch_spans;
   kernel.RunIdle(Cycles(20000));
   return touch_spans;
 }

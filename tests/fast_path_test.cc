@@ -149,6 +149,161 @@ TEST(FastPathTest, LmBenchPointsAreBitIdentical) {
   ExpectCountersIdentical(c_off, c_on);
 }
 
+// Counters, clock and every CPU's cache statistics of two twin Systems.
+void ExpectMachinesIdentical(System& off, System& on) {
+  ExpectCountersIdentical(off.counters(), on.counters());
+  const auto cache = [](System& sys, uint32_t cpu, bool data) -> const CacheStats& {
+    return (data ? sys.machine().dcache(cpu) : sys.machine().icache(cpu)).stats();
+  };
+  for (uint32_t cpu = 0; cpu < off.machine().ncpus(); ++cpu) {
+    for (const bool data : {false, true}) {
+      SCOPED_TRACE(std::string(data ? "dcache " : "icache ") + std::to_string(cpu));
+      const CacheStats& a = cache(off, cpu, data);
+      const CacheStats& b = cache(on, cpu, data);
+      EXPECT_EQ(a.accesses, b.accesses);
+      EXPECT_EQ(a.hits, b.hits);
+      EXPECT_EQ(a.misses, b.misses);
+      EXPECT_EQ(a.evictions, b.evictions);
+      EXPECT_EQ(a.dirty_writebacks, b.dirty_writebacks);
+      EXPECT_EQ(a.uncached_accesses, b.uncached_accesses);
+      EXPECT_EQ(a.prefetches, b.prefetches);
+    }
+  }
+}
+
+// The context switch charges each task-structure line once with its repeat count when a
+// span validates. Over the whole LmBench suite — context switches, pipes, file rereads —
+// on every configuration the perfbench sweep builds, on two CPUs and with uncached page
+// tables, that must equal the per-access round-robin of the twin built without spans.
+TEST(FastPathTest, LmBenchSuitesAreBitIdenticalAcrossSweepConfigs) {
+  struct Case {
+    std::string name;
+    MachineConfig machine;
+    OptimizationConfig opts;
+  };
+  std::vector<Case> cases;
+  for (const auto& [cpu, machine] : {std::pair{"604 ", MachineConfig::Ppc604(185)},
+                                     std::pair{"603 ", MachineConfig::Ppc603(180)}}) {
+    for (const auto& [name, opts] :
+         {std::pair{"baseline", OptimizationConfig::Baseline()},
+          std::pair{"all_opts", OptimizationConfig::AllOptimizations()},
+          std::pair{"direct_reload", OptimizationConfig::OnlyDirectReload()},
+          std::pair{"lazy_flush", OptimizationConfig::OnlyLazyFlush()},
+          std::pair{"idle_reclaim", OptimizationConfig::OnlyIdleReclaim()},
+          std::pair{"bat", OptimizationConfig::OnlyBatMapping()}}) {
+      cases.push_back({std::string(cpu) + name, machine, opts});
+    }
+  }
+  MachineConfig dual = MachineConfig::Ppc604(185);
+  dual.ncpus = 2;
+  cases.push_back({"604x2 all_opts", dual, OptimizationConfig::AllOptimizations()});
+  cases.push_back({"604 uncached_pt", MachineConfig::Ppc604(185),
+                   OptimizationConfig::AllPlusUncachedPageTables()});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::unique_ptr<System> off = BuildSystem(c.machine, c.opts, /*spans=*/false);
+    const std::unique_ptr<System> on = BuildSystem(c.machine, c.opts, /*spans=*/true);
+    const LmBenchResult r_off = LmBench(*off).RunAll();
+    const LmBenchResult r_on = LmBench(*on).RunAll();
+    EXPECT_EQ(r_off.null_syscall_us, r_on.null_syscall_us);
+    EXPECT_EQ(r_off.ctxsw_2p_us, r_on.ctxsw_2p_us);
+    EXPECT_EQ(r_off.ctxsw_8p_us, r_on.ctxsw_8p_us);
+    EXPECT_EQ(r_off.pipe_latency_us, r_on.pipe_latency_us);
+    EXPECT_EQ(r_off.pipe_bandwidth_mbs, r_on.pipe_bandwidth_mbs);
+    EXPECT_EQ(r_off.file_reread_mbs, r_on.file_reread_mbs);
+    EXPECT_EQ(r_off.mmap_latency_us, r_on.mmap_latency_us);
+    EXPECT_EQ(r_off.process_start_us, r_on.process_start_us);
+    EXPECT_EQ(off->mmu().span_accesses(), 0u);
+    ExpectMachinesIdentical(*off, *on);
+  }
+}
+
+// Where the task-structure span must not form, the switch takes the per-access round-robin
+// and still matches its twin: a save into a clean entry under deferred C bits (the first
+// store traps), an attached fault injector, and a D-cache way under 512 bytes, where two
+// of the eight lines share a set and regrouping them would reorder that set's accesses.
+TEST(FastPathTest, TaskStructSpansDeclineWhereTheyWouldNotBeExact) {
+  // Two tasks whose structures share a page, then switches between them; returns the span
+  // accesses and C-bit traps of the first switch that saves (task a's registers, then b's
+  // restore), and the span accesses of the switches after it.
+  struct Switches {
+    uint64_t first_save_spans = 0;
+    uint64_t first_save_traps = 0;
+    uint64_t later_spans = 0;
+  };
+  const auto drive = [](System& sys) {
+    Kernel& kernel = sys.kernel();
+    const TaskId a = kernel.CreateTask("a");
+    const TaskId b = kernel.CreateTask("b");
+    for (const TaskId t : {a, b}) {
+      kernel.Exec(t, ExecImage{.text_pages = 2, .data_pages = 4, .stack_pages = 2});
+    }
+    Switches out;
+    kernel.SwitchTo(a);
+    uint64_t spans = sys.mmu().span_accesses();
+    const uint64_t traps = sys.counters().dirty_bit_updates;
+    kernel.SwitchTo(b);  // the first store to the task-structure page
+    out.first_save_spans = sys.mmu().span_accesses() - spans;
+    out.first_save_traps = sys.counters().dirty_bit_updates - traps;
+    spans = sys.mmu().span_accesses();
+    for (int i = 0; i < 8; ++i) {
+      kernel.SwitchTo(i % 2 == 0 ? a : b);
+      kernel.UserTouch(EffAddr(kUserDataBase + (i % 4) * kPageSize), AccessKind::kStore);
+    }
+    out.later_spans = sys.mmu().span_accesses() - spans;
+    return out;
+  };
+
+  {
+    SCOPED_TRACE("deferred C bits");
+    const OptimizationConfig opts = OptimizationConfig::Baseline();
+    ASSERT_FALSE(opts.lazy_context_flush);
+    ASSERT_FALSE(opts.kernel_bat_mapping);  // the task structures go through the DTLB
+    const std::unique_ptr<System> off = BuildSystem(MachineConfig::Ppc604(185), opts, false);
+    const std::unique_ptr<System> on = BuildSystem(MachineConfig::Ppc604(185), opts, true);
+    drive(*off);
+    const Switches s = drive(*on);
+    EXPECT_GT(s.first_save_traps, 0u);
+    // The save's first store traps, so only b's 32-register restore rides a span.
+    EXPECT_EQ(s.first_save_spans, 32u) << "a store into a clean entry formed a span";
+    EXPECT_GT(s.later_spans, 0u) << "the switch never spanned once the C bit was set";
+    ExpectMachinesIdentical(*off, *on);
+  }
+  {
+    SCOPED_TRACE("fault injector");
+    const auto run = [&](bool spans) {
+      std::unique_ptr<System> sys = BuildSystem(MachineConfig::Ppc604(185),
+                                                OptimizationConfig::AllOptimizations(), spans);
+      FaultInjector injector(/*seed=*/5);
+      injector.Enable(FaultClass::kSpuriousTlbFlush, 16);
+      injector.Enable(FaultClass::kZombieFlood, 3);
+      sys->kernel().SetFaultInjector(&injector);
+      const Switches s = drive(*sys);
+      sys->kernel().SetFaultInjector(nullptr);
+      return std::tuple<std::unique_ptr<System>, Switches, uint64_t>(
+          std::move(sys), s, injector.Fires(FaultClass::kSpuriousTlbFlush));
+    };
+    const auto [off, s_off, fires_off] = run(false);
+    const auto [on, s_on, fires_on] = run(true);
+    EXPECT_GT(fires_on, 0u);
+    EXPECT_EQ(fires_off, fires_on);
+    EXPECT_EQ(on->mmu().span_accesses(), 0u);
+    ExpectMachinesIdentical(*off, *on);
+  }
+  {
+    SCOPED_TRACE("D-cache way under 512 bytes");
+    MachineConfig small_way = MachineConfig::Ppc604(185);
+    small_way.dcache = CacheGeometry{.size_bytes = 512, .line_bytes = 32, .associativity = 2};
+    const OptimizationConfig opts = OptimizationConfig::AllOptimizations();
+    const std::unique_ptr<System> off = BuildSystem(small_way, opts, false);
+    const std::unique_ptr<System> on = BuildSystem(small_way, opts, true);
+    drive(*off);
+    const Switches s = drive(*on);
+    EXPECT_EQ(s.first_save_spans + s.later_spans, 0u);
+    ExpectMachinesIdentical(*off, *on);
+  }
+}
+
 TEST(FastPathTest, KernelCompileIsBitIdenticalAndSpanReplayed) {
   auto run = [](bool spans) {
     const std::unique_ptr<System> sys =
@@ -279,7 +434,9 @@ TEST(FastPathTest, DeclinedProbesLeaveNoTrace) {
     System probed(MachineConfig::Ppc604(185), c.opts);
     drive(twin, /*probe=*/false);
     drive(probed, /*probe=*/true);
-    EXPECT_EQ(probed.mmu().span_runs(), 0u);
+    // The only spans are those the schedule forms on its own (the context switches'
+    // register save and restore), on both twins alike.
+    EXPECT_EQ(probed.mmu().span_runs(), twin.mmu().span_runs());
     ExpectCountersIdentical(twin.counters(), probed.counters());
     EXPECT_EQ(TlbState(twin.mmu()), TlbState(probed.mmu()));
     follow_up(twin);

@@ -1,10 +1,10 @@
 // The run-charging contract: every run primitive must be bit-identical to the scalar loop it
-// stands for. Machine::TouchDataRun / TouchInstructionRun / TouchDataPairRun against
-// TouchData / TouchInstruction loops (cycles, every cache's counters, attribution cells, and
-// the LRU state a follow-up probe sequence reveals), including the line sweeps over frames
-// left partly resident and dirty; the HTAB's run-charged PTEG scans against the per-slot
-// (address, is_write) sequence of a one-Charge-per-probe scan; and page zeroing against a
-// per-line reference.
+// stands for. Machine::TouchDataRun / TouchInstructionRun / TouchDataPairRun /
+// TouchDataRepeat against TouchData / TouchInstruction loops (cycles, every cache's
+// counters, attribution cells, and the LRU state a follow-up probe sequence reveals),
+// including the line sweeps over frames left partly resident and dirty; the HTAB's
+// run-charged PTEG scans against the per-slot (address, is_write) sequence of a
+// one-Charge-per-probe scan; and page zeroing against a per-line reference.
 
 #include <gtest/gtest.h>
 
@@ -156,6 +156,36 @@ TEST(RunChargeTest, TouchInstructionRunMatchesTouchInstructionLoop) {
             m.run.TouchInstructionRun(PhysAddr(start), stride, count, cached);
             for (uint32_t i = 0; i < count; ++i) {
               m.loop.TouchInstruction(PhysAddr(start + i * stride), cached);
+            }
+            ExpectMachinesEqual(m.run, m.loop);
+            Traffic(m.run, seed, 300);
+            Traffic(m.loop, seed, 300);
+            ++seed;
+            ExpectMachinesEqual(m.run, m.loop);
+            if (testing::Test::HasFailure()) {
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RunChargeTest, TouchDataRepeatMatchesTouchDataLoop) {
+  for (const ConfigCase& c : Configs()) {
+    MachinePair m(c.config);
+    uint64_t seed = 3000;
+    for (const uint32_t start : kStarts) {
+      for (const uint32_t count : {1u, 2u, 4u, 37u}) {
+        for (const bool cached : {true, false}) {
+          for (const bool is_write : {false, true}) {
+            SCOPED_TRACE(c.name + " start=" + std::to_string(start) + " count=" +
+                         std::to_string(count) + (cached ? " cached" : " uncached") +
+                         (is_write ? " store" : " load"));
+            m.run.TouchDataRepeat(PhysAddr(start), count, is_write, cached);
+            for (uint32_t i = 0; i < count; ++i) {
+              m.loop.TouchData(PhysAddr(start), is_write, cached);
             }
             ExpectMachinesEqual(m.run, m.loop);
             Traffic(m.run, seed, 300);

@@ -6,6 +6,7 @@ struct CleanMachine {
   unsigned TouchInstruction(unsigned ea) const { return ea + 2; }
   unsigned TouchInstructionRun(unsigned ea, unsigned n) const { return ea + 2 * n; }
   unsigned TouchInstructionRepeat(unsigned ea, unsigned n) const { return ea + n; }
+  unsigned TouchDataRepeat(unsigned ea, unsigned n) const { return ea + 3 * n; }
   unsigned TouchDataPairRun(unsigned a, unsigned b, unsigned n) const {
     return cache_.SweepLinePairs(a, b, n);
   }

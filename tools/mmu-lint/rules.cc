@@ -107,6 +107,7 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/sim/machine.h", "Machine", "TouchInstruction", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchInstructionRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchInstructionRepeat", {"WalkPte", "MarkPteDirty"}},
+      {"src/sim/machine.h", "Machine", "TouchDataRepeat", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchDataPairRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "Access", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLineRun", {"WalkPte", "MarkPteDirty"}},
