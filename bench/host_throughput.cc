@@ -101,8 +101,8 @@ OffOnStats RunInterleavedBest(const Strategy& strategy, uint32_t units, int reps
 // ---- batched translation spans ----
 //
 // Streams page-grained runs through a resident working set — the workload shape the
-// UserTouchRun/Mmu::AccessRun batching API exists for. `batched` off replays the exact
-// same access stream one UserTouch at a time, so the off/on pair both times the span
+// Kernel::UserTouchRun batching API exists for. `batched` off replays the exact same
+// access stream one UserTouch at a time, so the off/on pair both times the span
 // replay against per-access translation and cross-checks that the batching is
 // simulation-invisible (identical simulated accesses and cycles).
 struct StreamStats {

@@ -323,6 +323,37 @@ void BM_PtegReclaimScan604(benchmark::State& state) {
 }
 BENCHMARK(BM_PtegReclaimScan604);
 
+// Short runs, the shape of PTEG probes and of user runs near a page end: `n` reads at
+// `stride` bytes (8, the 604's 32-byte line, or two lines) charged as one TouchDataRun
+// (run=1) or as n TouchData calls (run=0), over 8 KB of the 16 KB L1 so they hit once warm.
+// Host time per access, as the "access" counter.
+void BM_ShortRun604(benchmark::State& state) {
+  Machine machine(MachineConfig::Ppc604(185));
+  const auto n = static_cast<uint32_t>(state.range(0));
+  const auto stride = static_cast<uint32_t>(state.range(1));
+  const bool run = state.range(2) != 0;
+  uint32_t offset = 0;
+  uint64_t total = 0;
+  for (auto _ : state) {
+    const PhysAddr pa(0x10000 + offset);
+    if (run) {
+      machine.TouchDataRun(pa, stride, n, /*is_write=*/false);
+    } else {
+      for (uint32_t i = 0; i < n; ++i) {
+        machine.TouchData(pa + i * stride, /*is_write=*/false);
+      }
+    }
+    offset = (offset + 264) % (8 * 1024);
+    total += n;
+  }
+  benchmark::DoNotOptimize(machine.Now());
+  state.counters["access"] = benchmark::Counter(
+      static_cast<double>(total), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ShortRun604)
+    ->ArgsProduct({{1, 2, 4}, {8, 32, 64}, {0, 1}})
+    ->ArgNames({"n", "stride", "run"});
+
 void BM_PipeRoundTrip(benchmark::State& state) {
   auto system = NewSystem(ReloadStrategy::kHardwareHtabWalk, /*optimized=*/true);
   Kernel& kernel = system->kernel();

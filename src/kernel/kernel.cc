@@ -793,39 +793,42 @@ void Kernel::RepairFault(Task& task, EffAddr ea, AccessKind kind, AccessOutcome 
 }
 
 void Kernel::UserTouch(EffAddr ea, AccessKind kind) {
-  Task& current = CurrentTask();
   for (uint32_t attempt = 0; attempt < 8; ++attempt) {
     const AccessOutcome outcome = mmu_->Access(ea, kind);
     if (outcome == AccessOutcome::kOk) {
       return;
     }
-    RepairFault(current, ea, kind, outcome);
+    RepairFault(CurrentTask(), ea, kind, outcome);
   }
   PPCMM_CHECK_MSG(false, "fault loop did not converge at 0x" << std::hex << ea.value);
 }
 
 void Kernel::UserTouchRun(EffAddr start, uint32_t stride, uint32_t count, AccessKind kind) {
   PPCMM_CHECK(stride > 0);
-  Task& current = CurrentTask();
   uint32_t done = 0;
-  uint32_t attempts = 0;  // faults taken at the current access without progress
   while (done < count) {
-    AccessOutcome outcome = AccessOutcome::kOk;
-    const uint32_t n =
-        mmu_->AccessRun(start + done * stride, stride, count - done, kind, &outcome);
-    done += n;
-    if (done >= count) {
-      return;
-    }
-    if (n > 0) {
-      attempts = 0;  // progress: the convergence bound is per faulting access
-    }
-    // The run stopped on a fault at access `done`; repair exactly as UserTouch would and
-    // resume the run from the faulting access.
+    // The accesses left in this page. When a span validates, each repeats the identical
+    // translation hit, so their payloads go as one run into the page's frame; otherwise
+    // one access goes the per-access way, which faults the page in, breaks COW, sets a
+    // deferred C bit or loads the TLB as needed, so the next span may validate.
     const EffAddr ea = start + done * stride;
-    RepairFault(current, ea, kind, outcome);
-    ++attempts;
-    PPCMM_CHECK_MSG(attempts < 8, "fault loop did not converge at 0x" << std::hex << ea.value);
+    const uint32_t n = stride >= kPageSize
+                           ? 1
+                           : std::min(count - done, (kPageSize - 1 - ea.PageOffset()) / stride + 1);
+    const std::optional<Mmu::SpanTarget> span =
+        n > 1 ? mmu_->ReplaySpan(ea, kind, n) : std::nullopt;
+    if (!span.has_value()) {
+      UserTouch(ea, kind);
+      ++done;
+      continue;
+    }
+    const PhysAddr pa = PhysAddr::FromFrame(span->frame, ea.PageOffset());
+    if (IsInstruction(kind)) {
+      machine_.TouchInstructionRun(pa, stride, n, span->cached);
+    } else {
+      machine_.TouchDataRun(pa, stride, n, IsWrite(kind), span->cached);
+    }
+    done += n;
   }
 }
 
@@ -938,7 +941,8 @@ void Kernel::RunIdle(Cycles budget) {
     // The idle loop's own instruction fetches — through the caches normally, around them
     // when the §10.1 extension is enabled.
     if (span.has_value()) {
-      machine_.TouchInstructionRepeat(PhysAddr::FromFrame(span->frame), n, span->cached);
+      machine_.TouchInstructionRun(PhysAddr::FromFrame(span->frame), /*stride=*/0, n,
+                                   span->cached);
     } else {
       n = 1;
       if (config_.uncached_idle_task) {
@@ -1199,9 +1203,9 @@ void Kernel::TouchTaskStruct(PhysAddr task_struct, uint32_t regs, AccessKind kin
   if (span.has_value()) {
     for (uint32_t l = 0; l < std::min(regs, kTaskStructLines); ++l) {
       const EffAddr line = ea + l * kTaskStructLineBytes;
-      machine_.TouchDataRepeat(PhysAddr::FromFrame(span->frame, line.PageOffset()),
-                               regs / kTaskStructLines + (l < regs % kTaskStructLines ? 1 : 0),
-                               IsWrite(kind), span->cached);
+      machine_.TouchDataRun(PhysAddr::FromFrame(span->frame, line.PageOffset()), /*stride=*/0,
+                            regs / kTaskStructLines + (l < regs % kTaskStructLines ? 1 : 0),
+                            IsWrite(kind), span->cached);
     }
     return;
   }

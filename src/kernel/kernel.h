@@ -191,8 +191,8 @@ class Kernel : public PteBackingSource {
   void UserTouch(EffAddr ea, AccessKind kind);
   // A page-grained access run: `count` references starting at `start`, each `stride`
   // bytes after the previous, faulting pages in mid-run as needed. Bit-identical to
-  // calling UserTouch per access; the batched form lets the MMU replay whole translation
-  // spans instead of re-validating every access (the workload-facing batching API).
+  // calling UserTouch per access; the batched form replays each page's translation as one
+  // span instead of re-validating every access (the workload-facing batching API).
   void UserTouchRun(EffAddr start, uint32_t stride, uint32_t count, AccessKind kind);
   // A strided run of user references (convenience for working-set loops).
   void UserTouchRange(EffAddr start, uint32_t bytes, uint32_t stride, AccessKind kind);

@@ -31,6 +31,13 @@ inline constexpr uint32_t kHtabPhysBase = 0x180000;
 inline constexpr uint32_t kHtabBytes = 0x020000;  // 128 KB = 2048 PTEGs
 inline constexpr uint32_t kKernelMiscPhysBase = 0x1A0000;
 inline constexpr uint32_t kKernelMiscBytes = 0x060000;  // task structs, kernel stacks
+// The page cache's lookup lines: file f's inode/radix probes read the 64-byte line at
+// kPageCacheLookupPhysBase + (f % 512) * 64. These 32 KB overlap the 1 KB task-structure
+// slots Kernel::CreateTask lays out from kKernelMiscPhysBase for task ids 32 to 63 (mod
+// 256): file 0's line is the first line of task 32's structure, so from task id 32 on,
+// lookups and context switches can share D-cache lines. The base stays here because
+// moving it would change simulated numbers.
+inline constexpr uint32_t kPageCacheLookupPhysBase = 0x1A8000;
 inline constexpr uint32_t kFirstPoolByte = 0x200000;
 inline constexpr uint32_t kFirstPoolFrame = kFirstPoolByte >> kPageShift;
 

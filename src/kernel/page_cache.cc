@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "src/kernel/layout.h"
 #include "src/sim/check.h"
 
 namespace ppcmm {
@@ -36,7 +37,7 @@ uint32_t PageCache::GetPage(FileId file, uint32_t page, bool* was_miss) {
 
   // Page-cache lookup: a couple of kernel data references into the inode/radix structures,
   // charged at the file's bookkeeping address in the kernel misc area.
-  const PhysAddr lookup_pa(0x1A8000 + (file.value % 512) * 64);
+  const PhysAddr lookup_pa(kPageCacheLookupPhysBase + (file.value % 512) * 64);
   machine_.TouchData(lookup_pa, /*is_write=*/false);
   machine_.AddCycles(Cycles(8));
 

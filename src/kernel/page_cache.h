@@ -39,8 +39,9 @@ class PageCache {
   uint32_t SizePages(FileId file) const;
 
   // Returns the frame caching page `page` of `file`, filling it on a miss. `was_miss` (if
-  // non-null) reports whether disk had to be touched. Charges the lookup's kernel data
-  // references (radix-tree-ish probes) and, on a miss, the fill's frame writes.
+  // non-null) reports whether disk had to be touched. Charges the lookup (one kernel data
+  // reference, a radix-tree-ish probe, plus its instructions) and, on a miss, the I/O
+  // submission overhead; the fill itself is DMA, so its frame writes charge nothing.
   uint32_t GetPage(FileId file, uint32_t page, bool* was_miss = nullptr);
 
   bool IsCached(FileId file, uint32_t page) const;

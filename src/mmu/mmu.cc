@@ -131,41 +131,6 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
   return AccessOutcome::kOk;
 }
 
-uint32_t Mmu::AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind kind,
-                        AccessOutcome* outcome) {
-  *outcome = AccessOutcome::kOk;
-  const bool is_ifetch = IsInstruction(kind);
-  const bool is_write = IsWrite(kind);
-  uint32_t done = 0;
-  while (done < count) {
-    const EffAddr cur = ea + done * stride;
-    const uint32_t offset = cur.PageOffset();
-    const uint32_t n = stride >= kPageSize
-                           ? 1
-                           : std::min(count - done, (kPageSize - 1 - offset) / stride + 1);
-    const std::optional<SpanTarget> span = n > 1 ? ReplaySpan(cur, kind, n) : std::nullopt;
-    if (span.has_value()) {
-      // Every in-page access repeats the identical translation hit: charge their payloads
-      // as one run into the page's frame.
-      const PhysAddr pa = PhysAddr::FromFrame(span->frame, offset);
-      if (is_ifetch) {
-        machine_.TouchInstructionRun(pa, stride, n, span->cached);
-      } else {
-        machine_.TouchDataRun(pa, stride, n, is_write, span->cached);
-      }
-      done += n;
-      continue;
-    }
-    const AccessOutcome result = Access(cur, kind);
-    if (result != AccessOutcome::kOk) {
-      *outcome = result;
-      return done;
-    }
-    ++done;
-  }
-  return done;
-}
-
 std::optional<Mmu::SpanTarget> Mmu::ReplaySpan(EffAddr ea, AccessKind kind, uint32_t n) {
   // A fault injector polls on every access, so it rules spans out. Otherwise the lookup is
   // Access()'s own — BAT, segment register, TLB — minus its side effects, so a span that

@@ -127,34 +127,21 @@ class Mmu {
   // (kernel fault path) repairs the PTE tree and retries.
   AccessOutcome Access(EffAddr ea, AccessKind kind);
 
-  // Batched Access: up to `count` references starting at `ea`, each `stride` bytes after
-  // the previous, bit-identical to `count` sequential Access() calls. Returns how many
-  // accesses completed; on a fault `*outcome` names it and the caller resumes at
-  // ea + done*stride after repairing the PTE tree (the kernel fault loop).
-  //
-  // The speed comes from *translation spans*: when ReplaySpan finds the current page's
-  // translation resident and past the write gate, every remaining access inside that page
-  // is proven to repeat the identical TLB (or BAT) hit, so the whole in-page run is
-  // charged at once — one counter add, one LRU tick advance, one batched payload charge.
-  // A single access (page-or-wider strides, the last line of a page) goes straight to
-  // Access(); a declined span degrades to the per-access path.
-  uint32_t AccessRun(EffAddr ea, uint32_t stride, uint32_t count, AccessKind kind,
-                     AccessOutcome* outcome);
-
   // Where a replayed span's payload lands: the page's frame and its cacheability.
   struct SpanTarget {
     uint32_t frame = 0;
     bool cached = true;
   };
 
-  // The translation span gate shared by every batched caller (AccessRun, the idle loop's
-  // fetch chunks, page-batched user copies). Looks the page of `ea` up exactly as
-  // Access() would — BAT, then segment register, then the TLB — but through a probe that
-  // leaves LRU state alone. On a BAT hit, or a TLB hit that passes the write gate
-  // (writable and changed for stores), replays the translation side of `n` (> 0) hits on
-  // that page — counters, TLB LRU ticks, host span statistics — and returns where their
-  // payloads land; the caller charges those payload accesses itself, so it can interleave
-  // them with other cache traffic. Declines (nullopt, nothing touched) on a TLB miss, a
+  // The translation span gate of every batched caller, all in the kernel: user runs, the
+  // idle loop's fetch chunks, page-batched user copies and the context switch's register
+  // saves. Looks the page of `ea` up exactly as Access() would — BAT, then segment
+  // register, then the TLB — but through a probe that leaves LRU state alone. On a BAT
+  // hit, or a TLB hit that passes the write gate (writable and changed for stores),
+  // replays the translation side of `n` (> 0) hits on that page — counters, TLB LRU
+  // ticks, host span statistics — and returns where their payloads land; the caller
+  // charges those payload accesses itself, so it can interleave them with other cache
+  // traffic. Declines (nullopt, nothing touched) on a TLB miss, a
   // pending protection or C-bit trap, an attached fault injector, or spans switched off.
   std::optional<SpanTarget> ReplaySpan(EffAddr ea, AccessKind kind, uint32_t n);
 
@@ -223,8 +210,7 @@ class Mmu {
   // accesses and full Access() walks, so hits / (hits + misses) is the share spans carried.
   uint64_t fast_path_hits() const { return span_accesses_; }
   uint64_t fast_path_misses() const { return access_walks_; }
-  // Spans replayed by ReplaySpan (for AccessRun, the idle chunks and user copies)
-  // and the accesses they covered.
+  // Spans replayed by ReplaySpan and the accesses they covered.
   uint64_t span_runs() const { return span_runs_; }
   uint64_t span_accesses() const { return span_accesses_; }
 

@@ -273,39 +273,6 @@ Cycles Cache::SweepSets(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint
 template Cycles Cache::SweepSets<1>(PhysAddr, bool, PhysAddr, bool, uint32_t, uint32_t);
 template Cycles Cache::SweepSets<2>(PhysAddr, bool, PhysAddr, bool, uint32_t, uint32_t);
 
-Cycles Cache::Prefetch(PhysAddr pa) {
-  ++stats_.prefetches;
-  const uint32_t stamp = NextStamps(1);
-  const uint32_t tag = Tag(pa);
-  uint32_t* tags = SetWords(SetIndex(pa));
-  uint32_t* stamps = tags + field_words_;
-  uint32_t* dirty = stamps + field_words_;
-  for (size_t w = 0; w < field_words_; w += kSetGroup) {
-    if (tags[w] == tag) {
-      stamps[w] = stamp;
-      return Cycles(1);  // already resident: just the issue slot
-    }
-  }
-  // Install the line; the memory fill overlaps with the instructions that follow, so the
-  // requester pays only the issue cost (the honest model would track overlap windows; the
-  // two-cycle charge matches dcbt's pipeline occupancy).
-  // The victim rule of TouchLine: the minimum stamp is the first invalid way, else LRU.
-  size_t victim = 0;
-  for (size_t w = 0; w < field_words_; w += kSetGroup) {
-    victim = stamps[w] < stamps[victim] ? w : victim;
-  }
-  if (stamps[victim] != 0) {
-    ++stats_.evictions;
-    if (dirty[victim] != 0) {
-      ++stats_.dirty_writebacks;
-    }
-  }
-  tags[victim] = tag;
-  stamps[victim] = stamp;
-  dirty[victim] = 0;
-  return Cycles(2);
-}
-
 bool Cache::Contains(PhysAddr pa) const {
   const uint32_t tag = Tag(pa);
   const uint32_t* tags = SetWords(SetIndex(pa));

@@ -11,6 +11,7 @@
 #define PPCMM_SRC_SIM_CACHE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -53,60 +54,93 @@ class Cache {
   // the hottest function in the whole simulator (it is the body of Machine::TouchData and
   // TouchInstruction), and the call would otherwise cross a translation-unit boundary.
   Cycles Access(PhysAddr pa, bool is_write) {
+    ++stats_.accesses;
     const CacheAccessOutcome outcome = TouchLine(pa, is_write);
-    return Cycles(outcome.hit ? 1
-                              : timing_.line_fill_cycles +
-                                    (outcome.evicted_dirty ? timing_.writeback_cycles : 0));
+    if (outcome.hit) {
+      ++stats_.hits;
+      return Cycles(1);
+    }
+    ++stats_.misses;
+    return Cycles(timing_.line_fill_cycles +
+                  (outcome.evicted_dirty ? timing_.writeback_cycles : 0));
   }
 
-  // `n` (> 0) accesses to the single line containing `pa`, collapsed: bit-identical to
-  // calling Access `n` times with same-line addresses, and returns their cycles. Only the
-  // first access can miss; the remaining n-1 are hits on the line the first one left most
-  // recently used in its set, so they reduce to counter adds and 1 cycle each (its stamp
-  // already orders it last and its dirty bit already carries `is_write`). Serves the run
-  // charges the sweep kernel below does not take: short sub-line runs (PTEG probes,
-  // word-stride spans) and the idle loop's refetches of one line.
-  Cycles AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
-    const Cycles first = Access(pa, is_write);
-    stats_.accesses += n - 1;
-    stats_.hits += n - 1;
-    return first + Cycles(n - 1);
+  // `count` accesses from `pa` upwards, each `stride` bytes after the previous, and their
+  // cycles — bit-identical to `count` Access calls (state, counters and cycles). The one
+  // place a run is split into lines; every Machine run charge ends here. Addresses only
+  // increase, so each line is visited in one contiguous group whose first access is the
+  // only one that can miss. By stride:
+  //   0           the same address `count` (> 0) times: one line group (the idle loop's
+  //               refetches, the context switch's registers per task-structure line);
+  //   the line    one sweep (page zeroing, user fetches and copies) once the run has at
+  //               least kMinSweepLines lines, else one Access per line;
+  //   below it    the groups (PTEG scans, word-stride spans). When the stride is a power
+  //               of two dividing `pa`, each group ends at a line boundary, so its length
+  //               is a shift, and once at least kMinSweepLines whole lines remain they go
+  //               to one sweep with a per-line repeat count;
+  //   above it    every access is its own line: one Access each.
+  Cycles Run(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write) {
+    const uint32_t line = geometry_.line_bytes;
+    if (stride == 0) {
+      return AccessLineRun(pa, is_write, count);
+    }
+    if (stride == line && count >= kMinSweepLines) {
+      return SweepLines(pa, count, is_write);
+    }
+    Cycles cycles;
+    if (stride >= line) {
+      for (uint32_t i = 0; i < count; ++i) {
+        cycles += Access(pa + i * stride, is_write);
+      }
+      return cycles;
+    }
+    const bool aligned = std::has_single_bit(stride) && (pa.value & (stride - 1)) == 0;
+    const auto stride_shift = static_cast<uint32_t>(std::countr_zero(stride));
+    uint32_t i = 0;
+    while (i < count) {
+      const PhysAddr cur(pa.value + i * stride);
+      const uint32_t line_left = line - (cur.value & (line - 1));
+      if (aligned && line_left == line) {
+        const uint32_t group_shift = line_shift_ - stride_shift;
+        const uint32_t lines = (count - i) >> group_shift;
+        if (lines >= kMinSweepLines) {
+          cycles += SweepLines(cur, lines, is_write, 1u << group_shift);
+          i += lines << group_shift;
+          continue;
+        }
+      }
+      const uint32_t reps = std::min(
+          count - i, aligned ? line_left >> stride_shift : (line_left - 1) / stride + 1);
+      cycles += AccessLineRun(cur, is_write, reps);
+      i += reps;
+    }
+    return cycles;
   }
 
-  // Sweeps: runs of consecutive lines charged in one out-of-line pass of the set-parallel
-  // kernel, bit-identical to one Access per access (state, counters and cycles). The
-  // cycles are computed once from the counts as hits + misses * fill + write-backs *
-  // write-back.
-  //
-  // SweepLines: `lines` lines from the line containing `pa` upwards, each accessed `repeat`
-  // (> 0) times back to back (a sub-line-stride run's whole-line groups).
-  Cycles SweepLines(PhysAddr pa, uint32_t lines, bool is_write, uint32_t repeat = 1) {
-    return SweepSets<1>(pa, is_write, pa, is_write, lines, repeat);
-  }
   // SweepLinePairs: for each i < `lines`, line i of `a` then line i of `b` (a copy's load
-  // and store interleaved, as the two streams compete for the same sets).
+  // and store interleaved, as the two streams compete for the same sets), charged in one
+  // out-of-line pass of the set-parallel sweep kernel; bit-identical to one Access per
+  // access.
   Cycles SweepLinePairs(PhysAddr a, bool a_write, PhysAddr b, bool b_write, uint32_t lines) {
     return SweepSets<2>(a, a_write, b, b_write, lines, 1);
   }
 
-  // Performs one cache-inhibited access (the line is neither looked up nor allocated).
-  // Inline: the uncached idle-task configurations issue one of these per zeroed word.
-  Cycles AccessUncached(bool /*is_write*/) {
-    ++stats_.uncached_accesses;
-    return Cycles(timing_.single_beat_cycles);
-  }
-
-  // `n` cache-inhibited accesses, collapsed: every one costs the same single-beat latency
-  // and touches no line state, so the batch is n counter bumps and one multiply.
-  Cycles AccessUncachedRun(bool /*is_write*/, uint32_t n) {
+  // `n` cache-inhibited accesses: each costs the single-beat memory latency and neither
+  // looks up nor allocates a line, so the batch is a counter add and one multiply.
+  Cycles Uncached(uint32_t n) {
     stats_.uncached_accesses += n;
     return Cycles(static_cast<uint64_t>(timing_.single_beat_cycles) * n);
   }
 
-  // dcbt-style software prefetch: starts filling the line containing `pa` if absent. The
-  // fill overlaps with subsequent execution, so only the issue cost is charged — the paper's
-  // §10.2 "provide hints to the hardware about access patterns".
-  Cycles Prefetch(PhysAddr pa);
+  // dcbt-style software prefetch: installs the line containing `pa` if absent, as a load's
+  // fill would, but counts as a prefetch rather than an access. The fill overlaps with the
+  // instructions that follow, so only the issue cost is charged — 1 cycle when the line is
+  // resident, 2 (dcbt's pipeline occupancy) when it is installed — the paper's §10.2
+  // "provide hints to the hardware about access patterns".
+  Cycles Prefetch(PhysAddr pa) {
+    ++stats_.prefetches;
+    return Cycles(TouchLine(pa, /*is_write=*/false).hit ? 1 : 2);
+  }
 
   // Returns true if the line containing `pa` is currently resident.
   bool Contains(PhysAddr pa) const;
@@ -136,14 +170,14 @@ class Cache {
   // (checked at construction), so no address has it.
   static constexpr uint32_t kNoTag = 0xffffffffu;
 
-  // One access to the line containing `pa` in a single pass over the set's ways: the pass
+  // One touch of the line containing `pa` in a single pass over the set's ways: the pass
   // finds the hit, or else remembers the victim — the first invalid way, otherwise the
   // least recently used one (strict <, so the lowest way wins a tie). Both fall out of one
   // minimum over the stamps: an invalid line's stamp is always 0 (lines start that way and
   // are only invalidated wholesale, by InvalidateAll), while a valid line's is at least 1
-  // because every access takes the next tick of the clock.
+  // because every touch takes the next tick of the clock. Counts what a fill displaces;
+  // the caller counts the touch itself (an access, or a prefetch).
   CacheAccessOutcome TouchLine(PhysAddr pa, bool is_write) {
-    ++stats_.accesses;
     const uint32_t stamp = NextStamps(1);
     const uint32_t tag = Tag(pa);
     uint32_t* tags = SetWords(SetIndex(pa));
@@ -155,7 +189,6 @@ class Cache {
     uint32_t oldest = kMaxStamp;  // stamps[victim] once way 0 is read (no stamp is larger)
     for (size_t w = 0; w < field_words_; w += kSetGroup) {
       if (tags[w] == tag) {
-        ++stats_.hits;
         stamps[w] = stamp;
         dirty[w] |= static_cast<uint32_t>(is_write);
         return CacheAccessOutcome{.hit = true, .evicted_dirty = false};
@@ -164,7 +197,6 @@ class Cache {
       victim ^= (victim ^ w) & older;
       oldest = std::min(stamps[w], oldest);
     }
-    ++stats_.misses;
     CacheAccessOutcome outcome{.hit = false, .evicted_dirty = false};
     if (oldest != 0) {
       ++stats_.evictions;
@@ -191,6 +223,29 @@ class Cache {
     return first;
   }
   void RenumberStamps();
+
+  // `n` (> 0) accesses to the single line containing `pa`: only the first can miss; the
+  // remaining n-1 hit the line it left most recently used in its set, so they reduce to
+  // counter adds and 1 cycle each (its stamp already orders it last and its dirty bit
+  // already carries `is_write`).
+  Cycles AccessLineRun(PhysAddr pa, bool is_write, uint32_t n) {
+    const Cycles first = Access(pa, is_write);
+    stats_.accesses += n - 1;
+    stats_.hits += n - 1;
+    return first + Cycles(n - 1);
+  }
+
+  // `lines` lines from the line containing `pa` upwards, each accessed `repeat` (> 0) times
+  // back to back, in one pass of the sweep kernel. Its cycles are computed once from the
+  // counts, as hits + misses * fill + write-backs * write-back.
+  Cycles SweepLines(PhysAddr pa, uint32_t lines, bool is_write, uint32_t repeat = 1) {
+    return SweepSets<1>(pa, is_write, pa, is_write, lines, repeat);
+  }
+
+  // Below this many lines a run stays inline, one Access or AccessLineRun per line: a
+  // PTEG probe reads at most two lines, and a sweep shorter than one four-set step of the
+  // kernel runs none of its vector steps.
+  static constexpr uint32_t kMinSweepLines = 4;
 
   // The sweep kernel: `kStreams` (1 or 2) interleaved line streams, one chunk of distinct
   // sets at a time (cache.cc). It has lane steps for 2 and 4 ways, the L1s of the 603 and

@@ -7,8 +7,6 @@
 #ifndef PPCMM_SRC_SIM_MACHINE_H_
 #define PPCMM_SRC_SIM_MACHINE_H_
 
-#include <algorithm>
-#include <bit>
 #include <vector>
 
 #include "src/sim/attr.h"
@@ -16,8 +14,6 @@
 #include "src/sim/cycle_types.h"
 #include "src/sim/hw_counters.h"
 #include "src/sim/machine_config.h"
-#include <memory>
-
 #include "src/sim/memory.h"
 #include "src/sim/phys_addr.h"
 
@@ -38,8 +34,8 @@ class Machine {
   Cache& icache() { return *icache_cur_; }
   Cache& dcache() { return *dcache_cur_; }
   // A specific CPU's L1 caches (per-CPU verification views).
-  Cache& icache(uint32_t cpu) { return cpu == 0 ? icache_ : extra_cores_[cpu - 1]->icache; }
-  Cache& dcache(uint32_t cpu) { return cpu == 0 ? dcache_ : extra_cores_[cpu - 1]->dcache; }
+  Cache& icache(uint32_t cpu) { return cores_[cpu].icache; }
+  Cache& dcache(uint32_t cpu) { return cores_[cpu].dcache; }
 
   // ---- SMP interleaving ----
   //
@@ -90,7 +86,7 @@ class Machine {
   // Cache::Access, so the L1 hit (the overwhelmingly common case) costs no call.
   void TouchData(PhysAddr pa, bool is_write, bool cached = true) {
     if (!cached) {
-      AddCycles(dcache_cur_->AccessUncached(is_write));
+      AddCycles(dcache_cur_->Uncached(1));
       return;
     }
     AddCycles(dcache_cur_->Access(pa, is_write));
@@ -99,39 +95,36 @@ class Machine {
   // Charges one instruction fetch at `pa` through the instruction cache.
   void TouchInstruction(PhysAddr pa, bool cached = true) {
     if (!cached) {
-      AddCycles(icache_cur_->AccessUncached(false));
+      AddCycles(icache_cur_->Uncached(1));
       return;
     }
     AddCycles(icache_cur_->Access(pa, false));
   }
 
-  // Charges `count` data references starting at `pa`, each `stride` (> 0) bytes after the
-  // previous — bit-identical to `count` TouchData calls. Within the run addresses are
-  // strictly increasing, so each cache line is visited in one contiguous group: the first
-  // access of a group is the only one that can miss, the rest collapse inside
-  // AccessLineRun, and the cycles accumulate into a single AddCycles (the ledger charges
-  // the same total into the same open cell). A line-stride run is one Cache::SweepLines
-  // pass; an uncached run is O(1). Used by translation spans (which never cross a page)
-  // and by the kernel's bulk memory work and PTEG scans (page zeroing, HTAB search and
-  // reclaim), whose runs may span many pages.
+  // Charges `count` data references starting at `pa`, each `stride` bytes after the
+  // previous (stride 0: the same address each time) — bit-identical to `count` TouchData
+  // calls. Cache::Run splits the run into lines, and the cycles accumulate into a single
+  // AddCycles (the ledger charges the same total into the same open cell); an uncached run
+  // is O(1). Used by translation spans (which never cross a page), the context switch's
+  // register saves, and the kernel's bulk memory work and PTEG scans (page zeroing, HTAB
+  // search and reclaim), whose runs may span many pages.
   void TouchDataRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write,
                     bool cached = true) {
     if (!cached) {
-      AddCycles(dcache_cur_->AccessUncachedRun(is_write, count));
+      AddCycles(dcache_cur_->Uncached(count));
       return;
     }
-    AddCycles(
-        CachedRunCycles(*dcache_cur_, config_.dcache.line_bytes, pa, stride, count, is_write));
+    AddCycles(dcache_cur_->Run(pa, stride, count, is_write));
   }
 
   // Instruction-fetch variant of TouchDataRun, same contract against TouchInstruction.
+  // Stride 0 serves the idle loop's chunks, whose n fetches refetch one line.
   void TouchInstructionRun(PhysAddr pa, uint32_t stride, uint32_t count, bool cached = true) {
     if (!cached) {
-      AddCycles(icache_cur_->AccessUncachedRun(false, count));
+      AddCycles(icache_cur_->Uncached(count));
       return;
     }
-    AddCycles(CachedRunCycles(*icache_cur_, config_.icache.line_bytes, pa, stride, count,
-                              /*is_write=*/false));
+    AddCycles(icache_cur_->Run(pa, stride, count, /*is_write=*/false));
   }
 
   // Charges `count` line pairs — line i of `a` (uncached when `a_cached` is false), then
@@ -151,29 +144,6 @@ class Machine {
     AddCycles(dcache_cur_->SweepLinePairs(a, a_write, b, b_write, count));
   }
 
-  // Charges `count` (> 0) back-to-back instruction fetches of the same address `pa` —
-  // bit-identical to `count` TouchInstruction calls: only the first can miss, the rest hit
-  // the line it left resident (or each pay the same single-beat latency when uncached).
-  // Used by the idle loop's chunks, whose n fetches refetch one line over and over.
-  void TouchInstructionRepeat(PhysAddr pa, uint32_t count, bool cached = true) {
-    if (!cached) {
-      AddCycles(icache_cur_->AccessUncachedRun(false, count));
-      return;
-    }
-    AddCycles(icache_cur_->AccessLineRun(pa, /*is_write=*/false, count));
-  }
-
-  // Data-side twin of TouchInstructionRepeat: `count` (> 0) back-to-back data references
-  // to the same address, bit-identical to `count` TouchData calls. Used by the context
-  // switch, which saves or restores several registers into each task-structure line.
-  void TouchDataRepeat(PhysAddr pa, uint32_t count, bool is_write, bool cached = true) {
-    if (!cached) {
-      AddCycles(dcache_cur_->AccessUncachedRun(is_write, count));
-      return;
-    }
-    AddCycles(dcache_cur_->AccessLineRun(pa, is_write, count));
-  }
-
   // Issues a software data prefetch (dcbt) for the line containing `pa`.
   void PrefetchData(PhysAddr pa) { AddCycles(dcache_cur_->Prefetch(pa)); }
 
@@ -182,73 +152,25 @@ class Machine {
   double ElapsedSeconds() const { return CyclesToSeconds(Now(), config_.clock_mhz); }
 
  private:
-  // The cycles of a cached run through `cache` (the body shared by TouchDataRun and
-  // TouchInstructionRun); touches the cache but leaves the clock to the caller. A
-  // line-stride run is one sweep. Otherwise, when the stride is a power of two dividing
-  // the start address, every line group ends exactly at a line boundary, so its length is
-  // a shift rather than a division, and the whole-line groups of a sub-line run (PTEG
-  // scans) go to one sweep with a per-line repeat count once there are at least
-  // kMinSweepLines of them. The other groups go one AccessLineRun each.
-  Cycles CachedRunCycles(Cache& cache, uint32_t line, PhysAddr pa, uint32_t stride,
-                         uint32_t count, bool is_write) {
-    if (stride == line) {
-      return cache.SweepLines(pa, count, is_write);
-    }
-    const bool aligned = std::has_single_bit(stride) && (pa.value & (stride - 1)) == 0;
-    const auto stride_shift = static_cast<uint32_t>(std::countr_zero(stride));
-    const bool sweep_groups = aligned && stride < line;
-    Cycles cycles;
-    uint32_t i = 0;
-    while (i < count) {
-      const PhysAddr cur(pa.value + i * stride);
-      uint32_t reps = 1;
-      if (stride < line) {
-        const uint32_t line_left = line - (cur.value & (line - 1));
-        if (sweep_groups && line_left == line) {
-          const uint32_t group_shift = static_cast<uint32_t>(std::countr_zero(line)) - stride_shift;
-          const uint32_t per_line = 1u << group_shift;
-          const uint32_t lines = (count - i) >> group_shift;
-          if (lines >= kMinSweepLines) {
-            cycles += cache.SweepLines(cur, lines, is_write, per_line);
-            i += lines * per_line;
-            continue;
-          }
-        }
-        reps = std::min(count - i,
-                        aligned ? line_left >> stride_shift : (line_left - 1) / stride + 1);
-      }
-      cycles += cache.AccessLineRun(cur, is_write, reps);
-      i += reps;
-    }
-    return cycles;
-  }
-  // Below this many whole lines a sub-line run's groups stay inline, one AccessLineRun
-  // each: a PTEG probe reads at most two lines, and a sweep shorter than one four-set
-  // step of the kernel runs none of its vector steps.
-  static constexpr uint32_t kMinSweepLines = 4;
-
   MachineConfig config_;
   PhysicalMemory memory_;
-  // CPU 0's private core state, laid out exactly as the uniprocessor machine was so
-  // ncpus=1 stays bit-identical. CPUs 1+ live in extra_cores_ (unique_ptr for pointer
-  // stability: the hot-path cache pointers below alias into them).
-  Cache icache_;
-  Cache dcache_;
-  struct ExtraCore {
-    Cache icache;
-    Cache dcache;
-    ExtraCore(const MachineConfig& config)
+  // Each CPU's private L1 caches, one core per CPU, fixed at construction (the hot-path
+  // cache pointers below alias into them).
+  struct Core {
+    explicit Core(const MachineConfig& config)
         : icache("icache", config.icache, config.memory),
           dcache("dcache", config.dcache, config.memory) {}
+    Cache icache;
+    Cache dcache;
   };
-  std::vector<std::unique_ptr<ExtraCore>> extra_cores_;
+  std::vector<Core> cores_;
   HwCounters counters_;
   CycleLedger attr_;
-  // SMP spotlight: which CPU the hot paths currently model. The pointers are the only
-  // per-access indirection the refactor added; at ncpus=1 they never move off CPU 0.
+  // SMP spotlight: which CPU the hot paths currently model, and its caches; at ncpus=1
+  // the pointers never move off CPU 0.
   uint32_t current_cpu_ = 0;
-  Cache* icache_cur_ = &icache_;
-  Cache* dcache_cur_ = &dcache_;
+  Cache* icache_cur_ = nullptr;
+  Cache* dcache_cur_ = nullptr;
   std::vector<uint64_t> cpu_cycles_;
   uint64_t* cpu_cycles_cur_ = nullptr;
 };

@@ -1,4 +1,4 @@
-// The batched-run contract: UserTouchRun / Mmu::AccessRun must be bit-identical to
+// The batched-run contract: Kernel::UserTouchRun's per-page spans must be bit-identical to
 // issuing the same accesses one UserTouch at a time — across every fuzz preset, every
 // reload strategy, and with translation spans on and off. The driven workload crosses
 // every boundary a translation span must not batch across: demand faults mid-run, COW

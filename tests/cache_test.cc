@@ -85,7 +85,7 @@ TEST(CacheTest, WriteHitMarksDirty) {
 
 TEST(CacheTest, UncachedAccessNeitherAllocatesNorLooksUp) {
   Cache cache("d", SmallGeometry(), TestTiming());
-  const Cycles cost = cache.AccessUncached(true);
+  const Cycles cost = cache.Uncached(1);
   EXPECT_EQ(cost, Cycles(12));
   EXPECT_FALSE(cache.Contains(PhysAddr(0)));
   EXPECT_EQ(cache.stats().uncached_accesses, 1u);

@@ -1,6 +1,6 @@
 // The idle chunk contract: Kernel::RunIdle charges n idle iterations at a time (one fetch
-// replay through Mmu::ReplaySpan and Machine::TouchInstructionRepeat, n loop bodies, one
-// PTEG sweep over the n passes, the page zeroes and the spins), and that must be
+// replay through Mmu::ReplaySpan and a stride-0 Machine::TouchInstructionRun, n loop
+// bodies, one PTEG sweep over the n passes, the page zeroes and the spins), and that must be
 // bit-identical to iterating. Every case runs one idle schedule with translation spans off
 // (the per-iteration reference) and on, then compares everything the simulation exposes:
 // HwCounters, the I and D cache stats and per-CPU clocks, a follow-up workload's hits and

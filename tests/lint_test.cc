@@ -123,10 +123,9 @@ TEST(MmuLintFixtures, HotPathRulesFireAtStagedLines) {
 }
 
 TEST(MmuLintFixtures, SpanValidityRulesFireAtStagedLines) {
-  // AccessRun in the hotpath fixture stages both forbidden span-validity inputs: pointer
+  // ReplaySpan in the hotpath fixture stages both forbidden span-validity inputs: pointer
   // identity (reinterpret_cast) and wall-clock time (clock_gettime). The same cast in
-  // mmu.h, outside any registered body, and the registered-but-clean ReplaySpan must stay
-  // quiet.
+  // mmu.h, outside any registered body, must stay quiet.
   ExpectExactly(RunFixture("hotpath", "SPAN"),
                 {
                     {"src/mmu/mmu.cc", 23, "SPAN-GEN-027"},

@@ -69,12 +69,33 @@ TEST(CachePreloadTest, PrefetchInstallsLineCheaply) {
   EXPECT_FALSE(machine.dcache().Contains(pa));
   const Cycles before = machine.Now();
   machine.PrefetchData(pa);
-  EXPECT_LE((machine.Now() - before).value, 2u);  // overlapped fill: issue cost only
+  EXPECT_EQ((machine.Now() - before).value, 2u);  // overlapped fill: issue cost only
   EXPECT_TRUE(machine.dcache().Contains(pa));
-  // The following demand access is a hit.
+  // The following demand access is a hit, and the only access counted.
   machine.TouchData(pa, false);
+  EXPECT_EQ(machine.dcache().stats().accesses, 1u);
   EXPECT_EQ(machine.dcache().stats().hits, 1u);
+  EXPECT_EQ(machine.dcache().stats().misses, 0u);
   EXPECT_EQ(machine.dcache().stats().prefetches, 1u);
+}
+
+TEST(CachePreloadTest, PrefetchDisplacesLikeAFill) {
+  Machine machine(MachineConfig::Ppc604(185));
+  const CacheGeometry& geometry = machine.config().dcache;
+  const uint32_t way_bytes = geometry.NumSets() * geometry.line_bytes;
+  // Fill one set with dirty lines, then prefetch one more line into it: the LRU line goes,
+  // and is written back, as on a demand fill.
+  for (uint32_t w = 0; w < geometry.associativity; ++w) {
+    machine.TouchData(PhysAddr(0x4000 + w * way_bytes), /*is_write=*/true);
+  }
+  const CacheStats before = machine.dcache().stats();
+  machine.PrefetchData(PhysAddr(0x4000 + geometry.associativity * way_bytes));
+  const CacheStats& after = machine.dcache().stats();
+  EXPECT_FALSE(machine.dcache().Contains(PhysAddr(0x4000)));
+  EXPECT_EQ(after.evictions, before.evictions + 1);
+  EXPECT_EQ(after.dirty_writebacks, before.dirty_writebacks + 1);
+  EXPECT_EQ(after.accesses, before.accesses);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST(CachePreloadTest, PreloadHintsSpeedColdContextSwitches) {

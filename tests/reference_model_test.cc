@@ -121,7 +121,8 @@ void ExpectMatchesReference(const Cache& cache, const ReferenceRun& reference,
 }
 
 // The sweep kernels against one reference access per line: a single stream from the line
-// of its start address upwards, or two interleaved streams (line i of a, then line i of b).
+// of its start address upwards (a line-stride Cache::Run), or two interleaved streams (line
+// i of a, then line i of b).
 // Starts are unaligned, runs cross the set-index wrap, outrun the cache, and revisit lines
 // an earlier sweep left resident and dirty.
 TEST_P(CacheModelSweep, SweepsMatchReferenceLruModel) {
@@ -141,7 +142,7 @@ TEST_P(CacheModelSweep, SweepsMatchReferenceLruModel) {
     const uint64_t cycles_before = reference.cycles;
     uint64_t cycles = 0;
     if (rng.Chance(1, 2)) {
-      cycles = cache.SweepLines(a, lines, a_write).value;
+      cycles = cache.Run(a, line, lines, a_write).value;
       for (uint32_t l = 0; l < lines; ++l) {
         reference.Access(a + l * line, a_write);
       }
@@ -165,9 +166,10 @@ TEST_P(CacheModelSweep, SweepsMatchReferenceLruModel) {
 
 // Stamps are 32-bit and renumbered by rank in each set when the clock would pass
 // Cache::kMaxStamp. Each round moves the clock to just below that point and then mixes
-// every entry point across it: single accesses, same-line repeats with counts near
-// UINT32_MAX (the idle fast-forward's instruction fetches), line sweeps with and without a
-// per-line repeat, and pair sweeps with the streams in the same or in different sets.
+// every entry point across it: single accesses, same-line repeats (stride-0 runs) with
+// counts near UINT32_MAX (the idle fast-forward's instruction fetches), line sweeps
+// (line-stride runs, or sub-line-stride runs from a line-aligned start, which repeat each
+// line), and pair sweeps with the streams in the same or in different sets.
 TEST_P(CacheModelSweep, StampRenumberingIsExact) {
   const CacheGeometry geometry = GetParam();
   Cache cache("model", geometry, kModelTiming);
@@ -198,7 +200,7 @@ TEST_P(CacheModelSweep, StampRenumberingIsExact) {
           const uint32_t n = rng.Chance(1, 2)
                                  ? UINT32_MAX - static_cast<uint32_t>(rng.NextBelow(8))
                                  : 1 + static_cast<uint32_t>(rng.NextBelow(6));
-          const uint64_t cycles = cache.AccessLineRun(a, a_write, n).value;
+          const uint64_t cycles = cache.Run(a, /*stride=*/0, n, a_write).value;
           reference.Access(a, a_write, n);
           ASSERT_EQ(cycles, reference.cycles - cycles_before);
           break;
@@ -206,10 +208,11 @@ TEST_P(CacheModelSweep, StampRenumberingIsExact) {
         case 2: {
           const auto lines = static_cast<uint32_t>(rng.NextBelow(2 * geometry.NumSets()));
           const uint32_t repeat = rng.Chance(1, 2) ? 1 : line / 8;
-          const uint64_t cycles = cache.SweepLines(a, lines, a_write, repeat).value;
+          const PhysAddr start(a.value & ~(line - 1));
+          const uint64_t cycles = cache.Run(start, line / repeat, lines * repeat, a_write).value;
           for (uint32_t l = 0; l < lines; ++l) {
-            reference.Access(a + l * line, a_write, repeat);
-            probes.push_back(a + l * line);
+            reference.Access(start + l * line, a_write, repeat);
+            probes.push_back(start + l * line);
           }
           ASSERT_EQ(cycles, reference.cycles - cycles_before);
           break;

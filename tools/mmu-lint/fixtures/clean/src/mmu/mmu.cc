@@ -8,14 +8,10 @@ struct CleanMmu {
     return ea;
   }
   void InstallTlbEntry(unsigned ea) { last_ = ea; }
-  unsigned AccessRun(unsigned ea, unsigned n) {
+  unsigned ReplaySpan(unsigned ea, unsigned n) {
     // Span replay: valid only while the side-effect-free probe finds the page resident.
-    for (unsigned i = 0; i < n && resident_ == ea; ++i) {
-      last_ = ea + i;
-    }
-    return last_;
+    return resident_ == ea ? ea + n : 0;
   }
-  unsigned ReplaySpan(unsigned ea, unsigned n) { return resident_ == ea ? ea + n : 0; }
   unsigned last_ = 0;
   unsigned resident_ = 0;
 };

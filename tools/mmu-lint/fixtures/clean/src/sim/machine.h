@@ -2,11 +2,9 @@
 #include "src/sim/cache.h"
 struct CleanMachine {
   unsigned TouchData(unsigned ea) const { return cache_.Access(ea); }
-  unsigned TouchDataRun(unsigned ea, unsigned n) const { return cache_.SweepLines(ea, n); }
+  unsigned TouchDataRun(unsigned ea, unsigned n) const { return cache_.Run(ea, n); }
   unsigned TouchInstruction(unsigned ea) const { return ea + 2; }
   unsigned TouchInstructionRun(unsigned ea, unsigned n) const { return ea + 2 * n; }
-  unsigned TouchInstructionRepeat(unsigned ea, unsigned n) const { return ea + n; }
-  unsigned TouchDataRepeat(unsigned ea, unsigned n) const { return ea + 3 * n; }
   unsigned TouchDataPairRun(unsigned a, unsigned b, unsigned n) const {
     return cache_.SweepLinePairs(a, b, n);
   }

@@ -19,12 +19,11 @@ struct FixtureMmu {
     return ea;
   }
   void InstallTlbEntry(unsigned ea) { spare_ = new unsigned(ea); }  // line 21: HOT-ALLOC-020
-  unsigned AccessRun(unsigned ea, unsigned gen) {
+  unsigned ReplaySpan(unsigned ea, unsigned gen) {
     const unsigned key = unsigned(reinterpret_cast<unsigned long>(&gen));  // line 23: SPAN-GEN-027
     long now = 0;
     clock_gettime(0, &now);  // line 25: SPAN-GEN-027
     return ea + key + gen + unsigned(now);
   }
-  unsigned ReplaySpan(unsigned ea, unsigned n) { return ea + n; }
   unsigned* spare_ = nullptr;
 };

@@ -6,9 +6,9 @@ struct FixtureCache {
     return line;
   }
   unsigned Access(unsigned line) const { return TouchLine(line) + 1; }
-  unsigned AccessUncached(unsigned line) const { return line + history_.size(); }
+  unsigned Run(unsigned line, unsigned n) const { return AccessLineRun(line, n) + SweepLines(line, n); }
+  unsigned Uncached(unsigned n) const { return n + history_.size(); }
   unsigned AccessLineRun(unsigned line, unsigned n) const { return TouchLine(line) + n; }
-  unsigned AccessUncachedRun(unsigned line, unsigned n) const { return line * n; }
   unsigned SweepLines(unsigned line, unsigned n) const { return SweepSets(line, line, n); }
   unsigned SweepLinePairs(unsigned a, unsigned b, unsigned n) const { return SweepSets(a, b, n); }
   unsigned SweepSets(unsigned a, unsigned b, unsigned n) const;

@@ -106,14 +106,12 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/sim/machine.h", "Machine", "TouchDataRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchInstruction", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchInstructionRun", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/machine.h", "Machine", "TouchInstructionRepeat", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/machine.h", "Machine", "TouchDataRepeat", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/machine.h", "Machine", "TouchDataPairRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "Access", {"WalkPte", "MarkPteDirty"}},
+      {"src/sim/cache.h", "Cache", "Run", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "AccessLineRun", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "TouchLine", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "AccessUncached", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "AccessUncachedRun", {"WalkPte", "MarkPteDirty"}},
+      {"src/sim/cache.h", "Cache", "Uncached", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "SweepLines", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.h", "Cache", "SweepLinePairs", {"WalkPte", "MarkPteDirty"}},
       {"src/sim/cache.cc", "Cache", "SweepSets", {"WalkPte", "MarkPteDirty"}},
@@ -123,7 +121,6 @@ const std::vector<HotFunction>& HotFunctions() {
       {"src/mmu/hash_table.cc", "HashTable", "Search", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/hash_table.cc", "HashTable", "ProbePair", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/mmu.cc", "Mmu", "Access", {"WalkPte"}},
-      {"src/mmu/mmu.cc", "Mmu", "AccessRun", {"WalkPte"}},
       {"src/mmu/mmu.cc", "Mmu", "ReplaySpan", {"WalkPte", "MarkPteDirty"}},
       {"src/mmu/mmu.cc", "Mmu", "Reload", {}},
       {"src/mmu/mmu.cc", "Mmu", "SoftwareRefill", {}},
@@ -133,11 +130,10 @@ const std::vector<HotFunction>& HotFunctions() {
 }
 
 const std::vector<HotFunction>& SpanValidityFunctions() {
-  // The places a translation span is judged valid: the shared replay gate ReplaySpan and
-  // its caller AccessRun. banned_virtual is unused here (the PTE-tree bans live in the
-  // HotFunctions() entries).
+  // The one place a translation span is judged valid: the replay gate ReplaySpan, which
+  // every batched caller goes through. banned_virtual is unused here (the PTE-tree bans live
+  // in the HotFunctions() entries).
   static const std::vector<HotFunction> kSpan = {
-      {"src/mmu/mmu.cc", "Mmu", "AccessRun", {}},
       {"src/mmu/mmu.cc", "Mmu", "ReplaySpan", {}},
   };
   return kSpan;

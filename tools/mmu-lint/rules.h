@@ -81,7 +81,7 @@ const std::vector<HotFunction>& HotFunctions();
 const std::vector<BannedIdent>& HotPathBans();
 
 // SPAN-GEN-027: translation-span validity comes from a side-effect-free lookup. The
-// registered span-validity bodies (the Mmu::ReplaySpan gate and its AccessRun caller) must
+// registered span-validity body (the Mmu::ReplaySpan gate every batched caller uses) must
 // not consult wall-clock time or launder pointer identity into validity state — a recycled
 // TlbEntry at the same address must still be judged by its tag. Missing registered bodies
 // fall under HOT-MISSING-025 like the hot functions.
