@@ -1,10 +1,11 @@
 // Google-benchmark microbenchmarks over the primitive operations the paper's cost model is
 // built from: TLB reloads by strategy, HTAB search/insert, per-page and lazy flushes,
-// syscalls and context switches. These measure *simulated* cycles per operation (reported
-// as the "sim_cycles" counter) as well as host throughput of the simulator itself; the
-// cache sweep cases report host time per line.
+// syscalls and context switches. These measure *simulated* cycles per operation as well as
+// host throughput of the simulator itself; the cache sweep cases report host time per line.
 
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "src/core/system.h"
 #include "src/kernel/layout.h"
@@ -21,6 +22,24 @@ std::unique_ptr<System> NewSystem(ReloadStrategy strategy, bool optimized) {
                                     ? MachineConfig::Ppc604(185)
                                     : MachineConfig::Ppc603(180);
   return std::make_unique<System>(machine, config);
+}
+
+// Every case reports the same two counters, so every output format works (Google
+// Benchmark's CSV reporter takes its columns from the first case it prints and aborts on a
+// counter it has not seen):
+//   sim_cycles_per_op  simulated cycles per iteration (0 where the case charges none);
+//   unit               host time per unit of work, printed with an "n" suffix for
+//                      nanoseconds: per iteration, unless the case's label names its unit
+//                      (a cache line for the sweeps, an access for the short runs).
+void Report(benchmark::State& state, uint64_t sim_cycles, uint64_t units) {
+  state.counters["sim_cycles_per_op"] = benchmark::Counter(
+      static_cast<double>(sim_cycles) / static_cast<double>(state.iterations()));
+  state.counters["unit"] = benchmark::Counter(
+      static_cast<double>(units), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void ReportPerOp(benchmark::State& state, uint64_t sim_cycles) {
+  Report(state, sim_cycles, static_cast<uint64_t>(state.iterations()));
 }
 
 TaskId Spawn(Kernel& kernel) {
@@ -47,11 +66,9 @@ void BM_TlbReload(benchmark::State& state) {
     page = (page + 1) % 200;
   }
   const uint64_t misses = system->counters().dtlb_misses - misses0;
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(system->counters().cycles - cycles0) /
-      static_cast<double>(state.iterations()));
-  state.counters["miss_rate"] =
-      benchmark::Counter(static_cast<double>(misses) / static_cast<double>(state.iterations()));
+  ReportPerOp(state, system->counters().cycles - cycles0);
+  const double miss_rate = static_cast<double>(misses) / static_cast<double>(state.iterations());
+  state.SetLabel("dtlb misses/op " + std::to_string(miss_rate));
 }
 BENCHMARK(BM_TlbReload)
     ->Arg(static_cast<int>(ReloadStrategy::kHardwareHtabWalk))
@@ -67,9 +84,7 @@ void BM_NullSyscall(benchmark::State& state) {
   for (auto _ : state) {
     kernel.NullSyscall();
   }
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(system->counters().cycles - cycles0) /
-      static_cast<double>(state.iterations()));
+  ReportPerOp(state, system->counters().cycles - cycles0);
 }
 BENCHMARK(BM_NullSyscall)->Arg(0)->Arg(1);  // 0 = C handlers, 1 = optimized
 
@@ -84,9 +99,7 @@ void BM_ContextSwitch(benchmark::State& state) {
     kernel.SwitchTo(flip ? a : b);
     flip = !flip;
   }
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(system->counters().cycles - cycles0) /
-      static_cast<double>(state.iterations()));
+  ReportPerOp(state, system->counters().cycles - cycles0);
 }
 BENCHMARK(BM_ContextSwitch);
 
@@ -100,9 +113,7 @@ void BM_EagerPageFlush(benchmark::State& state) {
   for (auto _ : state) {
     kernel.flusher().FlushPage(*task.mm, EffAddr(kUserDataBase));
   }
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(system->counters().cycles - cycles0) /
-      static_cast<double>(state.iterations()));
+  ReportPerOp(state, system->counters().cycles - cycles0);
 }
 BENCHMARK(BM_EagerPageFlush);
 
@@ -115,9 +126,7 @@ void BM_LazyContextFlush(benchmark::State& state) {
   for (auto _ : state) {
     kernel.flusher().FlushContext(*task.mm, /*mm_is_current=*/true);
   }
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(system->counters().cycles - cycles0) /
-      static_cast<double>(state.iterations()));
+  ReportPerOp(state, system->counters().cycles - cycles0);
 }
 BENCHMARK(BM_LazyContextFlush);
 
@@ -133,6 +142,7 @@ void BM_HtabSearchHit(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(htab.Search(pte.virt_page(), charger));
   }
+  ReportPerOp(state, 0);
 }
 BENCHMARK(BM_HtabSearchHit);
 
@@ -143,6 +153,7 @@ void BM_HtabSearchMiss(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(htab.Search(vp, charger));
   }
+  ReportPerOp(state, 0);
 }
 BENCHMARK(BM_HtabSearchMiss);
 
@@ -164,9 +175,7 @@ void BM_PageFault(benchmark::State& state) {
       state.ResumeTiming();
     }
   }
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(system->counters().cycles - cycles0) /
-      static_cast<double>(state.iterations()));
+  ReportPerOp(state, system->counters().cycles - cycles0);
 }
 BENCHMARK(BM_PageFault);
 
@@ -199,8 +208,7 @@ void BM_DirtyBitTrap(benchmark::State& state) {
       state.ResumeTiming();
     }
   }
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(trap_cycles) / static_cast<double>(state.iterations()));
+  ReportPerOp(state, trap_cycles);
 }
 BENCHMARK(BM_DirtyBitTrap);
 
@@ -211,17 +219,18 @@ void BM_Prefetch(benchmark::State& state) {
     machine.PrefetchData(PhysAddr(addr));
     addr = (addr + 32) & 0xFFFFF;
   }
+  ReportPerOp(state, machine.Now().value);
 }
 BENCHMARK(BM_Prefetch);
 
-// Host time per cache line of the L1 sweep kernel, as the "line" counter (seconds per
-// line, printed with an "n" suffix for nanoseconds). One case per kernel specialisation
-// the simulator runs: all-miss read streams on the 2-way 603 and the 4-way 604, write
-// sweeps over recycled frames that are partly resident in random ways, set-aligned page
-// copies (two streams), and PTEG reclaim scans (whole lines with a per-line repeat).
-void SetLineRate(benchmark::State& state, uint64_t lines) {
-  state.counters["line"] = benchmark::Counter(
-      static_cast<double>(lines), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+// Host time per cache line of the L1 sweep kernel, as the "unit" counter. One case per
+// kernel specialisation the simulator runs: all-miss read streams on the 2-way 603 and the
+// 4-way 604, write sweeps over recycled frames that are partly resident in random ways,
+// set-aligned page copies (two streams), and PTEG reclaim scans (whole lines with a
+// per-line repeat).
+void ReportPerLine(benchmark::State& state, const Machine& machine, uint64_t lines) {
+  Report(state, machine.Now().value, lines);
+  state.SetLabel("unit: line");
 }
 
 void BM_SweepAllMissRead603(benchmark::State& state) {
@@ -235,8 +244,7 @@ void BM_SweepAllMissRead603(benchmark::State& state) {
     frame = (frame + 1) % 256;  // a 1 MB stream through an 8 KB cache: every line misses
     total += lines;
   }
-  benchmark::DoNotOptimize(machine.Now());
-  SetLineRate(state, total);
+  ReportPerLine(state, machine, total);
 }
 BENCHMARK(BM_SweepAllMissRead603);
 
@@ -258,8 +266,7 @@ void BM_SweepRecycledWrites604(benchmark::State& state) {
     machine.TouchDataRun(PhysAddr::FromFrame(zeroed), line, lines, /*is_write=*/true);
     total += n + lines;
   }
-  benchmark::DoNotOptimize(machine.Now());
-  SetLineRate(state, total);
+  ReportPerLine(state, machine, total);
 }
 BENCHMARK(BM_SweepRecycledWrites604)->Arg(1);  // the argument seeds the frame choice
 
@@ -276,8 +283,7 @@ void BM_SweepAllMissRead604(benchmark::State& state) {
     frame = (frame + 1) % 1024;
     total += lines;
   }
-  benchmark::DoNotOptimize(machine.Now());
-  SetLineRate(state, total);
+  ReportPerLine(state, machine, total);
 }
 BENCHMARK(BM_SweepAllMissRead604);
 
@@ -296,8 +302,7 @@ void BM_SweepCopyPairs604(benchmark::State& state) {
     ++i;
     total += 2 * lines;
   }
-  benchmark::DoNotOptimize(machine.Now());
-  SetLineRate(state, total);
+  ReportPerLine(state, machine, total);
 }
 BENCHMARK(BM_SweepCopyPairs604);
 
@@ -318,15 +323,14 @@ void BM_PtegReclaimScan604(benchmark::State& state) {
     offset = (offset + kPtegs * kPtegBytes) % (64 * 1024);
     total += kPtegs * kPtegBytes / line;
   }
-  benchmark::DoNotOptimize(machine.Now());
-  SetLineRate(state, total);
+  ReportPerLine(state, machine, total);
 }
 BENCHMARK(BM_PtegReclaimScan604);
 
 // Short runs, the shape of PTEG probes and of user runs near a page end: `n` reads at
 // `stride` bytes (8, the 604's 32-byte line, or two lines) charged as one TouchDataRun
 // (run=1) or as n TouchData calls (run=0), over 8 KB of the 16 KB L1 so they hit once warm.
-// Host time per access, as the "access" counter.
+// Host time per access, as the "unit" counter.
 void BM_ShortRun604(benchmark::State& state) {
   Machine machine(MachineConfig::Ppc604(185));
   const auto n = static_cast<uint32_t>(state.range(0));
@@ -346,9 +350,8 @@ void BM_ShortRun604(benchmark::State& state) {
     offset = (offset + 264) % (8 * 1024);
     total += n;
   }
-  benchmark::DoNotOptimize(machine.Now());
-  state.counters["access"] = benchmark::Counter(
-      static_cast<double>(total), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  Report(state, machine.Now().value, total);
+  state.SetLabel("unit: access");
 }
 BENCHMARK(BM_ShortRun604)
     ->ArgsProduct({{1, 2, 4}, {8, 32, 64}, {0, 1}})
@@ -369,9 +372,7 @@ void BM_PipeRoundTrip(benchmark::State& state) {
     kernel.PipeRead(pipe, EffAddr(kUserDataBase), 1);
     kernel.SwitchTo(a);
   }
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(system->counters().cycles - cycles0) /
-      static_cast<double>(state.iterations()));
+  ReportPerOp(state, system->counters().cycles - cycles0);
 }
 BENCHMARK(BM_PipeRoundTrip);
 
@@ -388,9 +389,7 @@ void BM_ForkExit(benchmark::State& state) {
     const TaskId child = kernel.Fork(parent);
     kernel.Exit(child);
   }
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(system->counters().cycles - cycles0) /
-      static_cast<double>(state.iterations()));
+  ReportPerOp(state, system->counters().cycles - cycles0);
 }
 BENCHMARK(BM_ForkExit);
 
@@ -405,9 +404,7 @@ void BM_ShmAttachDetach(benchmark::State& state) {
     kernel.UserTouch(EffAddr::FromPage(start), AccessKind::kStore);
     kernel.ShmDetach(start, 16);
   }
-  state.counters["sim_cycles_per_op"] = benchmark::Counter(
-      static_cast<double>(system->counters().cycles - cycles0) /
-      static_cast<double>(state.iterations()));
+  ReportPerOp(state, system->counters().cycles - cycles0);
 }
 BENCHMARK(BM_ShmAttachDetach);
 

@@ -74,45 +74,38 @@ class Cache {
   //               refetches, the context switch's registers per task-structure line);
   //   the line    one sweep (page zeroing, user fetches and copies) once the run has at
   //               least kMinSweepLines lines, else one Access per line;
-  //   below it    the groups (PTEG scans, word-stride spans). When the stride is a power
-  //               of two dividing `pa`, each group ends at a line boundary, so its length
-  //               is a shift, and once at least kMinSweepLines whole lines remain they go
-  //               to one sweep with a per-line repeat count;
+  //   below it    a run within two lines (a PTEG probe, a short PTE read) is one group
+  //               per line, inline; longer ones go to RunGroups (cache.cc);
   //   above it    every access is its own line: one Access each.
   Cycles Run(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write) {
     const uint32_t line = geometry_.line_bytes;
     if (stride == 0) {
       return AccessLineRun(pa, is_write, count);
     }
+    if (stride < line) {
+      const uint64_t last = pa.value + uint64_t{count - 1} * stride;
+      const uint32_t first_line = pa.value >> line_shift_;
+      if (last >> line_shift_ == first_line) {
+        return AccessLineRun(pa, is_write, count);
+      }
+      if (last >> line_shift_ == first_line + 1) {
+        // The accesses below the next line boundary: ceil(line_left / stride), a shift for
+        // a power-of-two stride (the PTEG's 8 bytes).
+        const uint32_t line_left = line - (pa.value & (line - 1));
+        const uint32_t first = (stride & (stride - 1)) == 0
+                                   ? (line_left + stride - 1) >> std::countr_zero(stride)
+                                   : (line_left + stride - 1) / stride;
+        return AccessLineRun(pa, is_write, first) +
+               AccessLineRun(pa + first * stride, is_write, count - first);
+      }
+      return RunGroups(pa, stride, count, is_write);
+    }
     if (stride == line && count >= kMinSweepLines) {
       return SweepLines(pa, count, is_write);
     }
     Cycles cycles;
-    if (stride >= line) {
-      for (uint32_t i = 0; i < count; ++i) {
-        cycles += Access(pa + i * stride, is_write);
-      }
-      return cycles;
-    }
-    const bool aligned = std::has_single_bit(stride) && (pa.value & (stride - 1)) == 0;
-    const auto stride_shift = static_cast<uint32_t>(std::countr_zero(stride));
-    uint32_t i = 0;
-    while (i < count) {
-      const PhysAddr cur(pa.value + i * stride);
-      const uint32_t line_left = line - (cur.value & (line - 1));
-      if (aligned && line_left == line) {
-        const uint32_t group_shift = line_shift_ - stride_shift;
-        const uint32_t lines = (count - i) >> group_shift;
-        if (lines >= kMinSweepLines) {
-          cycles += SweepLines(cur, lines, is_write, 1u << group_shift);
-          i += lines << group_shift;
-          continue;
-        }
-      }
-      const uint32_t reps = std::min(
-          count - i, aligned ? line_left >> stride_shift : (line_left - 1) / stride + 1);
-      cycles += AccessLineRun(cur, is_write, reps);
-      i += reps;
+    for (uint32_t i = 0; i < count; ++i) {
+      cycles += Access(pa + i * stride, is_write);
     }
     return cycles;
   }
@@ -176,8 +169,22 @@ class Cache {
   // minimum over the stamps: an invalid line's stamp is always 0 (lines start that way and
   // are only invalidated wholesale, by InvalidateAll), while a valid line's is at least 1
   // because every touch takes the next tick of the clock. Counts what a fill displaces;
-  // the caller counts the touch itself (an access, or a prefetch).
+  // the caller counts the touch itself (an access, or a prefetch). The pass is unrolled for
+  // the 603's and 604's 2 and 4 ways; other associativities loop.
   CacheAccessOutcome TouchLine(PhysAddr pa, bool is_write) {
+    switch (geometry_.associativity) {
+      case 2:
+        return TouchWays(pa, is_write, 2 * kSetGroup);
+      case 4:
+        return TouchWays(pa, is_write, 4 * kSetGroup);
+      default:
+        return TouchWays(pa, is_write, field_words_);
+    }
+  }
+  // TouchLine's pass over the `words` (field_words_) words of one field. Forced inline, so
+  // each constant above gets its own fully unrolled copy of the pass.
+  [[gnu::always_inline]] CacheAccessOutcome TouchWays(PhysAddr pa, bool is_write,
+                                                      size_t words) {
     const uint32_t stamp = NextStamps(1);
     const uint32_t tag = Tag(pa);
     uint32_t* tags = SetWords(SetIndex(pa));
@@ -187,7 +194,8 @@ class Cache {
     // branch on the stamps, which mispredicts whenever the LRU way varies between misses.
     size_t victim = 0;
     uint32_t oldest = kMaxStamp;  // stamps[victim] once way 0 is read (no stamp is larger)
-    for (size_t w = 0; w < field_words_; w += kSetGroup) {
+#pragma GCC unroll 4
+    for (size_t w = 0; w < words; w += kSetGroup) {
       if (tags[w] == tag) {
         stamps[w] = stamp;
         dirty[w] |= static_cast<uint32_t>(is_write);
@@ -241,6 +249,12 @@ class Cache {
   Cycles SweepLines(PhysAddr pa, uint32_t lines, bool is_write, uint32_t repeat = 1) {
     return SweepSets<1>(pa, is_write, pa, is_write, lines, repeat);
   }
+
+  // A sub-line-stride run over more than two lines, one group per line (cache.cc). When
+  // the stride is a power of two dividing `pa`, each group ends at a line boundary, so its
+  // length is a shift, and once at least kMinSweepLines whole lines remain they go to one
+  // sweep with a per-line repeat count.
+  Cycles RunGroups(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write);
 
   // Below this many lines a run stays inline, one Access or AccessLineRun per line: a
   // PTEG probe reads at most two lines, and a sweep shorter than one four-set step of the

@@ -319,6 +319,81 @@ TEST_P(CacheModelSweep, LongMisalignedPairSweepsMatchReferenceLruModel) {
   EXPECT_GT(reference.stats.dirty_writebacks, 0u);
 }
 
+// The sweep kernel's chunk shapes, for every pair of stream write flags: chunks that start
+// and end inside one four-set group (pairs shorter than a group, and single streams whose
+// set-index wrap leaves a chunk of one to three sets), chunks with both ends mid-group, and
+// long runs from a group boundary over whole groups only. Each shape goes out as a pair
+// sweep, a line-stride run and a quarter-line-stride run (whole lines with a repeat count),
+// after random traffic that leaves the swept lines and their neighbours in the same sets
+// partly resident and dirty.
+TEST_P(CacheModelSweep, SweepChunkShapesMatchReferenceLruModel) {
+  const CacheGeometry geometry = GetParam();
+  const uint32_t line = geometry.line_bytes;
+  const uint32_t sets = geometry.NumSets();
+  const uint32_t way_bytes = sets * line;
+  struct Shape {
+    uint32_t first_set;
+    uint32_t lines;
+  };
+  const std::vector<Shape> shapes = {
+      // Inside one group.
+      {1, 1}, {1, 2}, {2, 1}, {5, 2}, {sets - 3, 2}, {sets - 2, 4}, {sets - 1, 4}, {sets - 3, 5},
+      // Both ends mid-group.
+      {1, 6}, {2, 9}, {3, 14}, {5, 23}, {sets / 2 + 1, sets / 2 - 2}, {3, sets + 2},
+      // Whole groups only.
+      {0, 4}, {4, 8}, {0, sets}, {sets / 2, sets / 2}, {8, sets}, {0, 2 * sets}};
+  for (const bool a_write : {false, true}) {
+    for (const bool b_write : {false, true}) {
+      Cache cache("model", geometry, kModelTiming);
+      ReferenceRun reference(geometry);
+      Rng rng(500 + (a_write ? 2 : 0) + (b_write ? 1 : 0));
+      for (const Shape& shape : shapes) {
+        for (int mode = 0; mode < 3; ++mode) {
+          SCOPED_TRACE(std::string(a_write ? "store" : "load") + "/" +
+                       (b_write ? "store" : "load") + " first_set=" +
+                       std::to_string(shape.first_set) + " lines=" + std::to_string(shape.lines) +
+                       " mode=" + std::to_string(mode));
+          const uint32_t base = static_cast<uint32_t>(rng.NextBelow(8)) * way_bytes;
+          const PhysAddr a(base + shape.first_set * line);
+          const PhysAddr b = a + static_cast<uint32_t>(1 + rng.NextBelow(3)) * way_bytes;
+          for (int t = 0; t < 3 * static_cast<int>(geometry.associativity) * 16; ++t) {
+            const PhysAddr pa(base + static_cast<uint32_t>(rng.NextBelow(4 * way_bytes)));
+            const bool w = rng.Chance(1, 2);
+            const uint64_t before = reference.cycles;
+            const uint64_t cycles = cache.Access(pa, w).value;
+            reference.Access(pa, w);
+            ASSERT_EQ(cycles, reference.cycles - before);
+          }
+          const uint64_t cycles_before = reference.cycles;
+          uint64_t cycles = 0;
+          std::vector<PhysAddr> probes;
+          if (mode == 0) {
+            cycles = cache.SweepLinePairs(a, a_write, b, b_write, shape.lines).value;
+          } else {
+            const uint32_t repeat = mode == 1 ? 1 : 4;
+            cycles = cache.Run(a, line / repeat, shape.lines * repeat, a_write).value;
+          }
+          for (uint32_t l = 0; l < shape.lines; ++l) {
+            reference.Access(a + l * line, a_write, mode == 2 ? 4 : 1);
+            probes.push_back(a + l * line);
+            if (mode == 0) {
+              reference.Access(b + l * line, b_write);
+              probes.push_back(b + l * line);
+            }
+          }
+          ASSERT_EQ(cycles, reference.cycles - cycles_before);
+          for (uint32_t w = 1; w <= 4; ++w) {
+            probes.push_back(a + w * way_bytes);
+          }
+          ExpectMatchesReference(cache, reference, probes);
+        }
+      }
+      EXPECT_GT(reference.stats.hits, 0u);
+      EXPECT_GT(reference.stats.dirty_writebacks, 0u);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheModelSweep,
     ::testing::Values(

@@ -213,6 +213,37 @@ TEST(RunChargeTest, TouchDataRepeatMatchesTouchDataLoop) {
   }
 }
 
+// The PTEG probe shapes: stride-8 runs of 2 to 8 reads from each slot of a 64-byte PTEG,
+// so a run lies within one line, crosses into a second (Cache::Run's inline two-line path)
+// or, from the last slots, reaches a third (the group loop).
+TEST(RunChargeTest, PtegShapedRunsMatchTouchDataLoop) {
+  for (const ConfigCase& c : Configs()) {
+    MachinePair m(c.config);
+    uint64_t seed = 4000;
+    for (uint32_t slot = 0; slot < 8; ++slot) {
+      for (uint32_t count = 2; count <= 8; ++count) {
+        for (const bool is_write : {false, true}) {
+          const uint32_t start = 0x10000 + 64 * static_cast<uint32_t>(seed % 64) + 8 * slot;
+          SCOPED_TRACE(c.name + " slot=" + std::to_string(slot) + " count=" +
+                       std::to_string(count) + (is_write ? " store" : " load"));
+          m.run.TouchDataRun(PhysAddr(start), /*stride=*/8, count, is_write);
+          for (uint32_t i = 0; i < count; ++i) {
+            m.loop.TouchData(PhysAddr(start + 8 * i), is_write);
+          }
+          ExpectMachinesEqual(m.run, m.loop);
+          Traffic(m.run, seed, 300);
+          Traffic(m.loop, seed, 300);
+          ++seed;
+          ExpectMachinesEqual(m.run, m.loop);
+          if (testing::Test::HasFailure()) {
+            return;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- line sweeps ----
 
 // Leaves the 8 KB from `base` partly resident and partly dirty, in whichever ways the
