@@ -136,9 +136,6 @@ template <uint32_t kWays, uint32_t kStreams, bool kWriteA, bool kWriteB>
                                              const ChunkLanes& in, Tally& tally) {
   AccessLanes<kWays, kWriteA>(group, active, in.tag_a, in.stamp_a, tally);
   if constexpr (kStreams == 2) {
-    // Stream b rereads the rows stream a stored. Without this barrier GCC forwards them
-    // in registers, and the 4-way pair step spills them to the stack again.
-    asm("" ::: "memory");
     AccessLanes<kWays, kWriteB>(group, active, in.tag_b, in.stamp_b, tally);
   }
 }

@@ -169,22 +169,8 @@ class Cache {
   // minimum over the stamps: an invalid line's stamp is always 0 (lines start that way and
   // are only invalidated wholesale, by InvalidateAll), while a valid line's is at least 1
   // because every touch takes the next tick of the clock. Counts what a fill displaces;
-  // the caller counts the touch itself (an access, or a prefetch). The pass is unrolled for
-  // the 603's and 604's 2 and 4 ways; other associativities loop.
+  // the caller counts the touch itself (an access, or a prefetch).
   CacheAccessOutcome TouchLine(PhysAddr pa, bool is_write) {
-    switch (geometry_.associativity) {
-      case 2:
-        return TouchWays(pa, is_write, 2 * kSetGroup);
-      case 4:
-        return TouchWays(pa, is_write, 4 * kSetGroup);
-      default:
-        return TouchWays(pa, is_write, field_words_);
-    }
-  }
-  // TouchLine's pass over the `words` (field_words_) words of one field. Forced inline, so
-  // each constant above gets its own fully unrolled copy of the pass.
-  [[gnu::always_inline]] CacheAccessOutcome TouchWays(PhysAddr pa, bool is_write,
-                                                      size_t words) {
     const uint32_t stamp = NextStamps(1);
     const uint32_t tag = Tag(pa);
     uint32_t* tags = SetWords(SetIndex(pa));
@@ -194,8 +180,7 @@ class Cache {
     // branch on the stamps, which mispredicts whenever the LRU way varies between misses.
     size_t victim = 0;
     uint32_t oldest = kMaxStamp;  // stamps[victim] once way 0 is read (no stamp is larger)
-#pragma GCC unroll 4
-    for (size_t w = 0; w < words; w += kSetGroup) {
+    for (size_t w = 0; w < field_words_; w += kSetGroup) {
       if (tags[w] == tag) {
         stamps[w] = stamp;
         dirty[w] |= static_cast<uint32_t>(is_write);

@@ -1,6 +1,8 @@
 // host-sample's sampler, loaded into the program under test with LD_PRELOAD. A POSIX timer
-// on the process CPU-time clock raises SIGPROF every HOST_SAMPLE_PERIOD_US microseconds of
-// CPU time (default 1000), and the handler records the interrupted instruction pointer.
+// on the process CPU-time clock raises SIGPROF every millisecond of CPU time, and the
+// handler records the interrupted instruction pointer. The kernel checks that clock on its
+// scheduler tick, so on a kernel with a tick longer than a millisecond the samples come once
+// per tick.
 // At exit the samples go to the file named by HOST_SAMPLE_OUT, after a copy of
 // /proc/self/maps, which the symbolizer (tools/host-sample/host-sample) needs to turn
 // addresses into an object file and an offset. Without HOST_SAMPLE_OUT nothing happens.
@@ -27,8 +29,7 @@
 
 namespace {
 
-// Room for over an hour of CPU time at the default period; later samples are counted as
-// dropped.
+// Room for over an hour of CPU time; later samples are counted as dropped.
 constexpr size_t kMaxSamples = size_t{1} << 22;
 
 uintptr_t* g_samples = nullptr;
@@ -36,7 +37,6 @@ std::atomic<size_t> g_taken{0};
 timer_t g_timer{};
 bool g_armed = false;
 char g_out[4096];
-long g_period_us = 1000;
 
 uintptr_t InterruptedPc(const ucontext_t* uc) {
 #if defined(__x86_64__)
@@ -104,13 +104,6 @@ class Output {
   }
   std::memcpy(g_out, out, out_len + 1);
   unsetenv("HOST_SAMPLE_OUT");
-  if (const char* period = std::getenv("HOST_SAMPLE_PERIOD_US")) {
-    g_period_us = std::strtol(period, nullptr, 10);
-  }
-  if (g_period_us <= 0 || g_period_us >= 1000000) {
-    std::fprintf(stderr, "host-sample: HOST_SAMPLE_PERIOD_US must be 1..999999\n");
-    std::_Exit(2);
-  }
   void* buffer = mmap(nullptr, kMaxSamples * sizeof(uintptr_t), PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (buffer == MAP_FAILED) {
@@ -126,7 +119,7 @@ class Output {
   event.sigev_notify = SIGEV_SIGNAL;
   event.sigev_signo = SIGPROF;
   itimerspec spec = {};
-  spec.it_interval.tv_nsec = g_period_us * 1000;
+  spec.it_interval.tv_nsec = 1'000'000;
   spec.it_value = spec.it_interval;
   if (sigaction(SIGPROF, &action, nullptr) != 0 ||
       timer_create(CLOCK_PROCESS_CPUTIME_ID, &event, &g_timer) != 0 ||
@@ -152,8 +145,7 @@ class Output {
   }
   static Output out(fd);  // static: its 64 KB buffer stays off the stack
   char line[64];
-  int n = std::snprintf(line, sizeof line, "host-sample 1\nperiod_us %ld\ndropped %zu\n",
-                        g_period_us, taken - kept);
+  int n = std::snprintf(line, sizeof line, "host-sample 1\ndropped %zu\n", taken - kept);
   out.Append(line, static_cast<size_t>(n));
   const int maps = open("/proc/self/maps", O_RDONLY);
   if (maps >= 0) {
