@@ -48,6 +48,7 @@ Mmu::Mmu(Machine& machine, const MmuPolicy& policy, PhysAddr htab_base)
 }
 
 AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
+  // mmu-lint-hot(HOT-CLOSURE-030): every simulated access is translated here
   const bool supervisor = ea.IsKernel();
   HwCounters& counters = machine_.counters();
 
@@ -117,6 +118,7 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
       htab_.MarkChanged(vp, pt_charger);
     }
     if (backing_ != nullptr) {
+      // mmu-lint-allow(HOT-VIRT-024): a clean page's first store marks its Linux PTE dirty
       backing_->MarkPteDirty(ea, pt_charger);
     }
     entry->changed = true;  // a store, so `entry` is the DTLB entry for `vp`
@@ -132,6 +134,7 @@ AccessOutcome Mmu::Access(EffAddr ea, AccessKind kind) {
 }
 
 std::optional<Mmu::SpanTarget> Mmu::ReplaySpan(EffAddr ea, AccessKind kind, uint32_t n) {
+  // mmu-lint-hot(HOT-CLOSURE-030): the span gate every batched access goes through
   // A fault injector polls on every access, so it rules spans out. Otherwise the lookup is
   // Access()'s own — BAT, segment register, TLB — minus its side effects, so a span that
   // validates proves all n accesses would take the identical hit: nothing a replay does
@@ -265,6 +268,7 @@ std::optional<PteWalkInfo> Mmu::SoftwareRefill(EffAddr ea, VirtPage vp, bool ins
   DataMemCharger pt_charger(machine_, policy_.cache_page_tables);
 
   ++counters.pte_tree_walks;
+  // mmu-lint-allow(HOT-VIRT-024): the software reload exists to walk the PTE tree
   const std::optional<PteWalkInfo> info = backing_->WalkPte(ea, pt_charger);
   if (!info.has_value()) {
     return std::nullopt;  // genuine page fault; the kernel repairs and retries

@@ -85,6 +85,7 @@ class Machine {
   // clock. `cached=false` models a cache-inhibited (WIMG I-bit) access. Inline, as is
   // Cache::Access, so the L1 hit (the overwhelmingly common case) costs no call.
   void TouchData(PhysAddr pa, bool is_write, bool cached = true) {
+    // mmu-lint-hot(HOT-CLOSURE-030): every translated data reference is charged here
     if (!cached) {
       AddCycles(dcache_cur_->Uncached(1));
       return;
@@ -94,6 +95,7 @@ class Machine {
 
   // Charges one instruction fetch at `pa` through the instruction cache.
   void TouchInstruction(PhysAddr pa, bool cached = true) {
+    // mmu-lint-hot(HOT-CLOSURE-030): every translated instruction fetch is charged here
     if (!cached) {
       AddCycles(icache_cur_->Uncached(1));
       return;
@@ -110,6 +112,7 @@ class Machine {
   // search and reclaim), whose runs may span many pages.
   void TouchDataRun(PhysAddr pa, uint32_t stride, uint32_t count, bool is_write,
                     bool cached = true) {
+    // mmu-lint-hot(HOT-CLOSURE-030): data spans and the kernel's bulk memory work
     if (!cached) {
       AddCycles(dcache_cur_->Uncached(count));
       return;
@@ -120,6 +123,7 @@ class Machine {
   // Instruction-fetch variant of TouchDataRun, same contract against TouchInstruction.
   // Stride 0 serves the idle loop's chunks, whose n fetches refetch one line.
   void TouchInstructionRun(PhysAddr pa, uint32_t stride, uint32_t count, bool cached = true) {
+    // mmu-lint-hot(HOT-CLOSURE-030): instruction spans and the idle loop's refetches
     if (!cached) {
       AddCycles(icache_cur_->Uncached(count));
       return;
@@ -134,6 +138,7 @@ class Machine {
   // (COW, private file pages) and the user/kernel copies of pipes and files.
   void TouchDataPairRun(PhysAddr a, bool a_write, bool a_cached, PhysAddr b, bool b_write,
                         uint32_t count) {
+    // mmu-lint-hot(HOT-CLOSURE-030): page copies and the pipe and file copies
     const uint32_t line = config_.dcache.line_bytes;
     if (!a_cached) {
       // An uncached access leaves no cache state behind, so the streams separate.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <sstream>
+#include <string_view>
 
 namespace mmulint {
 namespace {
@@ -206,6 +207,15 @@ bool MatchDefinition(const SourceFile& sf, const std::vector<ClassRange>& ranges
   if (before != std::string::npos && code[before] == '~') {
     return false;  // destructors: nothing the graph rules care about
   }
+  // A constructor's member initializer (`: table_(n), mem_(m) {`) opens no definition; a
+  // single `:` may only end an access specifier.
+  if (before != std::string::npos &&
+      (code[before] == ',' ||
+       (code[before] == ':' && (before == 0 || code[before - 1] != ':') &&
+        std::set<std::string>{"public", "private", "protected"}.count(
+            IdentEndingAt(code, PrevNonWs(code, before) + 1)) == 0))) {
+    return false;
+  }
   size_t p = SkipWs(code, tok.pos + tok.text.size());
   if (p == std::string::npos || code[p] != '(') {
     return false;
@@ -288,11 +298,23 @@ bool MatchDefinition(const SourceFile& sf, const std::vector<ClassRange>& ranges
 // Declared type of `ident` in code[begin, limit): an identifier naming a known class,
 // separated from `ident` only by whitespace / `&` / `*` / `const`. Covers parameters
 // (`Tlb& tlb`) and local declarations (`Helper h;`).
+// With `members_only`, [begin, limit) is a class body and only its own declarations count,
+// not the parameters or locals of the methods inside it.
 std::string InferDeclaredType(const std::string& code, size_t begin, size_t limit,
-                              const std::string& ident, const std::set<std::string>& classes) {
+                              const std::string& ident, const std::set<std::string>& classes,
+                              bool members_only = false) {
   for (size_t pos : FindIdentifier(code, ident)) {
     if (pos < begin || pos >= limit) {
       continue;
+    }
+    if (members_only) {
+      int depth = 0;
+      for (size_t i = begin + 1; i < pos; ++i) {
+        depth += code[i] == '(' || code[i] == '{' ? 1 : code[i] == ')' || code[i] == '}' ? -1 : 0;
+      }
+      if (depth != 0) {
+        continue;
+      }
     }
     size_t b = pos;
     for (;;) {
@@ -318,6 +340,50 @@ std::string InferDeclaredType(const std::string& code, size_t begin, size_t limi
     }
   }
   return std::string();
+}
+
+// Offset one past the `>` closing the template argument list whose `<` is at `open`, or
+// npos when the text is no such list: only names, numbers, `::`, `,`, `*`, single `&` and
+// nested lists may appear, which keeps comparisons like `a < b && c > (d)` out.
+size_t SkipTemplateArgs(const std::string& code, size_t open) {
+  int depth = 0;
+  for (size_t i = open; i < code.size(); ++i) {
+    const char c = code[i];
+    if (c == '<') {
+      ++depth;
+    } else if (c == '>') {
+      if (--depth == 0) {
+        return i + 1;
+      }
+    } else if ((c == '&' && code[i + 1] == '&') ||
+               (!IsIdentChar(c) && std::string_view(" \t\n,:*&").find(c) == std::string::npos)) {
+      return std::string::npos;
+    }
+  }
+  return std::string::npos;
+}
+
+// True when the name at `pos`, whose text (and template arguments) end before `after`, is
+// the operand of a unary `&` (`= &Fn`, `? &Fn<2>`, `return &Fn`): not of a binary and or a
+// reference declarator (`a & Fn`, `Type& fn`), nor the start of a data access (`&v[i]`,
+// `&obj.field`).
+bool AddressTaken(const std::string& code, size_t pos, size_t after) {
+  if (after != std::string::npos &&
+      (code[after] == '[' || code[after] == '.' || code.compare(after, 2, "->") == 0)) {
+    return false;
+  }
+  const size_t amp = PrevNonWs(code, pos);
+  if (amp == std::string::npos || code[amp] != '&') {
+    return false;
+  }
+  const size_t prev = PrevNonWs(code, amp);
+  if (prev == std::string::npos) {
+    return true;
+  }
+  if (IsIdentChar(code[prev])) {
+    return IdentEndingAt(code, prev + 1) == "return";
+  }
+  return std::string_view("&)]>").find(code[prev]) == std::string::npos;
 }
 
 std::string LookupReceiverTable(const std::vector<ReceiverType>& table,
@@ -352,7 +418,12 @@ CallGraph BuildCallGraph(const Tree& tree) {
     ScanClasses(sf, &fi.ranges, &graph.classes);
     fi.tokens = Tokenize(sf.code);
   }
+  // Class name -> its bodies, for data-member receiver inference.
+  std::map<std::string, std::vector<std::pair<const std::string*, ClassRange>>> class_bodies;
   for (auto& [path, fi] : files) {
+    for (const ClassRange& range : fi.ranges) {
+      class_bodies[range.name].push_back({&fi.sf->code, range});
+    }
     for (const Token& tok : fi.tokens) {
       if (Keywords().count(tok.text) != 0) {
         continue;
@@ -407,8 +478,15 @@ CallGraph BuildCallGraph(const Tree& tree) {
         if (in_nested || Keywords().count(tok.text) != 0) {
           continue;
         }
-        const size_t after = SkipWs(code, tok.pos + tok.text.size());
-        if (after == std::string::npos || code[after] != '(') {
+        // A call is `name(` or `name<args>(`; a function whose address is taken gets the
+        // same edge, as the pointer is called later (`&SweepChunk<...>`).
+        size_t after = SkipWs(code, tok.pos + tok.text.size());
+        if (after != std::string::npos && code[after] == '<') {
+          after = SkipTemplateArgs(code, after);
+          after = after == std::string::npos ? after : SkipWs(code, after);
+        }
+        if ((after == std::string::npos || code[after] != '(') &&
+            !AddressTaken(code, tok.pos, after)) {
           continue;
         }
 
@@ -472,6 +550,14 @@ CallGraph BuildCallGraph(const Tree& tree) {
             recv_type = LookupReceiverTable(ReceiverTypes(), recv);
             if (recv_type.empty()) {
               recv_type = InferDeclaredType(code, def.name_pos, tok.pos, recv, graph.classes);
+            }
+            // A data member: its declaration in the caller's class body (`Cache* dcache_cur_;`).
+            for (const auto& [body_code, range] : class_bodies[node.cls]) {
+              if (!recv_type.empty()) {
+                break;
+              }
+              recv_type = InferDeclaredType(*body_code, range.begin, range.end, recv,
+                                            graph.classes, /*members_only=*/true);
             }
           }
           if (recv_type.empty()) {

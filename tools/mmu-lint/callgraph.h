@@ -9,10 +9,12 @@
 //                 `Class::name` out-of-line and in-class-brace-range definitions both get
 //                 the qualified id, overloads merge into one node with several defs
 //   call edges    resolved in confidence tiers: explicit `Cls::name(` (kQualified);
-//                 `recv.name(` / `recv->name(` through the declarative receiver tables or
-//                 a `Class&`/`Class*` parameter/local (kMember); a bare call matching a
-//                 method of the caller's own class (kSameClass); a bare call whose name is
-//                 defined exactly once in the tree (kUnique). A call through an UNKNOWN
+//                 `recv.name(` / `recv->name(` through the receiver's declaration (a
+//                 parameter, local or data member of the caller's class) or the
+//                 declarative receiver tables (kMember); a bare call matching a method of
+//                 the caller's own class (kSameClass); a bare call whose name is defined
+//                 exactly once in the tree (kUnique). `name<args>(` is a call too, and
+//                 `&name` an edge (the pointer is called later). A call through an UNKNOWN
 //                 receiver gets no edge at all — wrong edges are worse than missing ones.
 //
 // The graph indexes src/ only: tests and benches may poke at anything, the contracts bind

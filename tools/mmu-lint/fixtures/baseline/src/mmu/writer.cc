@@ -4,3 +4,8 @@
 void LegacyWriter::Stash(VirtPage vp) {
   htab_.Insert(pte, oracle, charger);
 }
+
+class HashTable;
+class LegacyWriter {
+  HashTable htab_;
+};

@@ -1,6 +1,6 @@
-// Call-graph builder corpus: overload merging, receiver inference through a reference
-// parameter, recursion, and a two-function cycle. Asserted via --callgraph-dump json in
-// lint_test — there are no staged rule violations here.
+// Call-graph builder corpus: overloads, receivers typed by a reference parameter or a
+// `Cls*` member, recursion, a cycle, explicit template arguments and a called-through
+// address. Asserted via --callgraph-dump json in lint_test; no rule violations are staged.
 
 class Widget {
  public:
@@ -48,4 +48,37 @@ void PongStage(uint32_t depth) {
   if (depth != 0) {
     PingStage(depth - 1);
   }
+}
+
+// Explicit template arguments sit between the name and the call parentheses.
+template <uint32_t kTurns>
+uint32_t Crank(uint32_t base) {
+  return base + kTurns;
+}
+
+uint32_t CrankTwice(uint32_t base) {
+  return Crank<2>(base) + Crank<1>(base);
+}
+
+// The address is taken here and the pointer called later: the edge is from the taker.
+void Settle(uint32_t depth) {
+  PingStage(depth);
+}
+
+void RunSettled(uint32_t depth) {
+  void (*stage)(uint32_t) = &Settle;
+  stage(depth);
+}
+
+// The receiver's type comes from the `Widget*` member declaration in the class body.
+class Gearbox {
+ public:
+  void Shift();
+
+ private:
+  Widget* widget_ = nullptr;
+};
+
+void Gearbox::Shift() {
+  widget_->Spin(2);
 }

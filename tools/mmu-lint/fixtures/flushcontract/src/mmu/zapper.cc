@@ -1,6 +1,6 @@
 // FLUSH-CONTRACT-029 corpus. Nothing here compiles as real code; mmu-lint is token-level
-// and only needs the shapes: htab_ resolves to HashTable via the receiver table, mmu_ to
-// Mmu, so each body below either reaches a flush primitive or does not.
+// and only needs the shapes: htab_ resolves to HashTable through its declaration below,
+// mmu_ to Mmu through the receiver table, so each body reaches a flush primitive or not.
 
 // Violation: a bare HTAB insert — nothing downstream ever runs tlbie.
 void VmaZap::ZapOne(VirtPage vp) {
@@ -35,3 +35,8 @@ void VmaZap::ZapBare(VirtPage vp) {
   // mmu-lint-deferred-flush(FLUSH-CONTRACT-029):
   htab_.Insert(pte, oracle, charger);
 }
+
+class HashTable;
+class VmaZap {
+  HashTable htab_;
+};

@@ -1,9 +1,9 @@
-// HOT-CLOSURE-030 corpus. Tlb::LookupPtr is a registered hot root (HotFunctions() in
-// rules.cc); Grow is only reachable THROUGH it, so the allocation inside Grow violates the
-// closure rule even though Grow itself is registered nowhere. DebugDump allocates too but
-// is unreachable from any hot root and must stay quiet.
+// HOT-CLOSURE-030 corpus. Tlb::LookupPtr is a marked hot root; Grow is only reachable
+// THROUGH it, so the allocation inside Grow violates the closure rule even though Grow
+// itself carries no marker. DebugDump allocates too but is unreachable from any hot root
+// and must stay quiet.
 
-inline TlbEntry* Tlb::LookupPtr(VirtPage vp) {
+inline TlbEntry* Tlb::LookupPtr(VirtPage vp) {  // mmu-lint-hot(HOT-CLOSURE-030): the root
   if (full_) {
     Grow();
   }

@@ -1,12 +1,19 @@
-// Fixture: clean hot-path bodies — TouchData/TouchInstruction must produce nothing.
+// Fixture: the Machine roots. TouchData allocates in its own body and reaches an
+// allocation in FixtureCache::TouchLine; TouchInstruction's marker gives no reason. The
+// first marker sits above its function instead of in it, so it marks nothing.
+#include <vector>
 #include "src/sim/cache.h"
 struct FixtureMachine {
-  unsigned TouchData(unsigned ea) const { return ea + 1; }
-  unsigned TouchDataRun(unsigned ea, unsigned n) const { return cache_.Run(ea, n); }
-  unsigned TouchInstruction(unsigned ea) const { return ea + 2; }
-  unsigned TouchInstructionRun(unsigned ea, unsigned n) const { return ea + 2 * n; }
-  unsigned TouchDataPairRun(unsigned a, unsigned b, unsigned n) const {
-    return cache_.SweepLinePairs(a, b, n);
+  // mmu-lint-hot(HOT-CLOSURE-030): a stray marker above the definition (HOT-MISSING-025)
+  unsigned TouchDataRun(unsigned ea, unsigned n) const { return ea + n; }
+  unsigned TouchData(unsigned ea) {
+    // mmu-lint-hot(HOT-CLOSURE-030): the fixture's data root
+    scratch_.push_back(ea);  // line 11: HOT-ALLOC-020
+    return cache_.TouchLine(ea);
   }
+  unsigned TouchInstruction(unsigned ea) const {  // mmu-lint-hot(HOT-CLOSURE-030)
+    return ea + 2;
+  }
+  std::vector<unsigned> scratch_;
   FixtureCache cache_;
 };

@@ -1,22 +1,19 @@
-// The four interprocedural analyses over the src/ call graph.
+// Three interprocedural analyses over the src/ call graph. The fourth, HOT-CLOSURE-030,
+// lives with the other hot-tier checks in hotpath.cc.
 //
 //   FLUSH-CONTRACT-029  every HTAB/PTE mutation reaches a flush primitive on the call
 //                       graph (or is annotated deferred-flush with a reason) — the
 //                       static form of the invariant the coherence auditor checks at
 //                       runtime: a stale translation must be invalidated (tlbie/tlbia,
 //                       IPI shootdown) or made architecturally unreachable (VSID retire).
-//   HOT-CLOSURE-030     the hot-path purity bans hold on everything reachable from the
-//                       registered hot roots, not just the roots — a helper grown under
-//                       Mmu::Access cannot quietly allocate.
 //   SMP-CONFINE-031     per-CPU state is touched only inside the spotlight/shootdown
 //                       gateway functions; everything else sees exactly one CPU.
 //   ATTR-COVER-032      every AddCycles/AddCyclesOn site in src/kernel sits under a
 //                       CycleScope on every call path from the kernel entry points, so
 //                       the profiler's "100% attributed" claim holds by construction.
 //
-// All four lean on the same conservative graph (tools/mmu-lint/callgraph.cc): edges exist
-// only where the resolver is confident, and the flush/attr walks treat "no edge" as "no
-// flush / no scope" — missing knowledge fails toward reporting, never toward silence.
+// The graph (tools/mmu-lint/callgraph.cc) has edges only where the resolver is confident,
+// and what a missing edge does differs per analysis; DESIGN.md §16 spells it out.
 
 #include <algorithm>
 #include <deque>
@@ -119,64 +116,6 @@ void CheckFlushContract(const LintConfig& config, const Tree& tree, const CallGr
              "mmu-lint-deferred-flush annotation on " + id +
                  " has no reason — the deferred-flush contract requires one",
              "append `: <why the flush is deferred and where it happens>`", out);
-      }
-    }
-  }
-}
-
-void CheckHotClosure(const LintConfig& config, const Tree& tree, const CallGraph& graph,
-                     std::vector<Diagnostic>* out) {
-  if (!RuleEnabled(config, "HOT-CLOSURE-030")) {
-    return;
-  }
-  std::set<std::string> boundary;
-  for (const ClosureBoundary& b : HotClosureBoundaries()) {
-    boundary.insert(b.id);
-  }
-  std::set<std::string> roots;
-  for (const HotFunction& fn : HotFunctions()) {
-    roots.insert(fn.qualifier + "::" + fn.name);
-  }
-  // BFS from the hot roots; parent links reconstruct the witness path for the message.
-  std::map<std::string, std::string> parent;
-  std::set<std::string> visited = roots;
-  std::deque<std::string> queue(roots.begin(), roots.end());
-  std::vector<std::string> closure;  // discovery order, non-root only
-  while (!queue.empty()) {
-    const std::string id = queue.front();
-    queue.pop_front();
-    auto it = graph.nodes.find(id);
-    if (it == graph.nodes.end()) {
-      continue;  // missing root: HOT-MISSING-025 already reports table rot
-    }
-    for (const CallSite& call : it->second.calls) {
-      if (boundary.count(call.callee) != 0 || graph.nodes.count(call.callee) == 0) {
-        continue;
-      }
-      if (visited.insert(call.callee).second) {
-        parent[call.callee] = id;
-        closure.push_back(call.callee);
-        queue.push_back(call.callee);
-      }
-    }
-  }
-  for (const std::string& id : closure) {
-    std::string path = id;
-    for (auto it = parent.find(id); it != parent.end(); it = parent.find(it->second)) {
-      path = it->second + " -> " + path;
-    }
-    const CallNode& node = graph.nodes.at(id);
-    for (const FuncDef& def : node.defs) {
-      const SourceFile& sf = tree.files.at(def.file);
-      const std::string body = sf.code.substr(def.body_begin, def.body_end - def.body_begin);
-      for (const BannedIdent& ban : HotPathBans()) {
-        for (size_t pos : FindIdentifier(body, ban.ident)) {
-          Emit(sf, LineOf(sf.code, def.body_begin + pos), "HOT-CLOSURE-030",
-               ban.ident + " in " + id + ", reachable from a hot root (" + path +
-                   "): " + ban.why,
-               ban.fix + " — or register an audited boundary in HotClosureBoundaries()",
-               out);
-        }
       }
     }
   }
@@ -363,7 +302,6 @@ void CheckAttrCover(const LintConfig& config, const Tree& tree, const CallGraph&
 void CheckGraphRules(const LintConfig& config, const Tree& tree, const CallGraph& graph,
                      LintResult* result) {
   CheckFlushContract(config, tree, graph, &result->diagnostics);
-  CheckHotClosure(config, tree, graph, &result->diagnostics);
   CheckSmpConfine(config, tree, graph, result);
   CheckAttrCover(config, tree, graph, result);
 }

@@ -1,86 +1,117 @@
-// HOT-* checks: the registered hot-path function bodies stay allocation-, exception-,
-// lock-, and I/O-free, and the pure-translation tier never dispatches into the PTE tree.
+// HOT-* and SPAN-GEN-027 checks: the hot tier stays allocation-, exception-, lock- and
+// I/O-free, judges spans by lookup alone, and never dispatches into the PTE tree.
 //
-// Body extraction is token-level: find the function name, require `( ... )` then
-// (optionally `const`/`noexcept`/`override`) a `{`, and brace-match. Call sites fail the
-// `{` test (they end in `;`, `)`, `,` ...), so the same name used as a call is skipped.
-// The check is non-transitive by design: it reads the tokens the author wrote in the
-// listed body, and the boundary helpers those bodies call (Tlb::Insert, Rng) are the
-// audited escape hatch — see DESIGN.md §12.
+// The hot tier is declared where it is defined: each entry point carries
+//   // mmu-lint-hot(HOT-CLOSURE-030): <reason>
+// on its signature line or inside its body, and the src/ call graph finds the rest. The
+// marked roots get the per-body bans (HOT-ALLOC/THROW/LOCK/IO, SPAN-GEN-027); everything
+// reachable from them gets the purity bans under HOT-CLOSURE-030; roots and closure alike
+// get the PTE-tree ban (HOT-VIRT-024), whose deliberate calls carry a mmu-lint-allow. A
+// marker in no function definition is HOT-MISSING-025, and one without a reason is a
+// HOT-CLOSURE-030 finding. See DESIGN.md §12.
 
+#include <deque>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "tools/mmu-lint/callgraph.h"
 #include "tools/mmu-lint/rules.h"
 
 namespace mmulint {
 namespace {
 
-// [begin, end) byte range of `name`'s body in sf.code, or {npos, npos} if no definition of
-// that name with a braced body exists in the file.
-std::pair<size_t, size_t> FindBody(const SourceFile& sf, const std::string& name) {
-  for (size_t pos : FindIdentifier(sf.code, name)) {
-    size_t p = sf.code.find_first_not_of(" \t\n", pos + name.size());
-    if (p == std::string::npos || sf.code[p] != '(') {
-      continue;
-    }
-    p = MatchForward(sf.code, p, '(', ')');
-    if (p == std::string::npos) {
-      continue;
-    }
-    // Skip trailing qualifiers between the parameter list and the body.
-    for (;;) {
-      p = sf.code.find_first_not_of(" \t\n", p);
-      if (p == std::string::npos) {
-        break;
-      }
-      bool skipped = false;
-      for (const char* qual : {"const", "noexcept", "override", "final"}) {
-        const std::string q(qual);
-        if (sf.code.compare(p, q.size(), q) == 0) {
-          p += q.size();
-          skipped = true;
-          break;
-        }
-      }
-      if (!skipped) {
-        break;
-      }
-    }
-    if (p == std::string::npos || sf.code[p] != '{') {
-      continue;  // declaration or call site, not a definition
-    }
-    const size_t end = MatchForward(sf.code, p, '{', '}');
-    if (end == std::string::npos) {
-      continue;
-    }
-    return {p, end};
-  }
-  return {std::string::npos, std::string::npos};
-}
+constexpr const char* kHotRule = "HOT-CLOSURE-030";
 
-void CheckBody(const LintConfig& config, const SourceFile& sf, const HotFunction& fn,
-               size_t begin, size_t end, std::vector<Diagnostic>* out) {
-  const std::string body = sf.code.substr(begin, end - begin);
-  const std::string label = fn.qualifier + "::" + fn.name;
-  for (const BannedIdent& ban : HotPathBans()) {
-    if (!RuleEnabled(config, ban.id)) {
+// One diagnostic per occurrence of an enabled ban's identifier in `def`'s body. A non-empty
+// `rule` replaces each ban's own id (the closure reports its purity bans as HOT-CLOSURE-030).
+void ScanBody(const LintConfig& config, const Tree& tree, const FuncDef& def,
+              const std::vector<BannedIdent>& bans, const std::string& rule,
+              const std::string& where, std::vector<Diagnostic>* out) {
+  const SourceFile& sf = tree.files.at(def.file);
+  const std::string body = sf.code.substr(def.body_begin, def.body_end - def.body_begin);
+  for (const BannedIdent& ban : bans) {
+    const std::string& id = rule.empty() ? ban.id : rule;
+    if (!RuleEnabled(config, id)) {
       continue;
     }
     for (size_t pos : FindIdentifier(body, ban.ident)) {
-      Emit(sf, LineOf(sf.code, begin + pos), ban.id,
-           ban.ident + " in hot-path function " + label + ": " + ban.why, ban.fix, out);
+      Emit(sf, LineOf(sf.code, def.body_begin + pos), id,
+           ban.ident + " in " + where + ": " + ban.why, ban.fix, out);
     }
   }
-  if (RuleEnabled(config, "HOT-VIRT-024")) {
-    for (const std::string& ident : fn.banned_virtual) {
-      for (size_t pos : FindIdentifier(body, ident)) {
-        Emit(sf, LineOf(sf.code, begin + pos), "HOT-VIRT-024",
-             label + " calls " + ident +
-                 ": the pure-translation tier must not dispatch into the PTE tree "
-                 "(only the reload tier may walk it)",
-             "move the walk into Mmu::Reload/SoftwareRefill and consume its PteWalkInfo here",
-             out);
+}
+
+// The functions holding a hot marker. A marker outside every definition marks nothing
+// (HOT-MISSING-025); one with no reason, or naming another rule, still marks its function
+// but is itself a finding.
+std::set<std::string> HotRoots(const LintConfig& config, const Tree& tree,
+                               const CallGraph& graph, std::vector<Diagnostic>* out) {
+  std::set<std::string> roots;
+  for (const auto& [path, sf] : tree.files) {
+    for (const SourceFile::Annotation& ann : sf.hot) {
+      const CallNode* fn = EnclosingFunction(graph, path, ann.pos, nullptr);
+      if (fn == nullptr) {
+        if (RuleEnabled(config, "HOT-MISSING-025")) {
+          Emit(sf, ann.line, "HOT-MISSING-025",
+               "mmu-lint-hot marker lies in no function definition of the src/ call graph, "
+               "so it marks nothing",
+               "put the marker on the hot function's signature line or inside its body", out);
+        }
+        continue;
+      }
+      roots.insert(fn->id);
+      if ((ann.reason.empty() || ann.rule != kHotRule) && RuleEnabled(config, kHotRule)) {
+        Emit(sf, ann.line, kHotRule,
+             "mmu-lint-hot marker on " + fn->id + " must name " + kHotRule +
+                 " and give a reason",
+             "write `// mmu-lint-hot(HOT-CLOSURE-030): <why this is a hot entry point>`", out);
+      }
+    }
+  }
+  return roots;
+}
+
+void CheckHotTier(const LintConfig& config, const Tree& tree, const CallGraph& graph,
+                  std::vector<Diagnostic>* out) {
+  const std::set<std::string> roots = HotRoots(config, tree, graph, out);
+  for (const std::string& id : roots) {
+    for (const FuncDef& def : graph.nodes.at(id).defs) {
+      const std::string where = "hot function " + id;
+      ScanBody(config, tree, def, HotPathBans(), "", where, out);
+      ScanBody(config, tree, def, SpanValidityBans(), "", where, out);
+      ScanBody(config, tree, def, PteTreeBans(), "", where, out);
+    }
+  }
+
+  // BFS from the roots; parent links reconstruct the witness path for the message.
+  std::set<std::string> boundary;
+  for (const ClosureBoundary& b : HotClosureBoundaries()) {
+    boundary.insert(b.id);
+  }
+  std::map<std::string, std::string> parent;
+  std::set<std::string> visited = roots;
+  std::deque<std::string> queue(roots.begin(), roots.end());
+  while (!queue.empty()) {
+    const std::string id = queue.front();
+    queue.pop_front();
+    for (const CallSite& call : graph.nodes.at(id).calls) {
+      if (boundary.count(call.callee) != 0 || graph.nodes.count(call.callee) == 0 ||
+          !visited.insert(call.callee).second) {
+        continue;
+      }
+      parent[call.callee] = id;
+      queue.push_back(call.callee);
+
+      std::string path = call.callee;
+      for (auto it = parent.find(call.callee); it != parent.end(); it = parent.find(it->second)) {
+        path = it->second + " -> " + path;
+      }
+      const std::string where = call.callee + ", reachable from a hot root (" + path + ")";
+      for (const FuncDef& def : graph.nodes.at(call.callee).defs) {
+        ScanBody(config, tree, def, HotPathBans(), kHotRule, where, out);
+        ScanBody(config, tree, def, PteTreeBans(), "", where, out);
       }
     }
   }
@@ -88,10 +119,11 @@ void CheckBody(const LintConfig& config, const SourceFile& sf, const HotFunction
 
 }  // namespace
 
-void CheckHotPaths(const LintConfig& config, const Tree& tree, std::vector<Diagnostic>* out) {
+void CheckHotPaths(const LintConfig& config, const Tree& tree, const CallGraph& graph,
+                   std::vector<Diagnostic>* out) {
   // HOT-ATTR-026: whole-file scan of the attribution-free hot headers. Unlike the body
-  // checks below this is not scoped to registered functions — a ledger reference anywhere
-  // in one of these headers (member, friend, helper) defeats the CycleScope contract.
+  // checks this is not scoped to functions — a ledger reference anywhere in one of these
+  // headers (member, friend, helper) defeats the CycleScope contract.
   for (const std::string& header : AttrCleanHeaders()) {
     auto it = tree.files.find(header);
     if (it == tree.files.end()) {
@@ -108,66 +140,7 @@ void CheckHotPaths(const LintConfig& config, const Tree& tree, std::vector<Diagn
       }
     }
   }
-
-  for (const HotFunction& fn : HotFunctions()) {
-    auto it = tree.files.find(fn.file);
-    const std::string label = fn.qualifier + "::" + fn.name;
-    if (it == tree.files.end()) {
-      if (RuleEnabled(config, "HOT-MISSING-025")) {
-        out->push_back({fn.file, 1, "HOT-MISSING-025",
-                        "hot-path rule table lists " + label + " in " + fn.file +
-                            ", but the file is not in the tree",
-                        "update HotFunctions() in tools/mmu-lint/rules.cc to the new location"});
-      }
-      continue;
-    }
-    const auto [begin, end] = FindBody(it->second, fn.name);
-    if (begin == std::string::npos) {
-      if (RuleEnabled(config, "HOT-MISSING-025")) {
-        out->push_back({fn.file, 1, "HOT-MISSING-025",
-                        "hot-path rule table lists " + label +
-                            ", but no definition with a body was found in " + fn.file,
-                        "update HotFunctions() in tools/mmu-lint/rules.cc to the new location"});
-      }
-      continue;
-    }
-    CheckBody(config, it->second, fn, begin, end, out);
-  }
-
-  // SPAN-GEN-027: the registered span-validity bodies must derive validity from a
-  // side-effect-free lookup alone — no wall-clock reads, no pointer identity smuggled in
-  // through casts. Missing bodies rot the table exactly like hot functions, so they fall
-  // under HOT-MISSING-025 too.
-  for (const HotFunction& fn : SpanValidityFunctions()) {
-    const std::string label = fn.qualifier + "::" + fn.name;
-    auto it = tree.files.find(fn.file);
-    const auto [begin, end] =
-        it != tree.files.end()
-            ? FindBody(it->second, fn.name)
-            : std::pair<size_t, size_t>{std::string::npos, std::string::npos};
-    if (begin == std::string::npos) {
-      if (RuleEnabled(config, "HOT-MISSING-025")) {
-        out->push_back(
-            {fn.file, 1, "HOT-MISSING-025",
-             "span-validity rule table lists " + label +
-                 ", but no definition with a body was found in " + fn.file,
-             "update SpanValidityFunctions() in tools/mmu-lint/rules.cc to the new location"});
-      }
-      continue;
-    }
-    const SourceFile& sf = it->second;
-    const std::string body = sf.code.substr(begin, end - begin);
-    for (const BannedIdent& ban : SpanValidityBans()) {
-      if (!RuleEnabled(config, ban.id)) {
-        continue;
-      }
-      for (size_t pos : FindIdentifier(body, ban.ident)) {
-        Emit(sf, LineOf(sf.code, begin + pos), ban.id,
-             ban.ident + " in span-validity function " + label + ": " + ban.why, ban.fix,
-             out);
-      }
-    }
-  }
+  CheckHotTier(config, tree, graph, out);
 }
 
 }  // namespace mmulint

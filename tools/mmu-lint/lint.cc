@@ -76,9 +76,9 @@ void LoadTree(const LintConfig& config, Tree* tree, LintResult* result) {
   }
 }
 
-// The closure rules and hot-function table name specific files; if the real tree no longer
-// has them, the rule tables have rotted and the run must not quietly pass. Fixture trees
-// opt out by running with a --rules filter that skips the family.
+// The closure rules name specific files; if the real tree no longer has them, the rule
+// tables have rotted and the run must not quietly pass. Fixture trees opt out by running
+// with a --rules filter that skips the family.
 void CheckRuleTableRoots(const LintConfig& config, const Tree& tree, LintResult* result) {
   for (const ClosureRule& rule : ClosureRules()) {
     if (!RuleEnabled(config, rule.id)) {
@@ -172,10 +172,10 @@ LintResult RunLint(const LintConfig& config) {
   CheckRuleTableRoots(config, tree, &result);
   CheckLayering(config, tree, &result.diagnostics);
   CheckDeterminism(config, tree, &result.diagnostics);
-  CheckHotPaths(config, tree, &result.diagnostics);
   CheckSmp(config, tree, &result.diagnostics);
   CheckCounters(config, tree, &result.diagnostics);
   const CallGraph graph = BuildCallGraph(tree);
+  CheckHotPaths(config, tree, graph, &result.diagnostics);
   CheckGraphRules(config, tree, graph, &result);
   std::sort(result.diagnostics.begin(), result.diagnostics.end());
   ApplyBaseline(config, &result);

@@ -1,13 +1,14 @@
 // mmu-lint: project-specific static analysis for the ppcmm simulator.
 //
-// Five rule families, all driven by the declarative tables in rules.cc:
+// Five rule families, driven by the declarative tables in rules.cc and, for the hot tier,
+// by mmu-lint-hot markers in the source:
 //
 //   LAYER-*  include-DAG layering (sim < mmu/pagetable < kernel < core < obs < workloads
 //            < verify), fuzz-oracle independence, hot-path headers free of src/obs
 //   DET-*    no nondeterminism sources in simulated state (rand, wall clocks,
 //            unordered-container iteration, host threads outside the sweep pool)
-//   HOT-*    listed hot-path function bodies free of allocation, throw, locks, stream I/O,
-//            and PTE-tree virtual dispatch
+//   HOT-*    marked hot entry points and everything they reach free of allocation,
+//            throw, locks, stream I/O, and PTE-tree virtual dispatch
 //   SMP-*    cross-CPU TLB mutation confined to the IPI shootdown path in
 //            src/kernel/flush.cc (anything else edits a remote TLB for free)
 //   CNT-*    HwCounters X-macro list consistent with MetricsRegistry dotted names and the

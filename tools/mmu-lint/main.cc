@@ -40,7 +40,8 @@ int Usage(std::ostream& out, int code) {
          "  // mmu-lint-allow(DET-ITER-012): order provably cannot reach simulated state\n"
          "Function-level contract annotations (reason required):\n"
          "  // mmu-lint-deferred-flush(FLUSH-CONTRACT-029): <where the flush happens>\n"
-         "  // mmu-lint-ambient(ATTR-COVER-032): <why this charge is user time>\n";
+         "  // mmu-lint-ambient(ATTR-COVER-032): <why this charge is user time>\n"
+         "  // mmu-lint-hot(HOT-CLOSURE-030): <why this is a hot entry point>\n";
   return code;
 }
 

@@ -96,49 +96,6 @@ const std::vector<RuleExemption>& DeterminismRuleExemptions() {
   return kExempt;
 }
 
-const std::vector<HotFunction>& HotFunctions() {
-  // banned_virtual lists the PteBackingSource entry points that may NOT be reached from the
-  // body. The pure-translation tier (TLB/cache lookups) must never touch the PTE tree; the
-  // reload tier (Mmu::Reload / SoftwareRefill) exists to walk it, and Mmu::Access's deferred
-  // C-bit path legitimately calls MarkPteDirty, so only WalkPte is banned there.
-  static const std::vector<HotFunction> kHot = {
-      {"src/sim/machine.h", "Machine", "TouchData", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/machine.h", "Machine", "TouchDataRun", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/machine.h", "Machine", "TouchInstruction", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/machine.h", "Machine", "TouchInstructionRun", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/machine.h", "Machine", "TouchDataPairRun", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "Access", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "Run", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "AccessLineRun", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "TouchLine", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "Uncached", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "SweepLines", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.h", "Cache", "SweepLinePairs", {"WalkPte", "MarkPteDirty"}},
-      {"src/sim/cache.cc", "Cache", "SweepSets", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/tlb.h", "Tlb", "LookupPtr", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/tlb.h", "Tlb", "ProbePtr", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/tlb.h", "Tlb", "TouchLruRun", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/hash_table.cc", "HashTable", "Search", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/hash_table.cc", "HashTable", "ProbePair", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/mmu.cc", "Mmu", "Access", {"WalkPte"}},
-      {"src/mmu/mmu.cc", "Mmu", "ReplaySpan", {"WalkPte", "MarkPteDirty"}},
-      {"src/mmu/mmu.cc", "Mmu", "Reload", {}},
-      {"src/mmu/mmu.cc", "Mmu", "SoftwareRefill", {}},
-      {"src/mmu/mmu.cc", "Mmu", "InstallTlbEntry", {"WalkPte", "MarkPteDirty"}},
-  };
-  return kHot;
-}
-
-const std::vector<HotFunction>& SpanValidityFunctions() {
-  // The one place a translation span is judged valid: the replay gate ReplaySpan, which
-  // every batched caller goes through. banned_virtual is unused here (the PTE-tree bans live
-  // in the HotFunctions() entries).
-  static const std::vector<HotFunction> kSpan = {
-      {"src/mmu/mmu.cc", "Mmu", "ReplaySpan", {}},
-  };
-  return kSpan;
-}
-
 const std::vector<BannedIdent>& SpanValidityBans() {
   static const std::vector<BannedIdent> kBans = {
       {"SPAN-GEN-027", "reinterpret_cast", "pointer identity laundered into span validity",
@@ -211,6 +168,18 @@ const std::vector<BannedIdent>& HotPathBans() {
   return kBans;
 }
 
+const std::vector<BannedIdent>& PteTreeBans() {
+  static const std::vector<BannedIdent> kBans = {
+      {"HOT-VIRT-024", "WalkPte", "a PTE-tree walk from the hot tier (only a reload walks it)",
+       "consume the reload's PteWalkInfo, or mark a deliberate walk "
+       "`// mmu-lint-allow(HOT-VIRT-024): <reason>`"},
+      {"HOT-VIRT-024", "MarkPteDirty", "a PTE-tree write from the hot tier",
+       "let the reload or the deferred C-bit path mark the PTE, and mark that call "
+       "`// mmu-lint-allow(HOT-VIRT-024): <reason>`"},
+  };
+  return kBans;
+}
+
 const std::vector<std::string>& AttrCleanHeaders() {
   // The LAYER-HOT-OBS-003 root set minus src/sim/machine.h: machine.h is the sanctioned
   // owner of the CycleLedger and the CycleScope hook, every other hot header must stay
@@ -262,31 +231,16 @@ const std::vector<std::string>& SmpIpiAllowlist() {
 }
 
 const std::vector<ReceiverType>& ReceiverTypes() {
-  // Member/variable names whose class is fixed by convention across the tree. The builder
-  // falls back to `Class&`/`Class*` parameter and local-declaration inference for names
-  // not listed here; an unknown receiver produces no edge at all.
+  // Receivers whose class no declaration the builder reads can give: smart-pointer members
+  // (`std::unique_ptr<Mmu> mmu_`) and struct fields reached through a chain
+  // (`task.mm->page_table`, `owner.table`). Every other receiver resolves through its
+  // declaration — a `Class&`/`Class*`/`Class` parameter, local or data member — and an
+  // unknown receiver produces no edge at all.
   static const std::vector<ReceiverType> kReceivers = {
-      {"machine_", "Machine"},
-      {"machine", "Machine"},
       {"mmu_", "Mmu"},
-      {"htab_", "HashTable"},
-      {"htab", "HashTable"},
-      {"itlb", "Tlb"},
-      {"dtlb", "Tlb"},
-      {"tlb", "Tlb"},
-      {"ibats_", "BatArray"},
-      {"dbats_", "BatArray"},
-      {"bats", "BatArray"},
-      {"segments", "SegmentRegs"},
-      {"backing_", "PteBackingSource"},
       {"page_table", "PageTable"},
       {"kernel_page_table_", "PageTable"},
       {"table", "PageTable"},
-      {"mem_", "MemManager"},
-      {"page_cache_", "PageCache"},
-      {"flusher_", "FlushEngine"},
-      {"vsids_", "VsidSpace"},
-      {"allocator_", "PageAllocator"},
   };
   return kReceivers;
 }
@@ -387,9 +341,13 @@ const std::vector<std::string>& SmpConfineExemptFiles() {
 }
 
 const std::vector<std::string>& KernelEntryPoints() {
-  // The kernel's public surface: everything a workload, bench, or test can call. Ambient
-  // (unattributed = user) time flows in from here; ATTR-COVER-032 walks the graph from
-  // these roots and every AddCycles site reached without crossing a CycleScope fires.
+  // The kernel's public operations (everything a workload, bench, or test can call), plus
+  // four private functions entered from hooks and fault paths, each rooted here so it is
+  // checked as if entered with no CycleScope open: HandleVsidRollover (VsidSpace's rollover
+  // hook, a lambda the graph cannot follow), InjectZombieFlood (the fault injector's flood
+  // in SwitchTo), and HandlePageFault / HandleCowFault (the handlers RepairFault dispatches
+  // to). Ambient (unattributed = user) time flows in from here; ATTR-COVER-032 walks the
+  // graph from these roots and every AddCycles site reached without a CycleScope fires.
   static const std::vector<std::string> kRoots = {
       "Kernel::CreateTask",    "Kernel::SwitchTo",       "Kernel::SwitchCpu",
       "Kernel::Fork",          "Kernel::Exec",           "Kernel::Exit",
@@ -426,26 +384,26 @@ std::vector<std::pair<std::string, std::string>> ListRules() {
       {"DET-ITER-012", "no iteration over unordered containers in simulated state"},
       {"DET-THREAD-013", "no host threads, mutexes or condition variables in src/ outside the "
                          "sweep pool (src/sim/sweep_runner.{h,cc})"},
-      {"HOT-ALLOC-020", "no allocation in hot-path function bodies"},
-      {"HOT-THROW-021", "no throw in hot-path function bodies"},
-      {"HOT-LOCK-022", "no locks in hot-path function bodies"},
-      {"HOT-IO-023", "no stream I/O or string formatting in hot-path function bodies"},
-      {"HOT-VIRT-024", "no PTE-tree virtual dispatch from pure-translation-tier bodies"},
-      {"HOT-MISSING-025", "every registered hot function must still exist where the rule "
-                          "table says it does"},
+      {"HOT-ALLOC-020", "no allocation in mmu-lint-hot root bodies"},
+      {"HOT-THROW-021", "no throw in mmu-lint-hot root bodies"},
+      {"HOT-LOCK-022", "no locks in mmu-lint-hot root bodies"},
+      {"HOT-IO-023", "no stream I/O or string formatting in mmu-lint-hot root bodies"},
+      {"HOT-VIRT-024", "no PTE-tree virtual dispatch (WalkPte/MarkPteDirty) from the hot roots "
+                       "or their call-graph closure, except calls allowed with a reason"},
+      {"HOT-MISSING-025", "every mmu-lint-hot marker must lie in a function definition"},
       {"HOT-ATTR-026", "no direct MetricsRegistry/BenchReport/cycle-ledger access in hot "
                        "headers; attribution goes through CycleScope only"},
       {"SPAN-GEN-027", "translation-span validity comes from a side-effect-free lookup — "
                        "no wall-clock reads or pointer-identity laundering in the "
-                       "registered span-validity bodies"},
+                       "mmu-lint-hot root bodies"},
       {"SMP-IPI-028", "no direct cross-CPU TLB mutation (Mmu::ShootdownInvalidate*) outside "
                       "the IPI shootdown path in src/kernel/flush.cc"},
       {"FLUSH-CONTRACT-029", "every HTAB/PTE/segment mutation must reach a flush primitive "
                              "(tlbie/tlbia, the IPI shootdown path, or VSID retirement) on "
                              "the call graph, or carry a mmu-lint-deferred-flush annotation"},
       {"HOT-CLOSURE-030", "purity bans (no alloc/throw/lock/stream-IO) hold on the whole "
-                          "call-graph closure reachable from the registered hot roots, not "
-                          "just the roots themselves"},
+                          "call-graph closure reachable from the mmu-lint-hot roots, not "
+                          "just the roots themselves; every marker carries a reason"},
       {"SMP-CONFINE-031", "per-CPU state (banks_, itlb(cpu)/dtlb(cpu)/segments(cpu), "
                           "AddCyclesOn, SetCurrentCpu) only inside the spotlight-switch and "
                           "shootdown gateway functions"},

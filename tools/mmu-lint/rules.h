@@ -2,8 +2,9 @@
 //
 // Everything the checks enforce lives in the tables defined in rules.cc; the check
 // functions in layering.cc / determinism.cc / hotpath.cc / counters.cc are generic
-// interpreters over them. Adding a hot function, banning a new identifier, or renaming a
-// layer is a one-line table edit.
+// interpreters over them. Banning a new identifier or renaming a layer is a one-line table
+// edit. The hot tier alone is declared in the source, by mmu-lint-hot markers on its entry
+// points (see hotpath.cc).
 
 #ifndef PPCMM_TOOLS_MMU_LINT_RULES_H_
 #define PPCMM_TOOLS_MMU_LINT_RULES_H_
@@ -65,28 +66,20 @@ const std::vector<RuleExemption>& DeterminismRuleExemptions();
 
 // ---- Hot-path purity (HOT-*) ---------------------------------------------------------
 
-struct HotFunction {
-  std::string file;       // root-relative path holding the definition
-  std::string qualifier;  // class name for the message, e.g. "Tlb"
-  std::string name;       // unqualified function name to locate, e.g. "LookupPtr"
-  // Extra identifiers banned in THIS body beyond the global hot-path bans — the
-  // PTE-tree virtual entry points, banned only where the function is in the
-  // pure-translation tier (reload tiers legitimately walk the tree).
-  std::vector<std::string> banned_virtual;
-};
-
-const std::vector<HotFunction>& HotFunctions();
-
-// Globally banned inside every hot function body, with the rule that fires.
+// Banned inside every marked hot-root body, with the rule that fires. The call-graph
+// closure of the roots gets the same bans under HOT-CLOSURE-030.
 const std::vector<BannedIdent>& HotPathBans();
 
-// SPAN-GEN-027: translation-span validity comes from a side-effect-free lookup. The
-// registered span-validity body (the Mmu::ReplaySpan gate every batched caller uses) must
-// not consult wall-clock time or launder pointer identity into validity state — a recycled
-// TlbEntry at the same address must still be judged by its tag. Missing registered bodies
-// fall under HOT-MISSING-025 like the hot functions.
-const std::vector<HotFunction>& SpanValidityFunctions();
+// SPAN-GEN-027: translation-span validity comes from a side-effect-free lookup. The marked
+// hot roots (Mmu::ReplaySpan, the span gate every batched caller uses, among them) must not
+// consult wall-clock time or launder pointer identity into validity state — a recycled
+// TlbEntry at the same address must still be judged by its tag.
 const std::vector<BannedIdent>& SpanValidityBans();
+
+// HOT-VIRT-024: the PTE-tree virtual entry points, banned over the marked roots and their
+// closure alike. Only a reload walks the tree; each deliberate call carries a
+// `mmu-lint-allow(HOT-VIRT-024): <reason>`.
+const std::vector<BannedIdent>& PteTreeBans();
 
 // HOT-ATTR-026: hot-path headers (the LAYER-HOT-OBS-003 root set minus machine.h, which
 // owns the ledger and defines CycleScope) must not reach observability state directly —
@@ -111,10 +104,11 @@ const std::vector<std::string>& SmpIpiAllowlist();
 // ---- Interprocedural rules (call-graph based) ----------------------------------------
 
 // Receiver-token resolution for the call-graph builder: member/variable names whose class
-// is fixed by convention across the tree (`htab_.Insert(...)` -> HashTable::Insert).
+// is fixed by convention across the tree but declared where the builder cannot read it
+// (`mmu_->Access(...)` -> Mmu::Access through a std::unique_ptr<Mmu>).
 struct ReceiverType {
-  std::string token;  // receiver identifier as written, e.g. "htab_"
-  std::string cls;    // class it holds, e.g. "HashTable"
+  std::string token;  // receiver identifier as written, e.g. "mmu_"
+  std::string cls;    // class it holds, e.g. "Mmu"
 };
 const std::vector<ReceiverType>& ReceiverTypes();
 // Accessor-method resolution for chained calls: `mmu_->htab().Insert(...)` resolves the
@@ -133,7 +127,7 @@ const std::vector<FlushMutator>& FlushMutators();
 // architecturally unreachable).
 const std::vector<std::string>& FlushPrimitives();
 
-// HOT-CLOSURE-030: transitive closure from the HotFunctions() roots, minus these audited
+// HOT-CLOSURE-030: transitive closure from the mmu-lint-hot roots, minus these audited
 // boundary functions (each with the reason it may stop the descent).
 struct ClosureBoundary {
   std::string id;
@@ -157,9 +151,10 @@ const std::vector<std::string>& SmpGateways();
 // reports legitimately inspect every CPU's bank).
 const std::vector<std::string>& SmpConfineExemptFiles();
 
-// ATTR-COVER-032: kernel entry points — the roots unattributed (ambient) cycles flow in
-// from. Every AddCycles/AddCyclesOn site reachable from here without an intervening
-// CycleScope is a hole in the "100% cycles attributed" guarantee.
+// ATTR-COVER-032: kernel entry points — the public operations plus the private functions
+// hooks and fault paths enter — the roots unattributed (ambient) cycles flow in from.
+// Every AddCycles/AddCyclesOn site reachable from here without an intervening CycleScope
+// is a hole in the "100% cycles attributed" guarantee.
 const std::vector<std::string>& KernelEntryPoints();
 
 // ---- Counter consistency (CNT-*) -----------------------------------------------------
@@ -185,14 +180,18 @@ struct Tree {
 
 void CheckLayering(const LintConfig& config, const Tree& tree, std::vector<Diagnostic>* out);
 void CheckDeterminism(const LintConfig& config, const Tree& tree, std::vector<Diagnostic>* out);
-void CheckHotPaths(const LintConfig& config, const Tree& tree, std::vector<Diagnostic>* out);
 void CheckSmp(const LintConfig& config, const Tree& tree, std::vector<Diagnostic>* out);
 void CheckCounters(const LintConfig& config, const Tree& tree, std::vector<Diagnostic>* out);
 
-// The four interprocedural analyses (FLUSH-CONTRACT-029, HOT-CLOSURE-030, SMP-CONFINE-031,
-// ATTR-COVER-032), in graph_rules.cc. Takes the whole LintResult so rule-table staleness
-// (a gateway or entry point no longer defined) surfaces as an error, not a silent pass.
+// The HOT-* and SPAN-GEN-027 checks (hotpath.cc): the marked roots, their call-graph
+// closure, and the attribution-free hot headers.
 struct CallGraph;
+void CheckHotPaths(const LintConfig& config, const Tree& tree, const CallGraph& graph,
+                   std::vector<Diagnostic>* out);
+
+// The other interprocedural analyses (FLUSH-CONTRACT-029, SMP-CONFINE-031, ATTR-COVER-032),
+// in graph_rules.cc. Takes the whole LintResult so rule-table staleness (a gateway or entry
+// point no longer defined) surfaces as an error, not a silent pass.
 void CheckGraphRules(const LintConfig& config, const Tree& tree, const CallGraph& graph,
                      LintResult* result);
 

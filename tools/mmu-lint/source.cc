@@ -217,6 +217,7 @@ bool LoadSource(const std::string& fs_path, const std::string& rel_path, SourceF
   ParseSuppressions(out->raw, &out->allow);
   ParseAnnotations(out->raw, "deferred-flush", &out->deferred_flush);
   ParseAnnotations(out->raw, "ambient", &out->ambient);
+  ParseAnnotations(out->raw, "hot", &out->hot);
   ParseIncludes(*out, &out->includes);
   return true;
 }

@@ -39,6 +39,7 @@ struct SourceFile {
   // Function-level contract annotations, parsed from the raw text (they live in comments):
   //   // mmu-lint-deferred-flush(FLUSH-CONTRACT-029): <reason>
   //   // mmu-lint-ambient(ATTR-COVER-032): <reason>
+  //   // mmu-lint-hot(HOT-CLOSURE-030): <reason>
   // An annotation applies to the function definition whose [name, body-end] byte range
   // contains it — put it on the signature line or inside the body. The reason is required;
   // an empty one is reported as a violation of the annotated rule, not silently honoured.
@@ -50,6 +51,7 @@ struct SourceFile {
   };
   std::vector<Annotation> deferred_flush;  // mmu-lint-deferred-flush markers
   std::vector<Annotation> ambient;         // mmu-lint-ambient markers
+  std::vector<Annotation> hot;             // mmu-lint-hot markers: the hot tier's entry points
 
   bool Suppressed(uint32_t line, const std::string& rule) const;
 
